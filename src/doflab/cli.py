@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -57,6 +58,9 @@ _ERROR_CODES = {
     ShapeMismatch: "SHAPE_MISMATCH",
     SingularCovariance: "SINGULAR_COVARIANCE",
 }
+
+
+MAX_SNR_POINTS = 1000
 
 
 class _CliError(Exception):
@@ -209,16 +213,28 @@ def cmd_plan(args) -> int:
     return 0
 
 
+def _snr_grid(snr_min: float, snr_max: float, step: float) -> list[float]:
+    """``snr_min``, ``snr_min + step``, ... up to ``snr_max`` (within 1e-9),
+    rounded to 6 decimals. The point count is checked before any is built."""
+    if not all(math.isfinite(x) for x in (snr_min, snr_max, step)):
+        raise _CliError("INVALID_SNR_GRID", "SNR bounds and step must be finite")
+    if step <= 0:
+        raise _CliError("INVALID_SNR_GRID", f"SNR step must be positive, got {step}")
+    span = (snr_max - snr_min + 1e-9) / step
+    if span >= MAX_SNR_POINTS:
+        raise _CliError(
+            "INVALID_SNR_GRID", f"SNR grid would exceed {MAX_SNR_POINTS} points"
+        )
+    count = math.floor(span) + 1 if span >= 0 else 0
+    if count < 2:
+        raise _CliError("INVALID_SNR_GRID", "need at least two SNR points")
+    return [round(snr_min + i * step, 6) for i in range(count)]
+
+
 def cmd_simulate(args) -> int:
     cfg = _config(args)
     plan, weight = _plan_for(cfg, args.weight, args.at_corner)
-    snrs = []
-    snr = args.snr_min
-    while snr <= args.snr_max + 1e-9:
-        snrs.append(round(snr, 6))
-        snr += args.snr_step
-    if len(snrs) < 2:
-        raise _CliError("INVALID_SNR_GRID", "need at least two SNR points")
+    snrs = _snr_grid(args.snr_min, args.snr_max, args.snr_step)
     params = SimParams(
         snr_grid_db=tuple(snrs),
         trials=args.trials,

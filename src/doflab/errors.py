@@ -34,4 +34,10 @@ class ShapeMismatch(DoflabError):
 
 
 class SingularCovariance(DoflabError):
-    """An effective noise covariance is not positive definite."""
+    """An effective noise covariance is not positive definite.
+
+    ``index`` is the flat batch position of the first such covariance when
+    a stacked kernel raised it.
+    """
+
+    index = 0

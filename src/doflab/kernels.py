@@ -1,37 +1,84 @@
-"""Backend selection for the simulator's numeric kernels.
+"""The simulator's numeric kernels, in NumPy.
 
-Prefers the compiled extension when it imported cleanly, otherwise the
-NumPy reference. Set ``DOFLAB_KERNELS=numpy`` or ``=cython`` to force a
-backend (forcing cython raises if the extension is unavailable).
+Each kernel works on a stack of systems: the leading axes are batch axes
+and the last two hold one matrix, so a whole chunk of (trial, SNR) pairs
+goes through LAPACK in one call. The 2-D forms evaluate a single system
+through the same code.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-_choice = os.environ.get("DOFLAB_KERNELS", "auto").strip().lower()
+from .errors import SingularCovariance
 
-if _choice in ("auto", ""):
+__all__ = [
+    "backend",
+    "logdet_rate_bits",
+    "logdet_rate_bits_stacked",
+    "numerical_rank",
+    "numerical_rank_stacked",
+]
+
+backend = "numpy"
+
+
+def _cholesky(sigma: np.ndarray) -> np.ndarray | None:
+    """Cholesky factors of a stack, or None unless every matrix has one with
+    positive pivots (a non-finite matrix has none)."""
     try:
-        from . import _kernels_cy as _impl
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return None
+    return chol if np.all(np.diagonal(chol, axis1=-2, axis2=-1).real > 0) else None
 
-        backend = "cython"
-    except ImportError:
-        from . import _kernels_np as _impl
 
-        backend = "numpy"
-elif _choice == "cython":
-    from . import _kernels_cy as _impl
+def logdet_rate_bits_stacked(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """log2 det(I + G^H Sigma^{-1} G) for each complex G (..., m, k) and
+    Hermitian positive definite Sigma (..., m, m): the mutual information in
+    bits of y = G s + n with unit-power symbols and noise covariance Sigma.
 
-    backend = "cython"
-elif _choice == "numpy":
-    from . import _kernels_np as _impl
+    Raises ``SingularCovariance`` if any Sigma of the stack is not positive
+    definite (a non-finite one counts as not); its ``index`` is the flat
+    batch index of the first one.
+    """
+    g = np.asarray(g, dtype=np.complex128)
+    sigma = np.asarray(sigma, dtype=np.complex128)
+    if g.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {g.shape}")
+    m, k = g.shape[-2:]
+    if sigma.shape != g.shape[:-2] + (m, m):
+        raise ValueError(f"covariance shape {sigma.shape} does not match {m} rows")
+    if m == 0 or k == 0:
+        return np.zeros(g.shape[:-2])
+    chol = _cholesky(sigma)
+    if chol is None:
+        error = SingularCovariance("noise covariance is not positive definite")
+        flat = sigma.reshape((-1, m, m))
+        error.index = next((i for i, one in enumerate(flat) if _cholesky(one) is None), 0)
+        raise error
+    white = np.linalg.solve(chol, g)
+    gram = np.eye(k, dtype=np.complex128) + np.swapaxes(white.conj(), -1, -2) @ white
+    # gram is PD by construction; its Cholesky diagonal gives the log-det
+    cg = np.linalg.cholesky(gram)
+    return 2.0 * np.sum(np.log2(np.diagonal(cg, axis1=-2, axis2=-1).real), axis=-1)
 
-    backend = "numpy"
-else:
-    raise ValueError(f"DOFLAB_KERNELS must be 'auto', 'numpy' or 'cython', got {_choice!r}")
 
-logdet_rate_bits = _impl.logdet_rate_bits
-numerical_rank = _impl.numerical_rank
+def numerical_rank_stacked(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+    """Per matrix of the stack (..., m, n): singular values above rtol times
+    the largest one."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2], dtype=np.int64)
+    s = np.linalg.svd(a, compute_uv=False)
+    return np.count_nonzero(s > rtol * s[..., :1], axis=-1)
 
-__all__ = ["backend", "logdet_rate_bits", "numerical_rank"]
+
+def logdet_rate_bits(g: np.ndarray, sigma: np.ndarray) -> float:
+    """``logdet_rate_bits_stacked`` of a single system G (m, k), Sigma (m, m)."""
+    return float(logdet_rate_bits_stacked(np.asarray(g)[None], np.asarray(sigma)[None])[0])
+
+
+def numerical_rank(a: np.ndarray, rtol: float = 1e-9) -> int:
+    """``numerical_rank_stacked`` of a single matrix."""
+    return int(numerical_rank_stacked(np.asarray(a)[None], rtol)[0])

@@ -138,9 +138,6 @@ class DofPoint:
         yield self.d1
         yield self.d2
 
-    def as_floats(self) -> tuple[float, float]:
-        return float(self.d1), float(self.d2)
-
 
 def _coerce_point(point) -> tuple[Fraction, Fraction]:
     d1, d2 = point

@@ -27,6 +27,7 @@ with ``[seed, trial]``; identical parameters reproduce identical reports.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, replace
@@ -35,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, SingularCovariance
 from .rational import RatioLike, as_ratio
 from .region import SystemConfig
 from .scheme import SchedulePlan, order2_payload
@@ -57,6 +58,10 @@ __all__ = [
 ]
 
 QUANTIZER_CLIP = 4.0
+# Working-set budget of one batched chunk of the rate and rank campaigns.
+# Small plans fit hundreds of (trial, SNR) pairs in a chunk; plans with
+# systems near 100x100 run one pair at a time, as an unbatched loop would.
+CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,8 @@ class SimParams:
 class ChannelRealization:
     """Per-slot channel matrices (and, once attached, their CSIT estimates).
 
-    ``h1``/``h2`` have shape (slots, N_i, M). The additive decomposition
+    ``h1``/``h2`` have shape (slots, N_i, M), with leading batch axes for a
+    stack of draws. The additive decomposition
     ``h = h_hat + residual`` holds exactly by construction.
     """
 
@@ -95,7 +101,7 @@ class ChannelRealization:
 
     @property
     def total_slots(self) -> int:
-        return self.h1.shape[0]
+        return self.h1.shape[-3]
 
     def with_csit(self, cfg: SystemConfig, rho: float) -> "ChannelRealization":
         """Attach quantized estimates at the configuration's qualities."""
@@ -119,7 +125,8 @@ class PhaseMatrices:
     """Unscaled block-diagonal stacks of the two symbol phases.
 
     Rows group by slot (N_i rows each); columns are symbols. Entry blocks
-    follow the big-first per-slot stream loading of the plan.
+    follow the big-first per-slot stream loading of the plan. Stacks built
+    from a stack of draws keep its leading batch axes.
     """
 
     rx1_phase1: np.ndarray  # (N1*tau1, s1)
@@ -208,7 +215,7 @@ def gen_channels(cfg: SystemConfig, total_slots: int, seed) -> ChannelRealizatio
     return ChannelRealization(h1, h2)
 
 
-def quantize_csit(h: np.ndarray, alpha: RatioLike, rho: float) -> np.ndarray:
+def quantize_csit(h: np.ndarray, alpha: RatioLike, rho) -> np.ndarray:
     """Uniform feedback quantizer at quality ``alpha``.
 
     Budget ``alpha * log2(rho)`` bits per complex coefficient, i.e. step
@@ -216,15 +223,24 @@ def quantize_csit(h: np.ndarray, alpha: RatioLike, rho: float) -> np.ndarray:
     makes the mean residual power ``rho**-alpha`` inside the clip region.
     ``alpha == 0`` returns the all-zero estimate; ``alpha == 1`` puts the
     residual at the noise floor relative to the transmit power.
+
+    ``rho`` is a scalar or an array broadcast against ``h``, so one call
+    quantizes a whole stack of draws at their own SNR points.
     """
     a = float(as_ratio(alpha))
     if not 0 <= a <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {a}")
-    if rho <= 0:
+    if np.any(np.asarray(rho) <= 0):
         raise ValueError("rho must be positive")
     if a == 0:
         return np.zeros_like(h)
-    step = math.sqrt(6.0) * rho ** (-a / 2.0)
+    if np.ndim(rho) == 0:
+        step = math.sqrt(6.0) * rho ** (-a / 2.0)
+    else:
+        # Python's pow, element by element: numpy's vectorized power can
+        # differ in the last place, and the step must not depend on batching
+        steps = [math.sqrt(6.0) * r ** (-a / 2.0) for r in np.ravel(rho).tolist()]
+        step = np.reshape(steps, np.shape(rho))
     re = np.clip(h.real, -QUANTIZER_CLIP, QUANTIZER_CLIP)
     im = np.clip(h.imag, -QUANTIZER_CLIP, QUANTIZER_CLIP)
     return step * np.round(re / step) + 1j * step * np.round(im / step)
@@ -238,24 +254,61 @@ def _spread(total: int, slots: int) -> list[int]:
     return [base + 1 if t < extra else base for t in range(slots)]
 
 
-def _stack_blocks(
-    slices: np.ndarray, loads: list[int], scales: list[float] | None = None
-) -> np.ndarray:
-    """Block-diagonal stack: slot t contributes its first ``loads[t]``
-    columns (optionally scaled) at the running column offset."""
-    rows_per = slices.shape[1] if slices.ndim == 3 else 0
-    total = sum(loads)
-    out = np.zeros((rows_per * len(loads), total), dtype=np.complex128)
-    off = 0
-    for t, load in enumerate(loads):
-        if load == 0:
-            continue
-        block = slices[t][:, :load]
+class _BlockStack:
+    """Index maps of one block-diagonal phase stack.
+
+    Slot t's (rows, cols) channel contributes its first ``loads[t]`` columns
+    at rows ``t*rows ...`` and at the next ``loads[t]`` symbol columns; every
+    other entry is zero. With ``keep``, only the first ``keep`` rows of the
+    stack are built.
+    """
+
+    def __init__(self, loads: tuple[int, ...], rows: int, cols: int, keep: int | None = None):
+        counts = np.asarray(loads, dtype=np.intp)
+        symbols = int(counts.sum())
+        slot = np.repeat(np.arange(len(counts)), counts)  # slot of each symbol column
+        antenna = np.arange(symbols) - np.repeat(np.cumsum(counts) - counts, counts)
+        row = slot[None, :] * rows + np.arange(rows)[:, None]  # (rows, symbols)
+        col = np.broadcast_to(np.arange(symbols), row.shape)
+        self.shape = (rows * len(counts) if keep is None else keep, symbols)
+        wanted = row < self.shape[0]
+        self.dst = (row * symbols + col)[wanted]
+        self.src = (row * cols + antenna[None, :])[wanted]
+        self.slot = np.broadcast_to(slot, row.shape)[wanted]
+
+    def __call__(self, h: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
+        """Stack ``h`` (..., slots, rows, cols), optionally scaling slot t's
+        block by ``scales[..., t]``, into (..., stack rows, symbols)."""
+        batch = h.shape[:-3]
+        values = h.reshape(batch + (-1,))[..., self.src]
         if scales is not None:
-            block = scales[t] * block
-        out[t * rows_per : (t + 1) * rows_per, off : off + load] = block
-        off += load
-    return out
+            values = scales[..., self.slot] * values
+        out = np.zeros(batch + (self.shape[0] * self.shape[1],), dtype=np.complex128)
+        out[..., self.dst] = values
+        return out.reshape(batch + self.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _block_stack(loads: tuple[int, ...], rows: int, cols: int, keep: int | None = None):
+    return _BlockStack(loads, rows, cols, keep)
+
+
+def _deal(rows: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Payload rows (B, k, ...) dealt onto the phase-three grid: grid entry
+    (t, r) gets row ``pick[t, r]``, or zeros where the pick is k."""
+    zero = np.zeros((rows.shape[0], 1, *rows.shape[2:]), dtype=rows.dtype)
+    return np.concatenate([rows, zero], axis=1)[:, pick]
+
+
+def _rows_of_slots(blocks: np.ndarray) -> np.ndarray:
+    """Per-slot row blocks (..., slots, rows, cols) stacked slot by slot
+    into (..., slots * rows, cols)."""
+    *batch, slots, rows, cols = blocks.shape
+    return blocks.reshape(*batch, slots * rows, cols)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 class _PlanGeometry:
@@ -265,53 +318,136 @@ class _PlanGeometry:
         self.cfg = cfg
         self.plan = plan
         self.payload = order2_payload(plan, cfg)  # validates feasibility
-        self.loads1 = _spread(plan.s1_count, plan.tau1)
-        self.loads2 = _spread(plan.s2_count, plan.tau2)
-        # deal retransmitted symbols round-robin over the phase-three slots:
-        # slot t serves indices congruent to t, which caps each slot's
-        # user-i-carrying count at ceil(k_i / tau3) <= N_i
-        self.chunks = [
-            [j for j in range(self.payload.length) if j % plan.tau3 == t]
-            for t in range(plan.tau3)
-        ]
+        k1, k2 = self.payload.k1_needed, self.payload.k2_needed
+        loads1 = tuple(_spread(plan.s1_count, plan.tau1))
+        loads2 = tuple(_spread(plan.s2_count, plan.tau2))
+        self.phase1 = slice(0, plan.tau1)
+        self.phase2 = slice(plan.tau1, plan.tau1 + plan.tau2)
+        self.own1 = _block_stack(loads1, cfg.n1, cfg.m)
+        self.own2 = _block_stack(loads2, cfg.n2, cfg.m)
+        # order-2 coefficient rows: the first k_i rows of the other
+        # receiver's stack in the same phase
+        self.coef1 = _block_stack(loads1, cfg.n2, cfg.m, k1)
+        self.coef2 = _block_stack(loads2, cfg.n1, cfg.m, k2)
+        # a slot's load is at least one wherever k_i > 0 (k_i > 0 needs
+        # s_i > N_i * tau_i >= tau_i), so these never divide by zero
+        self.loads1 = np.maximum(loads1, 1)
+        self.loads2 = np.maximum(loads2, 1)
+        self.row_loads1 = np.repeat(loads1, cfg.n2)[:k1].astype(float)
+        self.row_loads2 = np.repeat(loads2, cfg.n1)[:k2].astype(float)
+        # Phase three deals the payload round-robin: symbol j goes to slot
+        # j % tau3 as its stream j // tau3, which caps each slot's
+        # user-i-carrying count at ceil(k_i / tau3) <= N_i. The grid below
+        # holds slot t's streams in row t, padded to the longest slot; a
+        # pick equal to k_i selects an appended zero row.
+        length = self.payload.length
+        self.slots3 = min(length, plan.tau3)  # phase-three slots that carry streams
+        self.streams3 = self.payload.per_slot_streams  # streams of the fullest slot
+        base3 = plan.tau1 + plan.tau2
+        self.phase3 = slice(base3, base3 + self.slots3)
+        j = np.arange(self.streams3)[None, :] * plan.tau3 + np.arange(self.slots3)[:, None]
+        self.pick1 = np.where(j < k1, j, k1)
+        self.pick2 = np.where(j < k2, j, k2)
+        self.slot_streams = np.count_nonzero(j < length, axis=1).astype(float)
 
-    def slot_of_phase1_row(self, row: int) -> int:
-        return row // self.cfg.n2  # rows of the rx2 phase-one stack
+    def _system_rows(self) -> tuple[int, int]:
+        """Rows of each receiver's stacked system: own phase plus phase three."""
+        cfg, plan = self.cfg, self.plan
+        return cfg.n1 * (plan.tau1 + self.slots3), cfg.n2 * (plan.tau2 + self.slots3)
 
-    def slot_of_phase2_row(self, row: int) -> int:
-        return row // self.cfg.n1  # rows of the rx1 phase-two stack
+    def pair_bytes(self) -> int:
+        """Bytes of what one (trial, SNR) pair hands the log-det kernel and
+        the kernel's working copy of it: each receiver's (rows, symbols)
+        system and (rows, rows) covariance, whitened and factored."""
+        rows1, rows2 = self._system_rows()
+        s1, s2 = self.plan.s1_count, self.plan.s2_count
+        return 2 * 16 * (rows1 * (rows1 + s1) + rows2 * (rows2 + s2))
+
+    def trial_bytes(self) -> int:
+        """Bytes of the systems one trial hands the rank kernel, and the
+        kernel's working copy of them."""
+        rows1, rows2 = self._system_rows()
+        return 2 * 16 * (rows1 * self.plan.s1_count + rows2 * self.plan.s2_count)
+
+
+def _chunks(count: int, unit_bytes: int):
+    """Consecutive index ranges covering ``range(count)``, each holding as
+    many units as fit in ``CHUNK_BYTES`` (at least one)."""
+    size = max(1, CHUNK_BYTES // max(unit_bytes, 1))
+    for start in range(0, count, size):
+        yield np.arange(start, min(start + size, count))
+
+
+class _TrialDraws:
+    """Channel draws of a campaign, one ``gen_channels`` call per trial;
+    keeps only the trials a later chunk can still ask for."""
+
+    def __init__(self, cfg: SystemConfig, total_slots: int, seed: int):
+        self.cfg, self.total_slots, self.seed = cfg, total_slots, seed
+        self.drawn: dict[int, ChannelRealization] = {}
+
+    def take(self, trials: np.ndarray) -> ChannelRealization:
+        """Channels of ``trials`` (nondecreasing), stacked on a leading axis."""
+        first, last = int(trials[0]), int(trials[-1])
+        self.drawn = {t: r for t, r in self.drawn.items() if t >= first}
+        for t in range(first, last + 1):
+            if t not in self.drawn:
+                self.drawn[t] = gen_channels(self.cfg, self.total_slots, [self.seed, t])
+        span = range(first, last + 1)
+        h1 = np.stack([self.drawn[t].h1 for t in span])
+        h2 = np.stack([self.drawn[t].h2 for t in span])
+        return ChannelRealization(h1[trials - first], h2[trials - first])
 
 
 def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
                          cfg: SystemConfig) -> PhaseMatrices:
-    """Stack the true channels of the two symbol phases (unscaled)."""
+    """Stack the true channels of the two symbol phases (unscaled).
+
+    Leading axes of the realization's arrays are batch axes and carry
+    through to the stacks.
+    """
     if realization.total_slots < plan.total_slots:
         raise ShapeMismatch(
             f"realization has {realization.total_slots} slots, plan needs {plan.total_slots}"
         )
-    if realization.h1.shape[1] != cfg.n1 or realization.h2.shape[1] != cfg.n2 \
-            or realization.h1.shape[2] != cfg.m:
+    h1, h2 = realization.h1, realization.h2
+    if h1.shape[-2] != cfg.n1 or h2.shape[-2] != cfg.n2 or h1.shape[-1] != cfg.m:
         raise ShapeMismatch("realization dimensions do not match the configuration")
-    loads1 = _spread(plan.s1_count, plan.tau1)
-    loads2 = _spread(plan.s2_count, plan.tau2)
+    loads1 = tuple(_spread(plan.s1_count, plan.tau1))
+    loads2 = tuple(_spread(plan.s2_count, plan.tau2))
+    p1 = slice(0, plan.tau1)
     p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
     return PhaseMatrices(
-        rx1_phase1=_stack_blocks(realization.h1[: plan.tau1], loads1),
-        rx2_phase1=_stack_blocks(realization.h2[: plan.tau1], loads1),
-        rx1_phase2=_stack_blocks(realization.h1[p2], loads2),
-        rx2_phase2=_stack_blocks(realization.h2[p2], loads2),
+        rx1_phase1=_block_stack(loads1, cfg.n1, cfg.m)(h1[..., p1, :, :]),
+        rx2_phase1=_block_stack(loads1, cfg.n2, cfg.m)(h2[..., p1, :, :]),
+        rx1_phase2=_block_stack(loads2, cfg.n1, cfg.m)(h1[..., p2, :, :]),
+        rx2_phase2=_block_stack(loads2, cfg.n2, cfg.m)(h2[..., p2, :, :]),
     )
 
 
-def _ideal_payload_rows(geom: _PlanGeometry, phases: PhaseMatrices):
-    """Order-2 coefficient rows with perfect estimates (rank fidelity)."""
+def _ranks(geom: _PlanGeometry, realization: ChannelRealization, rtol: float):
+    """Per-receiver ranks of the idealized systems of draws stacked on one
+    leading axis.
+
+    The order-2 coefficients are the true channel rows and the cross part
+    cancels exactly, so a deficient rank isolates a schedule defect.
+    """
+    plan = geom.plan
     k1, k2 = geom.payload.k1_needed, geom.payload.k2_needed
-    s1, s2 = geom.plan.s1_count, geom.plan.s2_count
-    rows1 = np.zeros((geom.payload.length, s1), dtype=np.complex128)
-    rows2 = np.zeros((geom.payload.length, s2), dtype=np.complex128)
-    rows1[:k1] = phases.rx2_phase1[:k1]
-    rows2[:k2] = phases.rx1_phase2[:k2]
-    return rows1, rows2
+    phases = build_phase_matrices(realization, plan, geom.cfg)
+    sys1, sys2 = phases.rx1_phase1, phases.rx2_phase2
+    if geom.slots3:
+        q = geom.streams3
+        rows1 = _deal(phases.rx2_phase1[:, :k1], geom.pick1)
+        rows2 = _deal(phases.rx1_phase2[:, :k2], geom.pick2)
+        w1 = realization.h1[:, geom.phase3, :, :q]
+        w2 = realization.h2[:, geom.phase3, :, :q]
+        sys1 = np.concatenate([sys1, _rows_of_slots(w1 @ rows1)], axis=-2)
+        sys2 = np.concatenate([sys2, _rows_of_slots(w2 @ rows2)], axis=-2)
+    return (
+        kernels.numerical_rank_stacked(sys1, rtol),
+        kernels.numerical_rank_stacked(sys2, rtol),
+    )
 
 
 def run_scheme_rank_check(
@@ -326,24 +462,9 @@ def run_scheme_rank_check(
     """
     geom = _PlanGeometry(cfg, plan)
     realization = gen_channels(cfg, max(plan.total_slots, 1), seed)
-    phases = build_phase_matrices(realization, plan, cfg)
-    rows1, rows2 = _ideal_payload_rows(geom, phases)
-
-    sys1 = [phases.rx1_phase1]
-    sys2 = [phases.rx2_phase2]
-    base3 = plan.tau1 + plan.tau2
-    for t, chunk in enumerate(geom.chunks):
-        q = len(chunk)
-        if q == 0:
-            continue
-        w1 = realization.h1[base3 + t][:, :q]
-        w2 = realization.h2[base3 + t][:, :q]
-        sys1.append(w1 @ rows1[chunk])
-        sys2.append(w2 @ rows2[chunk])
-
+    batch = ChannelRealization(realization.h1[None], realization.h2[None])
+    rank1, rank2 = (int(r[0]) for r in _ranks(geom, batch, rtol))
     s1, s2 = plan.s1_count, plan.s2_count
-    rank1 = kernels.numerical_rank(np.vstack(sys1), rtol) if s1 else 0
-    rank2 = kernels.numerical_rank(np.vstack(sys2), rtol) if s2 else 0
     return RankCheck(rank1 == s1, rank2 == s2, rank1, rank2, s1, s2)
 
 
@@ -351,99 +472,101 @@ def rank_check_campaign(
     cfg: SystemConfig, plan: SchedulePlan, params: SimParams, rtol: float = 1e-9
 ) -> tuple[int, int]:
     """Count rank-check passes per receiver over ``params.trials`` draws."""
+    geom = _PlanGeometry(cfg, plan)
+    draws = _TrialDraws(cfg, plan.total_slots, params.seed)
     passes = [0, 0]
-    for trial in range(params.trials):
-        check = run_scheme_rank_check(cfg, plan, [params.seed, trial], rtol)
-        passes[0] += check.rx1_ok
-        passes[1] += check.rx2_ok
+    for trials in _chunks(params.trials, geom.trial_bytes()):
+        rank1, rank2 = _ranks(geom, draws.take(trials), rtol)
+        passes[0] += int(np.count_nonzero(rank1 == plan.s1_count))
+        passes[1] += int(np.count_nonzero(rank2 == plan.s2_count))
     return passes[0], passes[1]
 
 
-def _row_powers(loads: list[int], rows_per_slot: int, power: float) -> np.ndarray:
-    """Per-row transmit power of a phase stack (0 for empty slots)."""
-    out = np.zeros(rows_per_slot * len(loads))
-    for t, load in enumerate(loads):
-        if load:
-            out[t * rows_per_slot : (t + 1) * rows_per_slot] = power / load
-    return out
+def _phase3_blocks(w, own, cross, evar):
+    """One receiver's phase-three pieces per slot, from its scaled channel
+    ``w`` (B, slots, N, streams) and the dealt payload.
 
-
-def _phase3_blocks(geom, realization, est1, est2, res1, res2, pow1, pow2,
-                   power, sigma2):
-    """Per-receiver phase-three pieces for the rate model.
-
-    Returns (gain rows, mismatch rows, extra noise blocks) for each
-    receiver. Gain rows carry the receiver's own symbols; mismatch rows map
-    the other user's symbols through the quantization residual left after
-    cancellation; the extra blocks hold the reconstruction thermal noise
-    lifted through the phase-three channel.
+    Gain rows carry the receiver's own symbols; mismatch rows map the other
+    user's symbols through the quantization residual left after
+    cancellation; the extra (N, N) blocks hold the reconstruction thermal
+    noise lifted through the phase-three channel.
     """
+    return w @ own, w @ cross, (w * evar[:, :, None, :]) @ _herm(w)
+
+
+def _receiver_rates(own, phase3, sigma2):
+    """Whitened log-det rate of each receiver system of the batch (bits per
+    use of the stacked channel): ``own`` is the receiver's own-phase stack
+    (B, n_own, s), ``phase3`` None or its ``_phase3_blocks``."""
+    b, n_own = own.shape[:2]
+    if phase3 is None:
+        g = own
+        sigma = np.broadcast_to(sigma2 * np.eye(n_own, dtype=np.complex128), (b, n_own, n_own))
+        return kernels.logdet_rate_bits_stacked(g, sigma)
+    gain, mismatch, extra = phase3
+    slots, n = gain.shape[1:3]
+    n3 = slots * n
+    g3 = _rows_of_slots(gain)
+    mism = _rows_of_slots(mismatch)
+    sig3 = sigma2 * np.eye(n3, dtype=np.complex128) + mism @ _herm(mism)
+    diag = np.arange(slots)
+    sig3.reshape(b, slots, n, slots, n)[:, diag, :, diag, :] += np.moveaxis(extra, 1, 0)
+    sigma = np.zeros((b, n_own + n3, n_own + n3), dtype=np.complex128)
+    sigma[:, :n_own, :n_own] = sigma2 * np.eye(n_own)
+    sigma[:, n_own:, n_own:] = sig3
+    g = np.concatenate([own, g3], axis=1)
+    return kernels.logdet_rate_bits_stacked(g, sigma)
+
+
+def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray,
+                sigma2: float) -> np.ndarray:
+    """Rates (B, 2) in bits per slot of B (trial, SNR) pairs: channels
+    ``real`` (B, slots, N_i, M) at SNR ``rho`` (B,)."""
     cfg, plan = geom.cfg, geom.plan
-    k1, k2 = geom.payload.k1_needed, geom.payload.k2_needed
-    base3 = plan.tau1 + plan.tau2
-    out = {1: ([], [], []), 2: ([], [], [])}
-    for t, chunk in enumerate(geom.chunks):
-        q = len(chunk)
-        if q == 0:
-            continue
-        gains = np.zeros(q)
-        for qi, j in enumerate(chunk):
-            pw = 0.0
-            if j < k1:
-                pw += float(np.sum(np.abs(est1[j]) ** 2))
-            if j < k2:
-                pw += float(np.sum(np.abs(est2[j]) ** 2))
-            if pw > 0:
-                gains[qi] = math.sqrt(power / q / pw)
-        w1 = realization.h1[base3 + t][:, :q] * gains[None, :]
-        w2 = realization.h2[base3 + t][:, :q] * gains[None, :]
+    h1, h2 = real.h1, real.h2
+    power = rho * sigma2
+    at_rho = rho[:, None, None, None]
+    h2_p1, h1_p2 = h2[:, geom.phase1], h1[:, geom.phase2]
+    h2_hat = quantize_csit(h2_p1, cfg.alpha2, at_rho)
+    h1_hat = quantize_csit(h1_p2, cfg.alpha1, at_rho)
 
-        own1 = np.zeros((q, plan.s1_count), dtype=np.complex128)
-        cross1 = np.zeros((q, plan.s2_count), dtype=np.complex128)
-        evar1 = np.zeros(q)
-        own2 = np.zeros((q, plan.s2_count), dtype=np.complex128)
-        cross2 = np.zeros((q, plan.s1_count), dtype=np.complex128)
-        evar2 = np.zeros(q)
-        for qi, j in enumerate(chunk):
-            if j < k1:
-                own1[qi] = est1[j]
-                cross2[qi] = res1[j]
-                evar2[qi] = sigma2 / pow1[j]
-            if j < k2:
-                own2[qi] = est2[j]
-                cross1[qi] = res2[j]
-                evar1[qi] = sigma2 / pow2[j]
-        out[1][0].append(w1 @ own1)
-        out[1][1].append(w1 @ cross1)
-        out[1][2].append((w1 * evar1[None, :]) @ w1.conj().T)
-        out[2][0].append(w2 @ own2)
-        out[2][1].append(w2 @ cross2)
-        out[2][2].append((w2 * evar2[None, :]) @ w2.conj().T)
-    return out
+    own1 = geom.own1(h1[:, geom.phase1], np.sqrt(power[:, None] / geom.loads1))
+    own2 = geom.own2(h2[:, geom.phase2], np.sqrt(power[:, None] / geom.loads2))
+    # order-2 coefficient rows (estimates), their residuals and row powers
+    est1, res1 = geom.coef1(h2_hat), geom.coef1(h2_p1 - h2_hat)
+    est2, res2 = geom.coef2(h1_hat), geom.coef2(h1_p2 - h1_hat)
+    pow1 = power[:, None] / geom.row_loads1
+    pow2 = power[:, None] / geom.row_loads2
 
-
-def _receiver_rate(own_phase, gain_blocks, mismatch_blocks, extra_blocks,
-                   sigma2, total_slots):
-    """Whitened log-det rate of one receiver's stacked system, per slot."""
-    n_own = own_phase.shape[0]
-    if gain_blocks:
-        g3 = np.vstack(gain_blocks)
-        mism = np.vstack(mismatch_blocks)
-        n3 = g3.shape[0]
-        sig3 = sigma2 * np.eye(n3, dtype=np.complex128) + mism @ mism.conj().T
-        off = 0
-        for blk in extra_blocks:
-            b = blk.shape[0]
-            sig3[off : off + b, off : off + b] += blk
-            off += b
-        g = np.vstack([own_phase, g3])
-        sigma = np.zeros((n_own + n3, n_own + n3), dtype=np.complex128)
-        sigma[:n_own, :n_own] = sigma2 * np.eye(n_own)
-        sigma[n_own:, n_own:] = sig3
-    else:
-        g = own_phase
-        sigma = sigma2 * np.eye(n_own, dtype=np.complex128)
-    return kernels.logdet_rate_bits(g, sigma) / total_slots
+    phase3 = (None, None)
+    if geom.slots3:
+        pick1, pick2 = geom.pick1, geom.pick2
+        # each order-2 symbol gets an equal share of the slot's power
+        pw = (
+            _deal(np.sum(np.abs(est1) ** 2, axis=-1), pick1)
+            + _deal(np.sum(np.abs(est2) ** 2, axis=-1), pick2)
+        )
+        spread = power[:, None, None] / geom.slot_streams[:, None]
+        gains = np.where(pw > 0, np.sqrt(spread / np.where(pw > 0, pw, 1.0)), 0.0)
+        q = geom.streams3
+        w1 = h1[:, geom.phase3, :, :q] * gains[:, :, None, :]
+        w2 = h2[:, geom.phase3, :, :q] * gains[:, :, None, :]
+        phase3 = (
+            _phase3_blocks(
+                w1, _deal(est1, pick1), _deal(res2, pick2), _deal(sigma2 / pow2, pick2)
+            ),
+            _phase3_blocks(
+                w2, _deal(est2, pick2), _deal(res1, pick1), _deal(sigma2 / pow1, pick1)
+            ),
+        )
+    total = plan.total_slots
+    return np.stack(
+        [
+            _receiver_rates(own1, phase3[0], sigma2) / total,
+            _receiver_rates(own2, phase3[1], sigma2) / total,
+        ],
+        axis=-1,
+    )
 
 
 def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> SimReport:
@@ -455,50 +578,36 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     cancellation mismatch folded into the noise covariance. Rates are in
     bits per slot; the returned slopes are least-squares fits against
     ``log2(rho)`` over the top half of the grid.
+
+    The (trial, SNR) pairs run in chunks as stacked arrays, as many per
+    chunk as fit the plan's working set into ``CHUNK_BYTES``.
     """
     geom = _PlanGeometry(cfg, plan)
-    sigma2 = params.noise_variance
-    total = plan.total_slots
-    k1, k2 = geom.payload.k1_needed, geom.payload.k2_needed
-    p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
+    grid = params.snr_grid_db
+    points = len(grid)
+    rho = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
+    draws = _TrialDraws(cfg, plan.total_slots, params.seed)
 
-    rates = np.zeros((len(params.snr_grid_db), 2))
-    for trial in range(params.trials):
-        realization = gen_channels(cfg, total, [params.seed, trial])
-        for si, snr_db in enumerate(params.snr_grid_db):
-            rho = 10.0 ** (snr_db / 10.0)
-            power = rho * sigma2
-            h1_hat = quantize_csit(realization.h1, cfg.alpha1, rho)
-            h2_hat = quantize_csit(realization.h2, cfg.alpha2, rho)
-
-            scales1 = [math.sqrt(power / u) if u else 0.0 for u in geom.loads1]
-            scales2 = [math.sqrt(power / v) if v else 0.0 for v in geom.loads2]
-            own_rx1 = _stack_blocks(realization.h1[: plan.tau1], geom.loads1, scales1)
-            own_rx2 = _stack_blocks(realization.h2[p2], geom.loads2, scales2)
-
-            # order-2 coefficient rows (estimates) and their residuals
-            est1 = _stack_blocks(h2_hat[: plan.tau1], geom.loads1)[:k1]
-            res1 = _stack_blocks(
-                realization.h2[: plan.tau1] - h2_hat[: plan.tau1], geom.loads1
-            )[:k1]
-            est2 = _stack_blocks(h1_hat[p2], geom.loads2)[:k2]
-            res2 = _stack_blocks(realization.h1[p2] - h1_hat[p2], geom.loads2)[:k2]
-            pow1 = _row_powers(geom.loads1, cfg.n2, power)[:k1]
-            pow2 = _row_powers(geom.loads2, cfg.n1, power)[:k2]
-
-            blocks = _phase3_blocks(
-                geom, realization, est1, est2, res1, res2, pow1, pow2, power, sigma2
+    pair_rates = np.empty((params.trials * points, 2))
+    for pairs in _chunks(len(pair_rates), geom.pair_bytes()):
+        trial, point = np.divmod(pairs, points)
+        try:
+            pair_rates[pairs] = _pair_rates(
+                geom, draws.take(trial), rho[point], params.noise_variance
             )
-            rates[si, 0] += _receiver_rate(own_rx1, *blocks[1], sigma2, total)
-            rates[si, 1] += _receiver_rate(own_rx2, *blocks[2], sigma2, total)
+        except SingularCovariance as exc:
+            at = exc.index
+            raise SingularCovariance(f"trial {trial[at]}, SNR {grid[point[at]]} dB: {exc}") from exc
+    # summed over trials in trial order, as a running total would
+    rates = pair_rates.reshape(params.trials, points, 2).sum(axis=0)
     rates /= params.trials
 
     slopes = (
-        _fit_slope(params.snr_grid_db, rates[:, 0]),
-        _fit_slope(params.snr_grid_db, rates[:, 1]),
+        _fit_slope(grid, rates[:, 0]),
+        _fit_slope(grid, rates[:, 1]),
     )
     return SimReport(
-        snr_grid_db=params.snr_grid_db,
+        snr_grid_db=grid,
         rates=rates,
         slopes=slopes,
         trials=params.trials,

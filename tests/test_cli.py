@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, file writing, error codes."""
 
 import json
+import signal
 
 import pytest
 
@@ -17,6 +18,25 @@ def run(capsys, monkeypatch):
         return code, captured.out, captured.err
 
     return invoke
+
+
+@pytest.fixture
+def time_bound():
+    """Fail a test whose body runs longer than ``seconds`` (SIGALRM)."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs SIGALRM")
+
+    def expired(signum, frame):
+        raise TimeoutError("call did not return within its time bound")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+
+    def arm(seconds):
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+
+    yield arm
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TestRegion:
@@ -206,6 +226,40 @@ class TestSimulate:
         )
         assert code == 3
         assert err.startswith("E:INVALID_SNR_GRID:")
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ("30", "60", "0"),
+            ("30", "60", "-5"),
+            ("30", "60", "-0.0"),
+            ("30", "60", "nan"),
+            ("30", "60", "inf"),
+            ("30", "inf", "5"),
+            ("nan", "60", "5"),
+            ("0", "1e9", "1e-9"),
+            ("-1e308", "1e308", "1"),
+            ("1e20", "1.0000000000001e20", "1"),
+        ],
+    )
+    def test_snr_grid_rejected_in_bounded_time(self, run, time_bound, grid):
+        snr_min, snr_max, step = grid
+        time_bound(5.0)
+        code, out, err = run(
+            "simulate", "--M", "2", "--N1", "1", "--N2", "1", "--trials", "1",
+            f"--snr-min={snr_min}", f"--snr-max={snr_max}", f"--snr-step={step}",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("E:INVALID_SNR_GRID:")
+
+    def test_snr_grid_points(self, run, time_bound):
+        time_bound(30.0)
+        code, out, _ = run(
+            *self.BASE[:7], "--snr-min", "10", "--snr-max", "11", "--snr-step", "0.25",
+            "--trials", "1", "--fidelity", "rate",
+        )
+        assert code == 0
+        assert json.loads(out)["snr_db"] == [10.0, 10.25, 10.5, 10.75, 11.0]
 
 
 class TestSweepAlpha:

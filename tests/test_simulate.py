@@ -3,29 +3,38 @@
 import csv
 import io
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from doflab import (
+    AntennaOverflow,
     ChannelRealization,
+    DoflabError,
     InfeasiblePlan,
     SchedulePlan,
     ShapeMismatch,
     SimParams,
+    SingularCovariance,
     SystemConfig,
     build_phase_matrices,
+    corner_weight,
     estimate_rates,
     gen_channels,
     kernels,
+    order2_payload,
     plan_schedule,
     plan_tdma,
     quantize_csit,
     rank_check_campaign,
     residual_power_scan,
     run_scheme_rank_check,
+    simulate,
 )
 
 
@@ -114,6 +123,16 @@ class TestQuantizer:
             quantize_csit(h, F(3, 2), 100.0)
         with pytest.raises(ValueError):
             quantize_csit(h, F(1, 2), 0.0)
+        with pytest.raises(ValueError):
+            quantize_csit(h, F(1, 2), np.array([100.0, -1.0, 100.0]))
+
+    def test_broadcast_rho_matches_scalar(self):
+        h = gen_channels(SystemConfig(3, 2, 1), 4, 9).h1
+        rho = 10.0 ** (np.arange(-10.0, 90.0, 3.7) / 10.0)
+        stacked = quantize_csit(np.broadcast_to(h, (len(rho),) + h.shape), F(1, 3),
+                                rho[:, None, None, None])
+        for point, r in enumerate(rho):
+            assert np.array_equal(stacked[point], quantize_csit(h, F(1, 3), float(r)))
 
 
 class TestPhaseMatrices:
@@ -274,3 +293,326 @@ class TestResidualScan:
         assert scan.slope == pytest.approx(0.0, abs=0.05)
         for power in scan.mean_power:
             assert power == pytest.approx(1.0, abs=0.05)
+
+
+# --------------------------------------------------------------------------
+# Reference: the unbatched campaigns, one trial and one SNR point at a time.
+# The batched campaigns must reproduce them.
+
+
+def _ref_spread(total, slots):
+    if slots == 0:
+        return []
+    base, extra = divmod(total, slots)
+    return [base + 1 if t < extra else base for t in range(slots)]
+
+
+def _ref_stack(slices, loads, scales=None):
+    rows_per = slices.shape[1] if slices.ndim == 3 else 0
+    out = np.zeros((rows_per * len(loads), sum(loads)), dtype=np.complex128)
+    off = 0
+    for t, load in enumerate(loads):
+        if load == 0:
+            continue
+        block = slices[t][:, :load]
+        if scales is not None:
+            block = scales[t] * block
+        out[t * rows_per : (t + 1) * rows_per, off : off + load] = block
+        off += load
+    return out
+
+
+def _ref_row_powers(loads, rows_per_slot, power):
+    out = np.zeros(rows_per_slot * len(loads))
+    for t, load in enumerate(loads):
+        if load:
+            out[t * rows_per_slot : (t + 1) * rows_per_slot] = power / load
+    return out
+
+
+def _ref_chunks(plan, length):
+    return [[j for j in range(length) if j % plan.tau3 == t] for t in range(plan.tau3)]
+
+
+def _ref_phase3(cfg, plan, chunks, k1, k2, real, est1, est2, res1, res2, pow1, pow2,
+                power, sigma2):
+    base3 = plan.tau1 + plan.tau2
+    out = {1: ([], [], []), 2: ([], [], [])}
+    for t, chunk in enumerate(chunks):
+        q = len(chunk)
+        if q == 0:
+            continue
+        gains = np.zeros(q)
+        for qi, j in enumerate(chunk):
+            pw = 0.0
+            if j < k1:
+                pw += float(np.sum(np.abs(est1[j]) ** 2))
+            if j < k2:
+                pw += float(np.sum(np.abs(est2[j]) ** 2))
+            if pw > 0:
+                gains[qi] = math.sqrt(power / q / pw)
+        w1 = real.h1[base3 + t][:, :q] * gains[None, :]
+        w2 = real.h2[base3 + t][:, :q] * gains[None, :]
+        own1 = np.zeros((q, plan.s1_count), dtype=np.complex128)
+        cross1 = np.zeros((q, plan.s2_count), dtype=np.complex128)
+        evar1 = np.zeros(q)
+        own2 = np.zeros((q, plan.s2_count), dtype=np.complex128)
+        cross2 = np.zeros((q, plan.s1_count), dtype=np.complex128)
+        evar2 = np.zeros(q)
+        for qi, j in enumerate(chunk):
+            if j < k1:
+                own1[qi] = est1[j]
+                cross2[qi] = res1[j]
+                evar2[qi] = sigma2 / pow1[j]
+            if j < k2:
+                own2[qi] = est2[j]
+                cross1[qi] = res2[j]
+                evar1[qi] = sigma2 / pow2[j]
+        out[1][0].append(w1 @ own1)
+        out[1][1].append(w1 @ cross1)
+        out[1][2].append((w1 * evar1[None, :]) @ w1.conj().T)
+        out[2][0].append(w2 @ own2)
+        out[2][1].append(w2 @ cross2)
+        out[2][2].append((w2 * evar2[None, :]) @ w2.conj().T)
+    return out
+
+
+def _ref_receiver_rate(own_phase, gains, mismatches, extras, sigma2, total_slots):
+    n_own = own_phase.shape[0]
+    if gains:
+        g3 = np.vstack(gains)
+        mism = np.vstack(mismatches)
+        n3 = g3.shape[0]
+        sig3 = sigma2 * np.eye(n3, dtype=np.complex128) + mism @ mism.conj().T
+        off = 0
+        for blk in extras:
+            b = blk.shape[0]
+            sig3[off : off + b, off : off + b] += blk
+            off += b
+        g = np.vstack([own_phase, g3])
+        sigma = np.zeros((n_own + n3, n_own + n3), dtype=np.complex128)
+        sigma[:n_own, :n_own] = sigma2 * np.eye(n_own)
+        sigma[n_own:, n_own:] = sig3
+    else:
+        g = own_phase
+        sigma = sigma2 * np.eye(n_own, dtype=np.complex128)
+    return kernels.logdet_rate_bits(g, sigma) / total_slots
+
+
+def reference_rates(cfg, plan, params):
+    """Per-SNR rates (len(grid), 2) of the unbatched loop."""
+    payload = order2_payload(plan, cfg)
+    k1, k2 = payload.k1_needed, payload.k2_needed
+    loads1 = _ref_spread(plan.s1_count, plan.tau1)
+    loads2 = _ref_spread(plan.s2_count, plan.tau2)
+    chunks = _ref_chunks(plan, payload.length)
+    sigma2 = params.noise_variance
+    total = plan.total_slots
+    p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
+    rates = np.zeros((len(params.snr_grid_db), 2))
+    for trial in range(params.trials):
+        real = gen_channels(cfg, total, [params.seed, trial])
+        for si, snr_db in enumerate(params.snr_grid_db):
+            rho = 10.0 ** (snr_db / 10.0)
+            power = rho * sigma2
+            h1_hat = quantize_csit(real.h1, cfg.alpha1, rho)
+            h2_hat = quantize_csit(real.h2, cfg.alpha2, rho)
+            scales1 = [math.sqrt(power / u) if u else 0.0 for u in loads1]
+            scales2 = [math.sqrt(power / v) if v else 0.0 for v in loads2]
+            own_rx1 = _ref_stack(real.h1[: plan.tau1], loads1, scales1)
+            own_rx2 = _ref_stack(real.h2[p2], loads2, scales2)
+            est1 = _ref_stack(h2_hat[: plan.tau1], loads1)[:k1]
+            res1 = _ref_stack(real.h2[: plan.tau1] - h2_hat[: plan.tau1], loads1)[:k1]
+            est2 = _ref_stack(h1_hat[p2], loads2)[:k2]
+            res2 = _ref_stack(real.h1[p2] - h1_hat[p2], loads2)[:k2]
+            pow1 = _ref_row_powers(loads1, cfg.n2, power)[:k1]
+            pow2 = _ref_row_powers(loads2, cfg.n1, power)[:k2]
+            blocks = _ref_phase3(cfg, plan, chunks, k1, k2, real, est1, est2, res1, res2,
+                                 pow1, pow2, power, sigma2)
+            rates[si, 0] += _ref_receiver_rate(own_rx1, *blocks[1], sigma2, total)
+            rates[si, 1] += _ref_receiver_rate(own_rx2, *blocks[2], sigma2, total)
+    return rates / params.trials
+
+
+def reference_rank_passes(cfg, plan, params, rtol=1e-9):
+    """Per-receiver rank passes of the unbatched loop."""
+    payload = order2_payload(plan, cfg)
+    k1, k2 = payload.k1_needed, payload.k2_needed
+    loads1 = _ref_spread(plan.s1_count, plan.tau1)
+    loads2 = _ref_spread(plan.s2_count, plan.tau2)
+    p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
+    base3 = plan.tau1 + plan.tau2
+    s1, s2 = plan.s1_count, plan.s2_count
+    passes = [0, 0]
+    for trial in range(params.trials):
+        real = gen_channels(cfg, plan.total_slots, [params.seed, trial])
+        rows1 = np.zeros((payload.length, s1), dtype=np.complex128)
+        rows2 = np.zeros((payload.length, s2), dtype=np.complex128)
+        rows1[:k1] = _ref_stack(real.h2[: plan.tau1], loads1)[:k1]
+        rows2[:k2] = _ref_stack(real.h1[p2], loads2)[:k2]
+        sys1 = [_ref_stack(real.h1[: plan.tau1], loads1)]
+        sys2 = [_ref_stack(real.h2[p2], loads2)]
+        for t, chunk in enumerate(_ref_chunks(plan, payload.length)):
+            q = len(chunk)
+            if q == 0:
+                continue
+            sys1.append(real.h1[base3 + t][:, :q] @ rows1[chunk])
+            sys2.append(real.h2[base3 + t][:, :q] @ rows2[chunk])
+        rank1 = kernels.numerical_rank(np.vstack(sys1), rtol) if s1 else 0
+        rank2 = kernels.numerical_rank(np.vstack(sys2), rtol) if s2 else 0
+        passes[0] += rank1 == s1
+        passes[1] += rank2 == s2
+    return passes[0], passes[1]
+
+
+def assert_matches_reference(cfg, plan, params):
+    report = estimate_rates(cfg, plan, params)
+    want = reference_rates(cfg, plan, params)
+    assert report.rates.shape == want.shape
+    assert np.max(np.abs(report.rates - want)) <= 1e-12
+    want_slopes = [simulate._fit_slope(params.snr_grid_db, want[:, rx]) for rx in (0, 1)]
+    assert np.max(np.abs(np.subtract(report.slopes, want_slopes))) <= 1e-12
+    assert rank_check_campaign(cfg, plan, params) == reference_rank_passes(cfg, plan, params)
+
+
+def chunk_budget(cfg, plan, pairs):
+    """A budget that puts ``pairs`` (trial, SNR) pairs in each rate chunk."""
+    return pairs * simulate._PlanGeometry(cfg, plan).pair_bytes()
+
+
+class TestBatchedEquivalence:
+    """The chunked campaigns against the one-at-a-time reference."""
+
+    GRID = (20.0, 35.0, 50.0)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # fractional alpha, at the corner
+            (SystemConfig(2, 1, 1, F(1, 2), F(1, 2)), "corner"),
+            (SystemConfig(3, 2, 1, F(1, 4), F(3, 4)), F(1, 3)),
+            # alpha = 0 on both users
+            (SystemConfig(2, 1, 1, 0, 0), "corner"),
+            # TDMA, tau3 = 0
+            (SystemConfig(2, 1, 2), F(1, 2)),
+            (SystemConfig(2, 1, 1), "tdma"),
+            # k2 = 0 (only user 1 needs phase three) and k1 = 0 (only user 2)
+            (SystemConfig(3, 2, 1), F(1)),
+            (SystemConfig(3, 1, 2, 1, F(1, 2)), F(0)),
+            # uneven phase-three slots and a 99-symbol corner plan
+            (SystemConfig(3, 2, 1), "corner"),
+            (SystemConfig(5, 3, 2, F(1, 2), F(1, 3)), "corner"),
+        ],
+    )
+    def test_plans(self, case):
+        cfg, weight = case
+        if weight == "corner":
+            plan = plan_schedule(cfg, corner_weight(cfg))
+        elif weight == "tdma":
+            plan = plan_tdma(cfg, F(1, 2))
+        elif cfg.n2 >= cfg.m:
+            plan = plan_tdma(cfg, weight)
+        else:
+            plan = plan_schedule(cfg, weight)
+        trials = 2 if plan.total_slots > 20 else 4
+        assert_matches_reference(cfg, plan, SimParams(self.GRID, trials=trials, seed=3))
+
+    def test_single_trial(self):
+        cfg = SystemConfig(3, 2, 1, 1, F(1, 2))
+        plan = plan_schedule(cfg, F(2, 3))
+        assert_matches_reference(cfg, plan, SimParams(self.GRID, trials=1, seed=8))
+
+    def test_trials_not_a_multiple_of_the_chunk(self, monkeypatch):
+        # 7 trials x 3 points = 21 pairs in rate chunks of 4, so chunks split
+        # trials and the last one is short; rank chunks hold 3 of the 7 trials
+        cfg = SystemConfig(2, 1, 1, F(1, 2), 1)
+        plan = plan_schedule(cfg, F(1, 2))
+        params = SimParams(self.GRID, trials=7, seed=4)
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", chunk_budget(cfg, plan, 4))
+        report = estimate_rates(cfg, plan, params)
+        assert np.max(np.abs(report.rates - reference_rates(cfg, plan, params))) <= 1e-12
+        trial_bytes = simulate._PlanGeometry(cfg, plan).trial_bytes()
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", 3 * trial_bytes)
+        assert rank_check_campaign(cfg, plan, params) == reference_rank_passes(cfg, plan, params)
+
+    def test_one_draw_per_trial(self, monkeypatch):
+        cfg = SystemConfig(2, 1, 1)
+        plan = SchedulePlan(1, 1, 1, 2, 2)
+        seen = []
+        draw = simulate.gen_channels
+
+        def counted(cfg_, total, seed):
+            seen.append(tuple(seed))
+            return draw(cfg_, total, seed)
+
+        monkeypatch.setattr(simulate, "gen_channels", counted)
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", chunk_budget(cfg, plan, 2))
+        estimate_rates(cfg, plan, SimParams(self.GRID, trials=5, seed=6))
+        assert seen == [(6, t) for t in range(5)]
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        m=st.integers(1, 4),
+        n1=st.integers(1, 3),
+        n2=st.integers(1, 3),
+        alpha1=st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(1)]),
+        alpha2=st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(1)]),
+        weight=st.sampled_from([F(0), F(1, 3), F(1, 2), F(3, 4), F(1)]),
+        trials=st.integers(1, 4),
+        points=st.integers(2, 4),
+        pairs_per_chunk=st.sampled_from([1, 3, 5, None]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(m=2, n1=1, n2=1, alpha1=F(1, 2), alpha2=F(1, 2), weight=F(1, 2), trials=3,
+             points=3, pairs_per_chunk=4, seed=0)
+    def test_small_configs(self, m, n1, n2, alpha1, alpha2, weight, trials, points,
+                           pairs_per_chunk, seed):
+        cfg = SystemConfig(m, n1, n2, alpha1, alpha2)
+        try:
+            plan = plan_schedule(cfg, weight) if n2 < m else plan_tdma(cfg, weight)
+            order2_payload(plan, cfg)
+        except (InfeasiblePlan, AntennaOverflow):
+            assume(False)
+        assume(plan.total_slots <= 16)
+        params = SimParams(tuple(20.0 + 10.0 * i for i in range(points)), trials=trials, seed=seed)
+        budget = simulate.CHUNK_BYTES
+        if pairs_per_chunk is not None:
+            budget = chunk_budget(cfg, plan, pairs_per_chunk)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "CHUNK_BYTES", budget)
+            assert_matches_reference(cfg, plan, params)
+
+
+class TestSingularContext:
+    """A singular covariance inside a chunk names its trial and SNR point."""
+
+    CFG = SystemConfig(2, 1, 1)
+    PLAN = SchedulePlan(1, 1, 1, 2, 2)
+    GRID = (20.0, 30.0, 40.0)
+
+    def test_names_the_trial(self, monkeypatch):
+        draw = simulate.gen_channels
+
+        def poisoned(cfg, total, seed):
+            real = draw(cfg, total, seed)
+            if seed[1] == 4:
+                real.h1[:] = np.nan
+            return real
+
+        monkeypatch.setattr(simulate, "gen_channels", poisoned)
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", chunk_budget(self.CFG, self.PLAN, 5))
+        with pytest.raises(SingularCovariance, match=r"^trial 4, SNR 20\.0 dB: "):
+            estimate_rates(self.CFG, self.PLAN, SimParams(self.GRID, trials=6, seed=1))
+
+    def test_names_the_snr_point(self, monkeypatch):
+        quantize = simulate.quantize_csit
+        bad_rho = 10.0 ** (30.0 / 10.0)
+
+        def poisoned(h, alpha, rho):
+            hat = quantize(h, alpha, rho)
+            return np.where(np.asarray(rho) == bad_rho, np.nan, hat)
+
+        monkeypatch.setattr(simulate, "quantize_csit", poisoned)
+        with pytest.raises(SingularCovariance, match=r"^trial 0, SNR 30\.0 dB: ") as info:
+            estimate_rates(self.CFG, self.PLAN, SimParams(self.GRID, trials=3, seed=1))
+        assert isinstance(info.value, DoflabError)
