@@ -234,13 +234,10 @@ def quantize_csit(h: np.ndarray, alpha: RatioLike, rho) -> np.ndarray:
         raise ValueError("rho must be positive")
     if a == 0:
         return np.zeros_like(h)
-    if np.ndim(rho) == 0:
-        step = math.sqrt(6.0) * rho ** (-a / 2.0)
-    else:
-        # Python's pow, element by element: numpy's vectorized power can
-        # differ in the last place, and the step must not depend on batching
-        steps = [math.sqrt(6.0) * r ** (-a / 2.0) for r in np.ravel(rho).tolist()]
-        step = np.reshape(steps, np.shape(rho))
+    # Python's pow, element by element: numpy's vectorized power can differ
+    # in the last place, and the step must not depend on batching
+    steps = [math.sqrt(6.0) * r ** (-a / 2.0) for r in np.ravel(rho).tolist()]
+    step = np.reshape(steps, np.shape(rho))
     re = np.clip(h.real, -QUANTIZER_CLIP, QUANTIZER_CLIP)
     im = np.clip(h.imag, -QUANTIZER_CLIP, QUANTIZER_CLIP)
     return step * np.round(re / step) + 1j * step * np.round(im / step)
