@@ -7,6 +7,7 @@ from .errors import (
     DoflabError,
     InfeasiblePlan,
     InvalidWeight,
+    PlanTooLarge,
     ShapeMismatch,
     SingularCovariance,
     UnboundedRegion,
@@ -43,7 +44,6 @@ from .scheme import (
 from .simulate import (
     ChannelRealization,
     PhaseMatrices,
-    RankCheck,
     ResidualScan,
     SimParams,
     SimReport,
@@ -53,7 +53,6 @@ from .simulate import (
     quantize_csit,
     rank_check_campaign,
     residual_power_scan,
-    run_scheme_rank_check,
 )
 
 __version__ = "0.1.0"

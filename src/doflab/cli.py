@@ -18,18 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import (
-    AntennaOverflow,
-    DegenerateCorner,
-    DoflabError,
-    InfeasiblePlan,
-    InvalidWeight,
-    ShapeMismatch,
-    SingularCovariance,
-    UnboundedRegion,
-    WrongCase,
-)
-from .rational import as_ratio, format_ratio
+from .errors import DoflabError
+from .rational import as_ratio
 from .region import (
     SystemConfig,
     delayed_csit_region,
@@ -48,22 +38,10 @@ from .scheme import (
 )
 from .simulate import SimParams, estimate_rates, rank_check_campaign
 
-_ERROR_CODES = {
-    DegenerateCorner: "DEGENERATE_CORNER",
-    UnboundedRegion: "UNBOUNDED_REGION",
-    WrongCase: "WRONG_CASE",
-    InvalidWeight: "INVALID_WEIGHT",
-    InfeasiblePlan: "INFEASIBLE_PLAN",
-    AntennaOverflow: "ANTENNA_OVERFLOW",
-    ShapeMismatch: "SHAPE_MISMATCH",
-    SingularCovariance: "SINGULAR_COVARIANCE",
-}
-
-
 MAX_SNR_POINTS = 1000
 
 
-class _CliError(Exception):
+class _CliError(DoflabError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
@@ -159,10 +137,10 @@ def cmd_corners(args) -> int:
     verts = region.vertices()
     if getattr(args, "format", "json") == "csv":
         lines = ["d1,d2"]
-        lines += [f"{format_ratio(v.d1)},{format_ratio(v.d2)}" for v in verts]
+        lines += [f"{v.d1!s},{v.d2!s}" for v in verts]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        payload = {"vertices": [[format_ratio(v.d1), format_ratio(v.d2)] for v in verts]}
+        payload = {"vertices": [[str(v.d1), str(v.d2)] for v in verts]}
         _emit(_json_text(payload), args.out)
     return 0
 
@@ -190,7 +168,7 @@ def _plan_payload(cfg: SystemConfig, plan, weight) -> dict:
     payload = order2_payload(plan, cfg)
     dof = achieved_dof(plan, cfg)
     return {
-        "weight": format_ratio(weight),
+        "weight": str(weight),
         "tau": [plan.tau1, plan.tau2, plan.tau3],
         "s1_count": plan.s1_count,
         "s2_count": plan.s2_count,
@@ -202,7 +180,7 @@ def _plan_payload(cfg: SystemConfig, plan, weight) -> dict:
             "length": payload.length,
             "per_slot_streams": payload.per_slot_streams,
         },
-        "dof": [format_ratio(dof.d1), format_ratio(dof.d2)],
+        "dof": [str(dof.d1), str(dof.d2)],
     }
 
 
@@ -215,7 +193,8 @@ def cmd_plan(args) -> int:
 
 def _snr_grid(snr_min: float, snr_max: float, step: float) -> list[float]:
     """``snr_min``, ``snr_min + step``, ... up to ``snr_max`` (within 1e-9),
-    rounded to 6 decimals. The point count is checked before any is built."""
+    rounded to 6 decimals. The point count is checked before any is built,
+    and every point's ``rho = 10**(snr/10)`` must be a positive finite float."""
     if not all(math.isfinite(x) for x in (snr_min, snr_max, step)):
         raise _CliError("INVALID_SNR_GRID", "SNR bounds and step must be finite")
     if step <= 0:
@@ -228,7 +207,18 @@ def _snr_grid(snr_min: float, snr_max: float, step: float) -> list[float]:
     count = math.floor(span) + 1 if span >= 0 else 0
     if count < 2:
         raise _CliError("INVALID_SNR_GRID", "need at least two SNR points")
-    return [round(snr_min + i * step, 6) for i in range(count)]
+    grid = [round(snr_min + i * step, 6) for i in range(count)]
+    # the grid increases, so its ends bound every point's rho
+    for snr_db in (grid[0], grid[-1]):
+        try:
+            rho = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not 0 < rho < math.inf:
+            raise _CliError(
+                "INVALID_SNR_GRID", f"SNR {snr_db} dB gives no positive finite rho"
+            )
+    return grid
 
 
 def cmd_simulate(args) -> int:
@@ -239,7 +229,6 @@ def cmd_simulate(args) -> int:
         snr_grid_db=tuple(snrs),
         trials=args.trials,
         seed=_resolve_seed(args),
-        noise_variance=args.noise_variance,
     )
 
     if args.fidelity == "rank":
@@ -288,11 +277,9 @@ def cmd_sweep_alpha(args) -> int:
         corner = representative_corner(cfg)
         entries.append(
             {
-                "alpha": format_ratio(alpha),
-                "vertices": [
-                    [format_ratio(v.d1), format_ratio(v.d2)] for v in region.vertices()
-                ],
-                "corner": [format_ratio(corner.d1), format_ratio(corner.d2)],
+                "alpha": str(alpha),
+                "vertices": [[str(v.d1), str(v.d2)] for v in region.vertices()],
+                "corner": [str(corner.d1), str(corner.d2)],
             }
         )
     if getattr(args, "format", "json") == "csv":
@@ -324,9 +311,9 @@ def cmd_sweep_pairs(args) -> int:
         corner = representative_corner(cfg)
         entries.append(
             {
-                "alpha1": format_ratio(a1),
-                "alpha2": format_ratio(a2),
-                "corner": [format_ratio(corner.d1), format_ratio(corner.d2)],
+                "alpha1": str(a1),
+                "alpha2": str(a2),
+                "corner": [str(corner.d1), str(corner.d2)],
             }
         )
     if getattr(args, "format", "json") == "csv":
@@ -386,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--snr-max", type=float, default=60.0)
     sub.add_argument("--snr-step", type=float, default=5.0)
     sub.add_argument("--trials", type=int, default=200)
-    sub.add_argument("--noise-variance", type=float, default=1.0)
     _add_seed_arg(sub)
     _add_output_args(sub, formats=("json", "csv"))
     sub.set_defaults(func=cmd_simulate)
@@ -419,12 +405,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"E:{exc.code}:{exc}", file=sys.stderr)
-        return 3
     except DoflabError as exc:
-        code = _ERROR_CODES.get(type(exc), "DOMAIN_ERROR")
-        print(f"E:{code}:{exc}", file=sys.stderr)
+        print(f"E:{exc.code}:{exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"E:INVALID_CONFIG:{exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
-"""Parsing and formatting of exact rationals at the package boundary.
+"""Parsing of exact rationals at the package boundary.
 
 Everything inside the geometry layers works with :class:`fractions.Fraction`.
-User-facing surfaces (CLI flags, JSON) speak strings like ``"3/7"``; floats
+User-facing surfaces (CLI flags, JSON) speak strings like ``"3/7"``, which
+is ``str`` of a Fraction and parses back with :func:`as_ratio`; floats
 are accepted too and snapped to the nearest rational with a bounded
 denominator so that a value like ``0.25`` means exactly 1/4.
 """
@@ -34,8 +35,3 @@ def as_ratio(value: RatioLike, limit: int = DENOMINATOR_LIMIT) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
-
-
-def format_ratio(value: Fraction) -> str:
-    """Render a Fraction as ``"p/q"`` (or ``"n"`` when integral)."""
-    return str(value)

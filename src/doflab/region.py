@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import DegenerateCorner, UnboundedRegion
-from .rational import RatioLike, as_ratio, format_ratio
+from .rational import RatioLike, as_ratio
 
 __all__ = [
     "SystemConfig",
@@ -116,7 +116,7 @@ class HalfPlane:
         return self.evaluate(d1, d2) == self.r
 
     def to_json_dict(self) -> dict:
-        return {"p": format_ratio(self.p), "q": format_ratio(self.q), "r": format_ratio(self.r)}
+        return {"p": str(self.p), "q": str(self.q), "r": str(self.r)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HalfPlane":
@@ -213,9 +213,7 @@ class DofRegion:
     def to_json_dict(self) -> dict:
         return {
             "constraints": [hp.to_json_dict() for hp in self.constraints],
-            "vertices": [
-                [format_ratio(v.d1), format_ratio(v.d2)] for v in self.vertices()
-            ],
+            "vertices": [[str(v.d1), str(v.d2)] for v in self.vertices()],
         }
 
     @classmethod

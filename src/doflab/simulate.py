@@ -18,7 +18,7 @@ Rayleigh channel draws and measures two fidelities:
   Gaussian noise inside a whitened log-det rate. Fitted rate slopes
   versus ``log2(rho)`` then estimate the achieved DoF pair.
 
-Symbols have unit power; a slot's transmit power ``P = rho * sigma2`` is
+Symbols and noise have unit power; a slot's transmit power ``rho`` is
 split evenly over the streams it carries, so SNR means exactly ``rho``.
 All randomness flows from ``numpy.random.default_rng`` seeded per trial
 with ``[seed, trial]``; identical parameters reproduce identical reports.
@@ -30,13 +30,13 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
-from .errors import ShapeMismatch, SingularCovariance
+from .errors import PlanTooLarge, ShapeMismatch, SingularCovariance
 from .rational import RatioLike, as_ratio
 from .region import SystemConfig
 from .scheme import SchedulePlan, order2_payload
@@ -45,13 +45,11 @@ __all__ = [
     "SimParams",
     "ChannelRealization",
     "PhaseMatrices",
-    "RankCheck",
     "SimReport",
     "ResidualScan",
     "gen_channels",
     "quantize_csit",
     "build_phase_matrices",
-    "run_scheme_rank_check",
     "rank_check_campaign",
     "estimate_rates",
     "residual_power_scan",
@@ -62,6 +60,11 @@ QUANTIZER_CLIP = 4.0
 # Small plans fit hundreds of (trial, SNR) pairs in a chunk; plans with
 # systems near 100x100 run one pair at a time, as an unbatched loop would.
 CHUNK_BYTES = 256 * 1024
+# Largest working set of one (trial, SNR) pair a campaign will take on;
+# plans beyond it raise PlanTooLarge before anything is allocated.
+MAX_PAIR_BYTES = 1 << 30
+# Singular values below this share of the largest count as rank deficient.
+RANK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,6 @@ class SimParams:
     snr_grid_db: tuple[float, ...]
     trials: int = 200
     seed: int = 0
-    noise_variance: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
@@ -81,43 +83,22 @@ class SimParams:
             raise ValueError("SNR grid must be increasing")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.noise_variance <= 0:
-            raise ValueError("noise variance must be positive")
 
 
 @dataclass(eq=False)
 class ChannelRealization:
-    """Per-slot channel matrices (and, once attached, their CSIT estimates).
+    """Per-slot channel matrices.
 
     ``h1``/``h2`` have shape (slots, N_i, M), with leading batch axes for a
-    stack of draws. The additive decomposition
-    ``h = h_hat + residual`` holds exactly by construction.
+    stack of draws.
     """
 
     h1: np.ndarray
     h2: np.ndarray
-    h1_hat: np.ndarray | None = None
-    h2_hat: np.ndarray | None = None
 
     @property
     def total_slots(self) -> int:
         return self.h1.shape[-3]
-
-    def with_csit(self, cfg: SystemConfig, rho: float) -> "ChannelRealization":
-        """Attach quantized estimates at the configuration's qualities."""
-        return replace(
-            self,
-            h1_hat=quantize_csit(self.h1, cfg.alpha1, rho),
-            h2_hat=quantize_csit(self.h2, cfg.alpha2, rho),
-        )
-
-    @property
-    def h1_residual(self) -> np.ndarray:
-        return self.h1 - self.h1_hat
-
-    @property
-    def h2_residual(self) -> np.ndarray:
-        return self.h2 - self.h2_hat
 
 
 @dataclass(eq=False)
@@ -135,18 +116,6 @@ class PhaseMatrices:
     rx2_phase2: np.ndarray  # (N2*tau2, s2)
 
 
-@dataclass(frozen=True)
-class RankCheck:
-    """Idealized solvability of one realization: per-receiver ranks."""
-
-    rx1_ok: bool
-    rx2_ok: bool
-    rx1_rank: int
-    rx2_rank: int
-    rx1_needed: int
-    rx2_needed: int
-
-
 @dataclass(eq=False)
 class SimReport:
     """Campaign output: ergodic rates per SNR point plus fitted slopes."""
@@ -155,7 +124,6 @@ class SimReport:
     rates: np.ndarray  # (len(grid), 2) bits per slot
     slopes: tuple[float, float]
     trials: int
-    backend: str
     rank_passes: tuple[int, int] | None = None
     rank_trials: int = 0
 
@@ -184,7 +152,7 @@ class SimReport:
             },
             "slope": {"rx1": self.slopes[0], "rx2": self.slopes[1]},
             "trials": self.trials,
-            "backend": self.backend,
+            "backend": kernels.backend,
             "rank_check": rank,
         }
 
@@ -315,6 +283,15 @@ class _PlanGeometry:
         self.cfg = cfg
         self.plan = plan
         self.payload = order2_payload(plan, cfg)  # validates feasibility
+        length = self.payload.length
+        self.slots3 = min(length, plan.tau3)  # phase-three slots that carry streams
+        # sized from the plan's integers alone, before any per-slot list or array
+        size = self.pair_bytes()
+        if size > MAX_PAIR_BYTES:
+            raise PlanTooLarge(
+                f"plan with tau {[plan.tau1, plan.tau2, plan.tau3]} needs over "
+                f"{size >> 30} GiB per (trial, SNR) pair; the cap is {MAX_PAIR_BYTES >> 30} GiB"
+            )
         k1, k2 = self.payload.k1_needed, self.payload.k2_needed
         loads1 = tuple(_spread(plan.s1_count, plan.tau1))
         loads2 = tuple(_spread(plan.s2_count, plan.tau2))
@@ -337,8 +314,6 @@ class _PlanGeometry:
         # user-i-carrying count at ceil(k_i / tau3) <= N_i. The grid below
         # holds slot t's streams in row t, padded to the longest slot; a
         # pick equal to k_i selects an appended zero row.
-        length = self.payload.length
-        self.slots3 = min(length, plan.tau3)  # phase-three slots that carry streams
         self.streams3 = self.payload.per_slot_streams  # streams of the fullest slot
         base3 = plan.tau1 + plan.tau2
         self.phase3 = slice(base3, base3 + self.slots3)
@@ -422,7 +397,7 @@ def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
     )
 
 
-def _ranks(geom: _PlanGeometry, realization: ChannelRealization, rtol: float):
+def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
     """Per-receiver ranks of the idealized systems of draws stacked on one
     leading axis.
 
@@ -442,38 +417,27 @@ def _ranks(geom: _PlanGeometry, realization: ChannelRealization, rtol: float):
         sys1 = np.concatenate([sys1, _rows_of_slots(w1 @ rows1)], axis=-2)
         sys2 = np.concatenate([sys2, _rows_of_slots(w2 @ rows2)], axis=-2)
     return (
-        kernels.numerical_rank_stacked(sys1, rtol),
-        kernels.numerical_rank_stacked(sys2, rtol),
+        kernels.numerical_rank_stacked(sys1, RANK_RTOL),
+        kernels.numerical_rank_stacked(sys2, RANK_RTOL),
     )
 
 
-def run_scheme_rank_check(
-    cfg: SystemConfig, plan: SchedulePlan, seed, rtol: float = 1e-9
-) -> RankCheck:
-    """One idealized realization: does each receiver's stacked linear
-    system reach full column rank for its own symbols?
-
-    Uses the true channel as the order-2 coefficients and assumes exact
-    cancellation of the cross part, so failures isolate schedule defects
-    (not enough equations routed to some receiver) rather than SNR effects.
-    """
-    geom = _PlanGeometry(cfg, plan)
-    realization = gen_channels(cfg, max(plan.total_slots, 1), seed)
-    batch = ChannelRealization(realization.h1[None], realization.h2[None])
-    rank1, rank2 = (int(r[0]) for r in _ranks(geom, batch, rtol))
-    s1, s2 = plan.s1_count, plan.s2_count
-    return RankCheck(rank1 == s1, rank2 == s2, rank1, rank2, s1, s2)
-
-
 def rank_check_campaign(
-    cfg: SystemConfig, plan: SchedulePlan, params: SimParams, rtol: float = 1e-9
+    cfg: SystemConfig, plan: SchedulePlan, params: SimParams
 ) -> tuple[int, int]:
-    """Count rank-check passes per receiver over ``params.trials`` draws."""
+    """Count rank-check passes per receiver over ``params.trials`` draws.
+
+    A trial passes for a receiver when its idealized stacked system reaches
+    full column rank for the receiver's own symbols. The true channel serves
+    as the order-2 coefficients and the cross part cancels exactly, so a
+    failure isolates a schedule defect (not enough equations routed to the
+    receiver) rather than an SNR effect.
+    """
     geom = _PlanGeometry(cfg, plan)
     draws = _TrialDraws(cfg, plan.total_slots, params.seed)
     passes = [0, 0]
     for trials in _chunks(params.trials, geom.trial_bytes()):
-        rank1, rank2 = _ranks(geom, draws.take(trials), rtol)
+        rank1, rank2 = _ranks(geom, draws.take(trials))
         passes[0] += int(np.count_nonzero(rank1 == plan.s1_count))
         passes[1] += int(np.count_nonzero(rank2 == plan.s2_count))
     return passes[0], passes[1]
@@ -491,37 +455,36 @@ def _phase3_blocks(w, own, cross, evar):
     return w @ own, w @ cross, (w * evar[:, :, None, :]) @ _herm(w)
 
 
-def _receiver_rates(own, phase3, sigma2):
+def _receiver_rates(own, phase3):
     """Whitened log-det rate of each receiver system of the batch (bits per
     use of the stacked channel): ``own`` is the receiver's own-phase stack
     (B, n_own, s), ``phase3`` None or its ``_phase3_blocks``."""
     b, n_own = own.shape[:2]
     if phase3 is None:
         g = own
-        sigma = np.broadcast_to(sigma2 * np.eye(n_own, dtype=np.complex128), (b, n_own, n_own))
+        sigma = np.broadcast_to(np.eye(n_own, dtype=np.complex128), (b, n_own, n_own))
         return kernels.logdet_rate_bits_stacked(g, sigma)
     gain, mismatch, extra = phase3
     slots, n = gain.shape[1:3]
     n3 = slots * n
     g3 = _rows_of_slots(gain)
     mism = _rows_of_slots(mismatch)
-    sig3 = sigma2 * np.eye(n3, dtype=np.complex128) + mism @ _herm(mism)
+    sig3 = np.eye(n3, dtype=np.complex128) + mism @ _herm(mism)
     diag = np.arange(slots)
     sig3.reshape(b, slots, n, slots, n)[:, diag, :, diag, :] += np.moveaxis(extra, 1, 0)
     sigma = np.zeros((b, n_own + n3, n_own + n3), dtype=np.complex128)
-    sigma[:, :n_own, :n_own] = sigma2 * np.eye(n_own)
+    sigma[:, :n_own, :n_own] = np.eye(n_own)
     sigma[:, n_own:, n_own:] = sig3
     g = np.concatenate([own, g3], axis=1)
     return kernels.logdet_rate_bits_stacked(g, sigma)
 
 
-def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray,
-                sigma2: float) -> np.ndarray:
+def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray) -> np.ndarray:
     """Rates (B, 2) in bits per slot of B (trial, SNR) pairs: channels
     ``real`` (B, slots, N_i, M) at SNR ``rho`` (B,)."""
     cfg, plan = geom.cfg, geom.plan
     h1, h2 = real.h1, real.h2
-    power = rho * sigma2
+    power = rho
     at_rho = rho[:, None, None, None]
     h2_p1, h1_p2 = h2[:, geom.phase1], h1[:, geom.phase2]
     h2_hat = quantize_csit(h2_p1, cfg.alpha2, at_rho)
@@ -550,17 +513,17 @@ def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray,
         w2 = h2[:, geom.phase3, :, :q] * gains[:, :, None, :]
         phase3 = (
             _phase3_blocks(
-                w1, _deal(est1, pick1), _deal(res2, pick2), _deal(sigma2 / pow2, pick2)
+                w1, _deal(est1, pick1), _deal(res2, pick2), _deal(1.0 / pow2, pick2)
             ),
             _phase3_blocks(
-                w2, _deal(est2, pick2), _deal(res1, pick1), _deal(sigma2 / pow1, pick1)
+                w2, _deal(est2, pick2), _deal(res1, pick1), _deal(1.0 / pow1, pick1)
             ),
         )
     total = plan.total_slots
     return np.stack(
         [
-            _receiver_rates(own1, phase3[0], sigma2) / total,
-            _receiver_rates(own2, phase3[1], sigma2) / total,
+            _receiver_rates(own1, phase3[0]) / total,
+            _receiver_rates(own2, phase3[1]) / total,
         ],
         axis=-1,
     )
@@ -589,9 +552,7 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     for pairs in _chunks(len(pair_rates), geom.pair_bytes()):
         trial, point = np.divmod(pairs, points)
         try:
-            pair_rates[pairs] = _pair_rates(
-                geom, draws.take(trial), rho[point], params.noise_variance
-            )
+            pair_rates[pairs] = _pair_rates(geom, draws.take(trial), rho[point])
         except SingularCovariance as exc:
             at = exc.index
             raise SingularCovariance(f"trial {trial[at]}, SNR {grid[point[at]]} dB: {exc}") from exc
@@ -608,7 +569,6 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
         rates=rates,
         slopes=slopes,
         trials=params.trials,
-        backend=kernels.backend,
     )
 
 

@@ -1,10 +1,15 @@
 """Command-line surface: golden outputs, file writing, error codes."""
 
+import contextlib
+import io
 import json
 import signal
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from doflab import cli, errors
 from doflab.cli import main
 
 
@@ -20,23 +25,23 @@ def run(capsys, monkeypatch):
     return invoke
 
 
-@pytest.fixture
-def time_bound():
-    """Fail a test whose body runs longer than ``seconds`` (SIGALRM)."""
-    if not hasattr(signal, "setitimer"):
-        pytest.skip("needs SIGALRM")
+needs_alarm = pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the body with TimeoutError once it has run ``seconds`` (SIGALRM)."""
 
     def expired(signum, frame):
-        raise TimeoutError("call did not return within its time bound")
+        raise TimeoutError(f"call did not return within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expired)
-
-    def arm(seconds):
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-
-    yield arm
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, previous)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRegion:
@@ -240,26 +245,45 @@ class TestSimulate:
             ("0", "1e9", "1e-9"),
             ("-1e308", "1e308", "1"),
             ("1e20", "1.0000000000001e20", "1"),
+            # rho = 10**(snr/10) overflows above about 3082 dB, and is 0
+            # below about -3236 dB
+            ("30", "4030", "1000"),
+            ("-4000", "30", "1000"),
         ],
     )
-    def test_snr_grid_rejected_in_bounded_time(self, run, time_bound, grid):
+    @needs_alarm
+    def test_snr_grid_rejected_in_bounded_time(self, run, grid):
         snr_min, snr_max, step = grid
-        time_bound(5.0)
-        code, out, err = run(
-            "simulate", "--M", "2", "--N1", "1", "--N2", "1", "--trials", "1",
-            f"--snr-min={snr_min}", f"--snr-max={snr_max}", f"--snr-step={step}",
-        )
+        with within(5.0):
+            code, out, err = run(
+                "simulate", "--M", "2", "--N1", "1", "--N2", "1", "--trials", "1",
+                f"--snr-min={snr_min}", f"--snr-max={snr_max}", f"--snr-step={step}",
+            )
         assert code == 3 and out == ""
         assert err.startswith("E:INVALID_SNR_GRID:")
 
-    def test_snr_grid_points(self, run, time_bound):
-        time_bound(30.0)
-        code, out, _ = run(
-            *self.BASE[:7], "--snr-min", "10", "--snr-max", "11", "--snr-step", "0.25",
-            "--trials", "1", "--fidelity", "rate",
-        )
+    @needs_alarm
+    def test_snr_grid_points(self, run):
+        with within(30.0):
+            code, out, _ = run(
+                *self.BASE[:7], "--snr-min", "10", "--snr-max", "11", "--snr-step", "0.25",
+                "--trials", "1", "--fidelity", "rate",
+            )
         assert code == 0
         assert json.loads(out)["snr_db"] == [10.0, 10.25, 10.5, 10.75, 11.0]
+
+    @pytest.mark.parametrize("fidelity", ["rate", "rank"])
+    @pytest.mark.parametrize("alpha1", ["1e-30", "999/1000"])
+    @needs_alarm
+    def test_plan_too_large(self, run, fidelity, alpha1):
+        # tau2 = 4e30 slots, and about 650 GB per (trial, SNR) pair
+        with within(5.0):
+            code, out, err = run(
+                "simulate", "--M", "5", "--N1", "3", "--N2", "2", "--alpha1", alpha1,
+                "--alpha2", "1/3", "--at-corner", "--trials", "1", "--fidelity", fidelity,
+            )
+        assert code == 3 and out == ""
+        assert err.startswith("E:PLAN_TOO_LARGE:")
 
 
 class TestSweepAlpha:
@@ -362,6 +386,30 @@ class TestErrors:
         assert code == 3
         assert err.startswith("E:INVALID_WEIGHT:")
 
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (errors.DoflabError, "DOMAIN_ERROR"),
+            (errors.DegenerateCorner, "DEGENERATE_CORNER"),
+            (errors.UnboundedRegion, "UNBOUNDED_REGION"),
+            (errors.WrongCase, "WRONG_CASE"),
+            (errors.InvalidWeight, "INVALID_WEIGHT"),
+            (errors.InfeasiblePlan, "INFEASIBLE_PLAN"),
+            (errors.AntennaOverflow, "ANTENNA_OVERFLOW"),
+            (errors.ShapeMismatch, "SHAPE_MISMATCH"),
+            (errors.SingularCovariance, "SINGULAR_COVARIANCE"),
+            (errors.PlanTooLarge, "PLAN_TOO_LARGE"),
+        ],
+    )
+    def test_code_of_each_error_type(self, run, monkeypatch, error, code):
+        def fail(args):
+            raise error("what went wrong")
+
+        monkeypatch.setattr(cli, "cmd_region", fail)
+        assert run("region", "--M", "2", "--N1", "1", "--N2", "1") == (
+            3, "", f"E:{code}:what went wrong\n"
+        )
+
     def test_usage_error_exit_two(self, run, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["region", "--M", "2", "--N1", "1"])
@@ -376,3 +424,67 @@ class TestErrors:
             )
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def mostly(good, bad):
+    """A value of ``good`` at least half the time, else any of either list."""
+    return st.sampled_from(good) | st.sampled_from(good + bad)
+
+
+# small-denominator qualities and weights, a huge denominator, an awkward
+# one, and values that are out of range or not numbers at all
+RATIOS = mostly(["0", "1", "1/2", "1/3", "2/3", "1/4", "3/4", "1e-30", "12345/65536"],
+                ["nan", "-1", "2", "abc"])
+# at most five points: a valid grid simulates well within the time bound
+SNR_GRIDS = st.tuples(
+    mostly(["20", "30"], ["nan", "4030"]),
+    mostly(["50", "60"], ["nan", "4030"]),
+    mostly(["10", "15"], ["0", "-5", "nan"]),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["region", "plan", "simulate"]))
+    argv = [command]
+    for flag in ("--M", "--N1", "--N2"):
+        argv += [flag, str(draw(mostly([1, 2, 3, 4], [0, -1])))]
+    for flag in ("--alpha1", "--alpha2"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(RATIOS)}")
+    if command != "region":
+        if draw(st.booleans()):
+            argv.append("--at-corner")
+        else:
+            argv.append(f"--weight={draw(RATIOS)}")
+    if command == "simulate":
+        snr_min, snr_max, step = draw(SNR_GRIDS)
+        argv += [
+            f"--trials={draw(mostly([1, 2], [-1, 0]))}",
+            f"--snr-min={snr_min}",
+            f"--snr-max={snr_max}",
+            f"--snr-step={step}",
+            f"--fidelity={draw(st.sampled_from(['rank', 'rate', 'both']))}",
+        ]
+    return argv
+
+
+@needs_alarm
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv())
+@example(argv=["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--snr-min=30",
+               "--snr-max=4030", "--snr-step=1000", "--trials=1"])
+@example(argv=["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--alpha1=1e-30",
+               "--at-corner", "--trials=1"])
+def test_fuzz_exits_cleanly(argv):
+    """Every argv ends with exit 0, 2 or 3 within 5 s and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with within(5.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith("E:")
