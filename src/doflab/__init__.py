@@ -5,6 +5,7 @@ from .errors import (
     AntennaOverflow,
     DegenerateCorner,
     DoflabError,
+    GramOverflow,
     InfeasiblePlan,
     InvalidWeight,
     PlanTooLarge,

@@ -64,6 +64,18 @@ class SingularCovariance(DoflabError):
     index = 0
 
 
+class GramOverflow(DoflabError):
+    """A rate's Gram matrix ``I + G^H Sigma^{-1} G`` lost positive
+    definiteness in floating point, because the SNR is so high that its
+    entries overflow.
+
+    ``index`` is the flat batch position of the first such matrix.
+    """
+
+    code = "GRAM_OVERFLOW"
+    index = 0
+
+
 class PlanTooLarge(DoflabError):
     """Simulating a plan would need more memory per (trial, SNR) pair than
     the simulator allows."""

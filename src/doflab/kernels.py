@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularCovariance
+from .errors import DoflabError, GramOverflow, SingularCovariance
 
 __all__ = [
     "backend",
@@ -23,14 +23,29 @@ __all__ = [
 backend = "numpy"
 
 
-def _cholesky(sigma: np.ndarray) -> np.ndarray | None:
+def _positive_cholesky(stack: np.ndarray) -> np.ndarray | None:
     """Cholesky factors of a stack, or None unless every matrix has one with
     positive pivots (a non-finite matrix has none)."""
     try:
-        chol = np.linalg.cholesky(sigma)
+        chol = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return None
     return chol if np.all(np.diagonal(chol, axis1=-2, axis2=-1).real > 0) else None
+
+
+def _cholesky(stack: np.ndarray, error: type[DoflabError], message: str) -> np.ndarray:
+    """Cholesky factors of a stack of Hermitian matrices (..., n, n).
+
+    Raises ``error(message)`` unless every matrix has one with positive
+    pivots; its ``index`` is the flat batch index of the first that has not.
+    """
+    chol = _positive_cholesky(stack)
+    if chol is None:
+        exc = error(message)
+        flat = stack.reshape((-1,) + stack.shape[-2:])
+        exc.index = next((i for i, one in enumerate(flat) if _positive_cholesky(one) is None), 0)
+        raise exc
+    return chol
 
 
 def logdet_rate_bits_stacked(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -39,8 +54,9 @@ def logdet_rate_bits_stacked(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     bits of y = G s + n with unit-power symbols and noise covariance Sigma.
 
     Raises ``SingularCovariance`` if any Sigma of the stack is not positive
-    definite (a non-finite one counts as not); its ``index`` is the flat
-    batch index of the first one.
+    definite (a non-finite one counts as not), and ``GramOverflow`` if a
+    finite but huge G makes some ``I + G^H Sigma^{-1} G`` overflow; the
+    error's ``index`` is the flat batch index of the first such system.
     """
     g = np.asarray(g, dtype=np.complex128)
     sigma = np.asarray(sigma, dtype=np.complex128)
@@ -51,16 +67,13 @@ def logdet_rate_bits_stacked(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         raise ValueError(f"covariance shape {sigma.shape} does not match {m} rows")
     if m == 0 or k == 0:
         return np.zeros(g.shape[:-2])
-    chol = _cholesky(sigma)
-    if chol is None:
-        error = SingularCovariance("noise covariance is not positive definite")
-        flat = sigma.reshape((-1, m, m))
-        error.index = next((i for i, one in enumerate(flat) if _cholesky(one) is None), 0)
-        raise error
+    chol = _cholesky(sigma, SingularCovariance, "noise covariance is not positive definite")
     white = np.linalg.solve(chol, g)
     gram = np.eye(k, dtype=np.complex128) + np.swapaxes(white.conj(), -1, -2) @ white
-    # gram is PD by construction; its Cholesky diagonal gives the log-det
-    cg = np.linalg.cholesky(gram)
+    # gram is PD in exact arithmetic; its Cholesky diagonal gives the log-det
+    cg = _cholesky(
+        gram, GramOverflow, "rate Gram matrix I + G^H Sigma^-1 G overflowed (SNR too high)"
+    )
     return 2.0 * np.sum(np.log2(np.diagonal(cg, axis1=-2, axis2=-1).real), axis=-1)
 
 

@@ -10,13 +10,16 @@ noise floor (0 = no usable CSIT, 1 = estimation error at the noise floor).
 A DoF region here is an intersection of half-planes ``p*d1 + q*d2 <= r`` in
 the nonnegative quadrant. All coefficients and all derived quantities
 (vertices, areas, corner points) are exact rationals; nothing in this module
-touches floating point.
+touches floating point. Vertex enumeration and containment run on each
+constraint scaled to integers, which is just as exact and avoids a gcd per
+arithmetic step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .errors import DegenerateCorner, UnboundedRegion
@@ -84,7 +87,12 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """Constraint ``p*d1 + q*d2 <= r`` with exact nonnegative coefficients."""
+    """Constraint ``p*d1 + q*d2 <= r`` with exact nonnegative coefficients.
+
+    ``scaled`` is the same constraint as integers ``(P, Q, R)``: p, q, r
+    times the lcm of their denominators. It is not a field, so equality,
+    hashing and repr see only p, q, r.
+    """
 
     p: Fraction
     q: Fraction
@@ -97,6 +105,11 @@ class HalfPlane:
             raise ValueError("half-plane coefficients must be nonnegative")
         if self.p == 0 and self.q == 0:
             raise ValueError("half-plane needs a nonzero normal")
+        coefs = (self.p, self.q, self.r)
+        scale = lcm(*(c.denominator for c in coefs))
+        object.__setattr__(
+            self, "scaled", tuple(c.numerator * (scale // c.denominator) for c in coefs)
+        )
 
     @classmethod
     def from_intercepts(cls, d1_max: RatioLike, d2_max: RatioLike) -> "HalfPlane":
@@ -157,7 +170,12 @@ class DofRegion:
         d1, d2 = _coerce_point(point)
         if d1 < 0 or d2 < 0:
             return False
-        return all(hp.contains(d1, d2) for hp in self.constraints)
+        # P*d1 + Q*d2 <= R multiplied through by den(d1)*den(d2) > 0
+        x = d1.numerator * d2.denominator
+        y = d2.numerator * d1.denominator
+        den = d1.denominator * d2.denominator
+        scaled = (hp.scaled for hp in self.constraints)
+        return all(p * x + q * y <= r * den for p, q, r in scaled)
 
     def vertices(self) -> list[DofPoint]:
         """Corner points of the polygon, counterclockwise starting at (0, 0).
@@ -166,14 +184,12 @@ class DofRegion:
         constraint boundaries plus the two axes). Raises UnboundedRegion if
         some direction of the quadrant is never capped.
         """
-        if not any(hp.p > 0 for hp in self.constraints) or not any(
-            hp.q > 0 for hp in self.constraints
-        ):
+        scaled = [hp.scaled for hp in self.constraints]
+        if not any(p > 0 for p, _, _ in scaled) or not any(q > 0 for _, q, _ in scaled):
             raise UnboundedRegion("region is unbounded in the quadrant")
-        lines = [(hp.p, hp.q, hp.r) for hp in self.constraints]
-        lines.append((Fraction(1), Fraction(0), Fraction(0)))  # d1 = 0
-        lines.append((Fraction(0), Fraction(1), Fraction(0)))  # d2 = 0
-        found: set[tuple[Fraction, Fraction]] = set()
+        lines = scaled + [(1, 0, 0), (0, 1, 0)]  # the axes d1 = 0 and d2 = 0
+        # each candidate is (x*det, y*det, det) with det > 0, in lowest terms
+        found: set[tuple[int, int, int]] = set()
         for i in range(len(lines)):
             p1, q1, r1 = lines[i]
             for j in range(i + 1, len(lines)):
@@ -181,12 +197,15 @@ class DofRegion:
                 det = p1 * q2 - p2 * q1
                 if det == 0:
                     continue
-                x = (r1 * q2 - r2 * q1) / det
-                y = (p1 * r2 - p2 * r1) / det
+                x = r1 * q2 - r2 * q1
+                y = p1 * r2 - p2 * r1
+                if det < 0:
+                    det, x, y = -det, -x, -y
                 if x < 0 or y < 0:
                     continue
-                if all(hp.contains(x, y) for hp in self.constraints):
-                    found.add((x, y))
+                if all(p * x + q * y <= r * det for p, q, r in scaled):
+                    g = gcd(x, y, det)
+                    found.add((x // g, y // g, det // g))
 
         def angle_key(v: tuple[Fraction, Fraction]):
             x, y = v
@@ -195,8 +214,8 @@ class DofRegion:
             # y/(x+y) grows monotonically with the polar angle in the quadrant
             return (y / (x + y), x + y)
 
-        ordered = sorted(found, key=angle_key)
-        return [DofPoint(x, y) for x, y in ordered]
+        points = [(Fraction(x, det), Fraction(y, det)) for x, y, det in found]
+        return [DofPoint(x, y) for x, y in sorted(points, key=angle_key)]
 
     def area(self) -> Fraction:
         """Exact area via the shoelace sum over the ordered vertices."""

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import PlanTooLarge, ShapeMismatch, SingularCovariance
+from .errors import GramOverflow, PlanTooLarge, ShapeMismatch, SingularCovariance
 from .rational import RatioLike, as_ratio
 from .region import SystemConfig
 from .scheme import SchedulePlan, order2_payload
@@ -553,9 +553,9 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
         trial, point = np.divmod(pairs, points)
         try:
             pair_rates[pairs] = _pair_rates(geom, draws.take(trial), rho[point])
-        except SingularCovariance as exc:
+        except (SingularCovariance, GramOverflow) as exc:
             at = exc.index
-            raise SingularCovariance(f"trial {trial[at]}, SNR {grid[point[at]]} dB: {exc}") from exc
+            raise type(exc)(f"trial {trial[at]}, SNR {grid[point[at]]} dB: {exc}") from exc
     # summed over trials in trial order, as a running total would
     rates = pair_rates.reshape(params.trials, points, 2).sum(axis=0)
     rates /= params.trials

@@ -44,6 +44,11 @@ def within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# rho stays finite up to about 3082 dB, but the rate Gram matrix overflows
+OVERFLOWING_SNR = ["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--snr-min", "3000",
+                   "--snr-max", "3080", "--snr-step", "40", "--trials", "2"]
+
+
 class TestRegion:
     def test_json_schema(self, run):
         code, out, err = run("region", "--M", "3", "--N1", "2", "--N2", "1")
@@ -285,6 +290,15 @@ class TestSimulate:
         assert code == 3 and out == ""
         assert err.startswith("E:PLAN_TOO_LARGE:")
 
+    @needs_alarm
+    def test_gram_overflow(self, run):
+        with within(5.0):
+            code, out, err = run(*OVERFLOWING_SNR)
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+        assert not err.startswith("E:INVALID_CONFIG:")
+        assert err.startswith("E:GRAM_OVERFLOW:trial 0, SNR 3080.0 dB: rate Gram matrix")
+
 
 class TestSweepAlpha:
     def test_corner_values(self, run):
@@ -398,6 +412,7 @@ class TestErrors:
             (errors.AntennaOverflow, "ANTENNA_OVERFLOW"),
             (errors.ShapeMismatch, "SHAPE_MISMATCH"),
             (errors.SingularCovariance, "SINGULAR_COVARIANCE"),
+            (errors.GramOverflow, "GRAM_OVERFLOW"),
             (errors.PlanTooLarge, "PLAN_TOO_LARGE"),
         ],
     )
@@ -476,6 +491,7 @@ def cli_argv(draw):
                "--snr-max=4030", "--snr-step=1000", "--trials=1"])
 @example(argv=["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--alpha1=1e-30",
                "--at-corner", "--trials=1"])
+@example(argv=OVERFLOWING_SNR)
 def test_fuzz_exits_cleanly(argv):
     """Every argv ends with exit 0, 2 or 3 within 5 s and no traceback."""
     out, err = io.StringIO(), io.StringIO()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from doflab import SingularCovariance, kernels
+from doflab import GramOverflow, SingularCovariance, kernels
 
 RNG = np.random.default_rng(20240817)
 
@@ -94,6 +94,18 @@ class TestLogdetRate:
         # the others still evaluate on their own
         for b in (0, 1, 2, 4):
             assert np.isfinite(kernels.logdet_rate_bits(g[b], sigma[b]))
+
+    def test_gram_overflow_in_stack(self):
+        # finite entries whose G^H G exceeds the float range
+        g, sigma = random_stack(np.random.default_rng(12), 4, 2, 2)
+        g[2] = 1e200
+        assert np.all(np.isfinite(g))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            GramOverflow, match="Gram matrix"
+        ) as info:
+            kernels.logdet_rate_bits_stacked(g, sigma)
+        assert info.value.index == 2
+        assert info.value.code == "GRAM_OVERFLOW"
 
 
 class TestNumericalRank:

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doflab import (
@@ -18,6 +18,7 @@ from doflab import (
     dof_region,
     is_subset,
     no_csit_region,
+    rational,
     region_equal,
     representative_corner,
 )
@@ -278,3 +279,125 @@ def test_corner_defined_iff_lines_distinct(m, n1, n2, a1, a2):
         region = dof_region(cfg)
         assert all(hp.is_tight_at(point.d1, point.d2) for hp in region.constraints)
         assert tuple(point) in {tuple(v) for v in region.vertices()}
+
+
+def reference_vertices(region):
+    """Vertices by the pairwise Fraction enumeration ``DofRegion.vertices``
+    used before it moved to integer-scaled constraints: solve each pair of
+    lines (constraints and axes) in Fractions, keep the solutions in the
+    quadrant that every constraint admits, order them by angle."""
+    constraints = region.constraints
+    if not any(hp.p > 0 for hp in constraints) or not any(hp.q > 0 for hp in constraints):
+        raise UnboundedRegion("region is unbounded in the quadrant")
+    lines = [(hp.p, hp.q, hp.r) for hp in constraints]
+    lines.append((F(1), F(0), F(0)))  # d1 = 0
+    lines.append((F(0), F(1), F(0)))  # d2 = 0
+    found = set()
+    for i in range(len(lines)):
+        p1, q1, r1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            p2, q2, r2 = lines[j]
+            det = p1 * q2 - p2 * q1
+            if det == 0:
+                continue
+            x = (r1 * q2 - r2 * q1) / det
+            y = (p1 * r2 - p2 * r1) / det
+            if x < 0 or y < 0:
+                continue
+            if all(hp.contains(x, y) for hp in constraints):
+                found.add((x, y))
+
+    def angle_key(v):
+        x, y = v
+        if x == 0 and y == 0:
+            return (F(-1), F(0))
+        return (y / (x + y), x + y)
+
+    return sorted(found, key=angle_key)
+
+
+def reference_contains(region, point):
+    d1, d2 = point
+    return d1 >= 0 and d2 >= 0 and all(hp.contains(d1, d2) for hp in region.constraints)
+
+
+def reference_is_subset(inner, outer):
+    return all(reference_contains(outer, v) for v in reference_vertices(inner))
+
+
+def outcome(predicate, *args):
+    """The predicate's value, or the type of the error it raised."""
+    try:
+        return predicate(*args)
+    except UnboundedRegion:
+        return UnboundedRegion
+
+
+LIMIT = rational.DENOMINATOR_LIMIT
+# small values often give parallel, coincident and concurrent lines; the
+# rest reach the largest denominator the package parses from a float
+coefficient = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(1, 3), F(3, 2)]) | st.fractions(
+    min_value=0, max_value=4, max_denominator=LIMIT
+)
+half_plane = st.tuples(coefficient, coefficient, coefficient).filter(
+    lambda c: c[0] or c[1]
+).map(lambda c: HalfPlane(*c))
+coordinate = st.sampled_from([F(0), F(1), F(1, 2), F(-1, LIMIT)]) | st.fractions(
+    min_value=-1, max_value=5, max_denominator=LIMIT
+)
+nudge = st.sampled_from([F(0), F(1, LIMIT), F(-1, LIMIT)])
+
+
+@st.composite
+def constraint_lists(draw):
+    """0-5 half-planes: random ones, then duplicates, positive multiples and
+    looser parallels of them, in any order."""
+    planes = draw(st.lists(half_plane, max_size=5))
+    for _ in range(draw(st.integers(0, 5 - len(planes))) if planes else 0):
+        hp = draw(st.sampled_from(planes))
+        k = draw(coefficient.filter(bool))
+        planes.append(
+            draw(
+                st.sampled_from(
+                    [hp, HalfPlane(k * hp.p, k * hp.q, k * hp.r), HalfPlane(hp.p, hp.q, hp.r + k)]
+                )
+            )
+        )
+    return draw(st.permutations(planes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    planes=constraint_lists(),
+    others=constraint_lists(),
+    nudges=st.lists(st.tuples(nudge, nudge), min_size=8, max_size=8),
+    extra=st.lists(st.tuples(coordinate, coordinate), max_size=4),
+)
+@example(planes=[HalfPlane(1, 1, 0)], others=[], nudges=[(0, 0)] * 8, extra=[])
+@example(
+    planes=[HalfPlane(1, 0, 1), HalfPlane(0, 1, 1), HalfPlane(1, 1, 2), HalfPlane(2, 2, 4)],
+    others=[HalfPlane(1, 1, 2)],
+    nudges=[(0, 0)] * 8,
+    extra=[],
+)
+def test_integer_geometry_matches_fraction_oracle(planes, others, nudges, extra):
+    """vertices (values and order), contains, is_subset and UnboundedRegion
+    agree with the Fraction reference on arbitrary constraint lists; the
+    points probed are the vertices, each moved by at most 1/LIMIT per
+    coordinate, and a few arbitrary ones."""
+    region, other = DofRegion(planes), DofRegion(others)
+    expect = outcome(reference_vertices, region)
+    if expect is UnboundedRegion:
+        with pytest.raises(UnboundedRegion):
+            region.vertices()
+        expect = []
+    else:
+        verts = region.vertices()
+        assert all(type(c) is F for v in verts for c in v)
+        assert [tuple(v) for v in verts] == expect
+    points = [(x + dx, y + dy) for (x, y), (dx, dy) in zip(expect, nudges)] + extra
+    for point in points:
+        assert region.contains(point) == reference_contains(region, point)
+        assert other.contains(point) == reference_contains(other, point)
+    assert outcome(is_subset, region, other) == outcome(reference_is_subset, region, other)
+    assert outcome(is_subset, other, region) == outcome(reference_is_subset, other, region)
