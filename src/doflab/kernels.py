@@ -18,6 +18,8 @@ __all__ = [
     "logdet_rate_bits_stacked",
     "numerical_rank",
     "numerical_rank_stacked",
+    "white_rate_bits_stacked",
+    "whiten_stacked",
 ]
 
 backend = "numpy"
@@ -48,15 +50,50 @@ def _cholesky(stack: np.ndarray, error: type[DoflabError], message: str) -> np.n
     return chol
 
 
+def whiten_stacked(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """L^{-1} G for each G (..., m, k) and Hermitian positive definite Sigma
+    (..., m, m) with Cholesky factor L, so that ``I + W^H W`` is the rate
+    Gram matrix ``I + G^H Sigma^{-1} G``.
+
+    Raises ``SingularCovariance`` if any Sigma of the stack is not positive
+    definite (one with a non-finite entry in its lower triangle, the part
+    the factorization reads, counts as not); its ``index`` is the flat
+    batch index of the first.
+    """
+    chol = _cholesky(sigma, SingularCovariance, "noise covariance is not positive definite")
+    return np.linalg.solve(chol, g)
+
+
+def white_rate_bits_stacked(white: np.ndarray) -> np.ndarray:
+    """log2 det(I + W^H W) for each whitened system W (..., m, k): the rate
+    in bits of y = W s + n with unit-power symbols and white unit noise,
+    from the Cholesky diagonal of the Gram matrix ``I + W^H W``.
+
+    The Gram matrix is positive definite in exact arithmetic. Raises
+    ``GramOverflow`` for the first (flat batch ``index``) that is not in
+    floating point: forming it squares the condition number of W, so at
+    high SNR rounding can lose its smallest eigenvalues, and at extreme SNR
+    its entries overflow.
+    """
+    m, k = white.shape[-2:]
+    if m == 0 or k == 0:
+        return np.zeros(white.shape[:-2])
+    gram = np.eye(k, dtype=np.complex128) + np.swapaxes(white.conj(), -1, -2) @ white
+    chol = _cholesky(
+        gram, GramOverflow,
+        "rate Gram matrix I + G^H Sigma^-1 G is not positive definite in floating point "
+        "(SNR too high)",
+    )
+    return 2.0 * np.sum(np.log2(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+
+
 def logdet_rate_bits_stacked(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """log2 det(I + G^H Sigma^{-1} G) for each complex G (..., m, k) and
     Hermitian positive definite Sigma (..., m, m): the mutual information in
     bits of y = G s + n with unit-power symbols and noise covariance Sigma.
 
-    Raises ``SingularCovariance`` if any Sigma of the stack is not positive
-    definite (a non-finite one counts as not), and ``GramOverflow`` if a
-    finite but huge G makes some ``I + G^H Sigma^{-1} G`` overflow; the
-    error's ``index`` is the flat batch index of the first such system.
+    The composition of ``whiten_stacked`` and ``white_rate_bits_stacked``,
+    which raise ``SingularCovariance`` and ``GramOverflow``.
     """
     g = np.asarray(g, dtype=np.complex128)
     sigma = np.asarray(sigma, dtype=np.complex128)
@@ -67,14 +104,7 @@ def logdet_rate_bits_stacked(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         raise ValueError(f"covariance shape {sigma.shape} does not match {m} rows")
     if m == 0 or k == 0:
         return np.zeros(g.shape[:-2])
-    chol = _cholesky(sigma, SingularCovariance, "noise covariance is not positive definite")
-    white = np.linalg.solve(chol, g)
-    gram = np.eye(k, dtype=np.complex128) + np.swapaxes(white.conj(), -1, -2) @ white
-    # gram is PD in exact arithmetic; its Cholesky diagonal gives the log-det
-    cg = _cholesky(
-        gram, GramOverflow, "rate Gram matrix I + G^H Sigma^-1 G overflowed (SNR too high)"
-    )
-    return 2.0 * np.sum(np.log2(np.diagonal(cg, axis1=-2, axis2=-1).real), axis=-1)
+    return white_rate_bits_stacked(whiten_stacked(g, sigma))
 
 
 def numerical_rank_stacked(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -157,6 +158,10 @@ def _coerce_point(point) -> tuple[Fraction, Fraction]:
     return as_ratio(d1), as_ratio(d2)
 
 
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
+
+
 @dataclass(frozen=True)
 class DofRegion:
     """Intersection of half-planes with the nonnegative quadrant."""
@@ -207,15 +212,19 @@ class DofRegion:
                     g = gcd(x, y, det)
                     found.add((x // g, y // g, det // g))
 
-        def angle_key(v: tuple[Fraction, Fraction]):
-            x, y = v
-            if x == 0 and y == 0:
-                return (Fraction(-1), Fraction(0))
-            # y/(x+y) grows monotonically with the polar angle in the quadrant
-            return (y / (x + y), x + y)
+        def by_angle(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
+            # the origin first, then by y/(x+y), which grows monotonically
+            # with the polar angle in the quadrant, then by x+y
+            (x1, y1, det1), (x2, y2, det2) = a, b
+            s1, s2 = x1 + y1, x2 + y2
+            if s1 == 0 or s2 == 0:
+                return (s1 != 0) - (s2 != 0)
+            return _sign(y1 * s2 - y2 * s1) or _sign(s1 * det2 - s2 * det1)
 
-        points = [(Fraction(x, det), Fraction(y, det)) for x, y, det in found]
-        return [DofPoint(x, y) for x, y in sorted(points, key=angle_key)]
+        return [
+            DofPoint(Fraction(x, det), Fraction(y, det))
+            for x, y, det in sorted(found, key=cmp_to_key(by_angle))
+        ]
 
     def area(self) -> Fraction:
         """Exact area via the shoelace sum over the ordered vertices."""

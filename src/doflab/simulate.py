@@ -58,8 +58,8 @@ __all__ = [
 QUANTIZER_CLIP = 4.0
 # Working-set budget of one batched chunk of the rate and rank campaigns.
 # Small plans fit hundreds of (trial, SNR) pairs in a chunk; plans with
-# systems near 100x100 run one pair at a time, as an unbatched loop would.
-CHUNK_BYTES = 256 * 1024
+# systems near 100x100 run one to a few pairs at a time.
+CHUNK_BYTES = 512 * 1024
 # Largest working set of one (trial, SNR) pair a campaign will take on;
 # plans beyond it raise PlanTooLarge before anything is allocated.
 MAX_PAIR_BYTES = 1 << 30
@@ -328,12 +328,17 @@ class _PlanGeometry:
         return cfg.n1 * (plan.tau1 + self.slots3), cfg.n2 * (plan.tau2 + self.slots3)
 
     def pair_bytes(self) -> int:
-        """Bytes of what one (trial, SNR) pair hands the log-det kernel and
-        the kernel's working copy of it: each receiver's (rows, symbols)
-        system and (rows, rows) covariance, whitened and factored."""
-        rows1, rows2 = self._system_rows()
-        s1, s2 = self.plan.s1_count, self.plan.s2_count
-        return 2 * 16 * (rows1 * (rows1 + s1) + rows2 * (rows2 + s2))
+        """Bytes of one (trial, SNR) pair's rate working set and its working
+        copy: per receiver the whitened (rows, symbols) system, the
+        (symbols, symbols) Gram matrix and the (n3, n3) phase-three noise
+        covariance, n3 being the receiver's phase-three rows."""
+        total = 0
+        for rows, n, symbols in zip(
+            self._system_rows(), (self.cfg.n1, self.cfg.n2), (self.plan.s1_count, self.plan.s2_count)
+        ):
+            n3 = n * self.slots3
+            total += rows * symbols + symbols * symbols + n3 * n3
+        return 2 * 16 * total
 
     def trial_bytes(self) -> int:
         """Bytes of the systems one trial hands the rank kernel, and the
@@ -443,40 +448,43 @@ def rank_check_campaign(
     return passes[0], passes[1]
 
 
-def _phase3_blocks(w, own, cross, evar):
-    """One receiver's phase-three pieces per slot, from its scaled channel
-    ``w`` (B, slots, N, streams) and the dealt payload.
+def _phase3_system(w, own, cross, evar):
+    """One receiver's phase-three rows (B, n3, symbols) and their noise
+    covariance S (B, n3, n3), from its scaled channel ``w``
+    (B, slots, N, streams) and the dealt payload.
 
-    Gain rows carry the receiver's own symbols; mismatch rows map the other
-    user's symbols through the quantization residual left after
-    cancellation; the extra (N, N) blocks hold the reconstruction thermal
-    noise lifted through the phase-three channel.
+    Gain rows carry the receiver's own symbols. S is the unit noise, plus
+    the mismatch that maps the other user's symbols through the
+    quantization residual left after cancellation, plus per slot an (N, N)
+    block of reconstruction thermal noise lifted through the phase-three
+    channel.
     """
-    return w @ own, w @ cross, (w * evar[:, :, None, :]) @ _herm(w)
-
-
-def _receiver_rates(own, phase3):
-    """Whitened log-det rate of each receiver system of the batch (bits per
-    use of the stacked channel): ``own`` is the receiver's own-phase stack
-    (B, n_own, s), ``phase3`` None or its ``_phase3_blocks``."""
-    b, n_own = own.shape[:2]
-    if phase3 is None:
-        g = own
-        sigma = np.broadcast_to(np.eye(n_own, dtype=np.complex128), (b, n_own, n_own))
-        return kernels.logdet_rate_bits_stacked(g, sigma)
-    gain, mismatch, extra = phase3
-    slots, n = gain.shape[1:3]
-    n3 = slots * n
-    g3 = _rows_of_slots(gain)
-    mism = _rows_of_slots(mismatch)
-    sig3 = np.eye(n3, dtype=np.complex128) + mism @ _herm(mism)
+    b, slots, n = w.shape[:3]
+    mism = _rows_of_slots(w @ cross)
+    sig3 = np.eye(slots * n, dtype=np.complex128) + mism @ _herm(mism)
+    extra = (w * evar[:, :, None, :]) @ _herm(w)
     diag = np.arange(slots)
     sig3.reshape(b, slots, n, slots, n)[:, diag, :, diag, :] += np.moveaxis(extra, 1, 0)
-    sigma = np.zeros((b, n_own + n3, n_own + n3), dtype=np.complex128)
-    sigma[:, :n_own, :n_own] = np.eye(n_own)
-    sigma[:, n_own:, n_own:] = sig3
-    g = np.concatenate([own, g3], axis=1)
-    return kernels.logdet_rate_bits_stacked(g, sigma)
+    return _rows_of_slots(w @ own), sig3
+
+
+def _receiver_rates(own: np.ndarray, phase3) -> np.ndarray:
+    """Whitened log-det rate of each receiver system of the batch (bits per
+    use of the stacked channel).
+
+    The system stacks the own-phase rows ``own`` (B, n_own, s) over the
+    phase-three rows of ``phase3`` (None, or the rows and their covariance S
+    from ``_phase3_system``), under noise covariance diag(I, S). The own
+    rows are already white, so only S is factored; the Gram matrix is
+    formed from the whole whitened system in one product, as the dense
+    ``kernels.logdet_rate_bits_stacked`` forms it.
+    """
+    if own.shape[-1] == 0:  # no symbols: rate 0, as the dense kernel gives
+        return np.zeros(own.shape[0])
+    white = own
+    if phase3 is not None:
+        white = np.concatenate([own, kernels.whiten_stacked(*phase3)], axis=1)
+    return kernels.white_rate_bits_stacked(white)
 
 
 def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray) -> np.ndarray:
@@ -512,10 +520,10 @@ def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray) 
         w1 = h1[:, geom.phase3, :, :q] * gains[:, :, None, :]
         w2 = h2[:, geom.phase3, :, :q] * gains[:, :, None, :]
         phase3 = (
-            _phase3_blocks(
+            _phase3_system(
                 w1, _deal(est1, pick1), _deal(res2, pick2), _deal(1.0 / pow2, pick2)
             ),
-            _phase3_blocks(
+            _phase3_system(
                 w2, _deal(est2, pick2), _deal(res1, pick1), _deal(1.0 / pow1, pick1)
             ),
         )

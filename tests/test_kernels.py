@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from doflab import GramOverflow, SingularCovariance, kernels
+from doflab import GramOverflow, SingularCovariance, kernels, simulate
 
 RNG = np.random.default_rng(20240817)
 
@@ -106,6 +106,92 @@ class TestLogdetRate:
             kernels.logdet_rate_bits_stacked(g, sigma)
         assert info.value.index == 2
         assert info.value.code == "GRAM_OVERFLOW"
+
+
+def slot_structured(rng, batch, loads, rows, n3, scale=1.0):
+    """A receiver system as the rate path builds it: own-phase rows, block
+    diagonal by slot (slot t's ``rows`` rows carry its ``loads[t]`` symbols),
+    and ``n3`` phase-three rows with their covariance S."""
+    symbols = sum(loads)
+    own = np.zeros((batch, rows * len(loads), symbols), dtype=complex)
+    start = 0
+    for t, load in enumerate(loads):
+        block = rng.standard_normal((batch, rows, load)) + 1j * rng.standard_normal((batch, rows, load))
+        own[:, t * rows : (t + 1) * rows, start : start + load] = scale * block
+        start += load
+    g3, s3 = random_stack(rng, batch, n3, symbols)
+    return own, scale * g3, s3
+
+
+def dense_form(own, g3, s3):
+    """The same system as one G and Sigma = diag(I, S)."""
+    batch, n_own = own.shape[:2]
+    n3 = g3.shape[1]
+    sigma = np.zeros((batch, n_own + n3, n_own + n3), dtype=complex)
+    sigma[:, :n_own, :n_own] = np.eye(n_own)
+    sigma[:, n_own:, n_own:] = s3
+    return np.concatenate([own, g3], axis=1), sigma
+
+
+class TestSplitKernel:
+    """The rate path whitens only the phase-three rows of diag(I, S) and
+    shares the dense kernel's Gram step; both give the dense rates and raise
+    the dense errors at the same pair."""
+
+    def test_dense_kernel_is_the_composition(self):
+        g, sigma = random_stack(np.random.default_rng(21), 6, 5, 4)
+        composed = kernels.white_rate_bits_stacked(kernels.whiten_stacked(g, sigma))
+        assert np.array_equal(composed, kernels.logdet_rate_bits_stacked(g, sigma))
+
+    def test_block_path_matches_dense(self):
+        for trial in range(30):
+            rng = np.random.default_rng(2000 + trial)
+            loads = rng.integers(0, 5, size=int(rng.integers(1, 7))).tolist()
+            rows = int(rng.integers(1, 4))
+            n3 = rows * int(rng.integers(1, 4))
+            scale = [1.0, 10.0, 300.0][trial % 3]  # up to about 50 dB
+            own, g3, s3 = slot_structured(rng, 5, loads, rows, n3, scale)
+            block = simulate._receiver_rates(own, (g3, s3))
+            dense = kernels.logdet_rate_bits_stacked(*dense_form(own, g3, s3))
+            assert block == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    def test_no_phase_three(self):
+        # TDMA: the own rows alone, under white noise
+        own, _, _ = slot_structured(np.random.default_rng(22), 4, [3, 2, 2], 2, 1)
+        dense = kernels.logdet_rate_bits_stacked(own, np.broadcast_to(np.eye(6), (4, 6, 6)))
+        assert simulate._receiver_rates(own, None) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    def test_no_symbols(self):
+        # k = 0 gives rate 0 without factoring S, as the dense kernel does
+        own, g3, s3 = slot_structured(np.random.default_rng(23), 3, [0, 0], 2, 2)
+        s3[1] = np.nan
+        assert simulate._receiver_rates(own, (g3, s3)).tolist() == [0.0] * 3
+        assert kernels.logdet_rate_bits_stacked(*dense_form(own, g3, s3)).tolist() == [0.0] * 3
+        assert simulate._receiver_rates(own, None).tolist() == [0.0] * 3
+
+    def test_covariance_guard_comes_first(self):
+        # member 1's Gram would fail, but member 3's S is checked first
+        own, g3, s3 = slot_structured(np.random.default_rng(24), 4, [2, 2], 2, 2)
+        own[1, 0, 0] = np.inf
+        s3[3, 1, 1] = np.nan
+        for rates, args in (
+            (simulate._receiver_rates, (own, (g3, s3))),
+            (kernels.logdet_rate_bits_stacked, dense_form(own, g3, s3)),
+        ):
+            with np.errstate(invalid="ignore"), pytest.raises(SingularCovariance) as info:
+                rates(*args)
+            assert info.value.index == 3
+
+    def test_non_finite_own_block_alone(self):
+        own, g3, s3 = slot_structured(np.random.default_rng(25), 4, [2, 1, 1], 2, 2)
+        own[2, 2:4, 2] = np.inf
+        for rates, args in (
+            (simulate._receiver_rates, (own, (g3, s3))),
+            (kernels.logdet_rate_bits_stacked, dense_form(own, g3, s3)),
+        ):
+            with np.errstate(invalid="ignore"), pytest.raises(GramOverflow) as info:
+                rates(*args)
+            assert info.value.index == 2
 
 
 class TestNumericalRank:

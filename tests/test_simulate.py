@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from doflab import (
     AntennaOverflow,
     ChannelRealization,
     DoflabError,
+    GramOverflow,
     InfeasiblePlan,
     SchedulePlan,
     ShapeMismatch,
@@ -389,8 +391,8 @@ def _ref_receiver_rate(own_phase, gains, mismatches, extras, sigma2, total_slots
     return kernels.logdet_rate_bits(g, sigma) / total_slots
 
 
-def reference_rates(cfg, plan, params):
-    """Per-SNR rates (len(grid), 2) of the unbatched loop."""
+def reference_pair_rates(cfg, plan, real, rho):
+    """Rates (rx1, rx2) of the unbatched loop at one trial's channels and SNR."""
     payload = order2_payload(plan, cfg)
     k1, k2 = payload.k1_needed, payload.k2_needed
     loads1 = _ref_spread(plan.s1_count, plan.tau1)
@@ -399,29 +401,48 @@ def reference_rates(cfg, plan, params):
     sigma2 = 1.0
     total = plan.total_slots
     p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
+    power = rho * sigma2
+    h1_hat = quantize_csit(real.h1, cfg.alpha1, rho)
+    h2_hat = quantize_csit(real.h2, cfg.alpha2, rho)
+    scales1 = [math.sqrt(power / u) if u else 0.0 for u in loads1]
+    scales2 = [math.sqrt(power / v) if v else 0.0 for v in loads2]
+    own_rx1 = _ref_stack(real.h1[: plan.tau1], loads1, scales1)
+    own_rx2 = _ref_stack(real.h2[p2], loads2, scales2)
+    est1 = _ref_stack(h2_hat[: plan.tau1], loads1)[:k1]
+    res1 = _ref_stack(real.h2[: plan.tau1] - h2_hat[: plan.tau1], loads1)[:k1]
+    est2 = _ref_stack(h1_hat[p2], loads2)[:k2]
+    res2 = _ref_stack(real.h1[p2] - h1_hat[p2], loads2)[:k2]
+    pow1 = _ref_row_powers(loads1, cfg.n2, power)[:k1]
+    pow2 = _ref_row_powers(loads2, cfg.n1, power)[:k2]
+    blocks = _ref_phase3(cfg, plan, chunks, k1, k2, real, est1, est2, res1, res2,
+                         pow1, pow2, power, sigma2)
+    return (
+        _ref_receiver_rate(own_rx1, *blocks[1], sigma2, total),
+        _ref_receiver_rate(own_rx2, *blocks[2], sigma2, total),
+    )
+
+
+def reference_rates(cfg, plan, params):
+    """Per-SNR rates (len(grid), 2) of the unbatched loop."""
     rates = np.zeros((len(params.snr_grid_db), 2))
     for trial in range(params.trials):
-        real = gen_channels(cfg, total, [params.seed, trial])
+        real = gen_channels(cfg, plan.total_slots, [params.seed, trial])
         for si, snr_db in enumerate(params.snr_grid_db):
-            rho = 10.0 ** (snr_db / 10.0)
-            power = rho * sigma2
-            h1_hat = quantize_csit(real.h1, cfg.alpha1, rho)
-            h2_hat = quantize_csit(real.h2, cfg.alpha2, rho)
-            scales1 = [math.sqrt(power / u) if u else 0.0 for u in loads1]
-            scales2 = [math.sqrt(power / v) if v else 0.0 for v in loads2]
-            own_rx1 = _ref_stack(real.h1[: plan.tau1], loads1, scales1)
-            own_rx2 = _ref_stack(real.h2[p2], loads2, scales2)
-            est1 = _ref_stack(h2_hat[: plan.tau1], loads1)[:k1]
-            res1 = _ref_stack(real.h2[: plan.tau1] - h2_hat[: plan.tau1], loads1)[:k1]
-            est2 = _ref_stack(h1_hat[p2], loads2)[:k2]
-            res2 = _ref_stack(real.h1[p2] - h1_hat[p2], loads2)[:k2]
-            pow1 = _ref_row_powers(loads1, cfg.n2, power)[:k1]
-            pow2 = _ref_row_powers(loads2, cfg.n1, power)[:k2]
-            blocks = _ref_phase3(cfg, plan, chunks, k1, k2, real, est1, est2, res1, res2,
-                                 pow1, pow2, power, sigma2)
-            rates[si, 0] += _ref_receiver_rate(own_rx1, *blocks[1], sigma2, total)
-            rates[si, 1] += _ref_receiver_rate(own_rx2, *blocks[2], sigma2, total)
+            rates[si] += reference_pair_rates(cfg, plan, real, 10.0 ** (snr_db / 10.0))
     return rates / params.trials
+
+
+def reference_failure(cfg, plan, params):
+    """(error type, trial, SNR in dB) of the first pair the unbatched loop
+    cannot evaluate, or None."""
+    for trial in range(params.trials):
+        real = gen_channels(cfg, plan.total_slots, [params.seed, trial])
+        for snr_db in params.snr_grid_db:
+            try:
+                reference_pair_rates(cfg, plan, real, 10.0 ** (snr_db / 10.0))
+            except (SingularCovariance, GramOverflow) as exc:
+                return type(exc), trial, snr_db
+    return None
 
 
 def reference_rank_passes(cfg, plan, params, rtol=1e-9):
@@ -606,3 +627,58 @@ class TestSingularContext:
         with pytest.raises(SingularCovariance, match=r"^trial 0, SNR 30\.0 dB: ") as info:
             estimate_rates(self.CFG, self.PLAN, SimParams(self.GRID, trials=3, seed=1))
         assert isinstance(info.value, DoflabError)
+
+
+class TestFailureParity:
+    """Where the Gram matrix loses positive definiteness, the chunked
+    campaign fails at the pair the unbatched loop fails at."""
+
+    # rank deficient at fractional alpha: I + G^H Sigma^-1 G is no longer
+    # positive definite in floating point near rho = 1/eps
+    CFG = SystemConfig(5, 3, 2, F(1, 2), F(1, 3))
+    PARAMS = SimParams((160.0, 170.0), trials=4, seed=1)
+
+    @pytest.mark.parametrize("pairs_per_chunk", [None, 1, 8])
+    def test_same_error_at_the_same_pair(self, monkeypatch, pairs_per_chunk):
+        plan = plan_schedule(self.CFG, corner_weight(self.CFG))
+        want = reference_failure(self.CFG, plan, self.PARAMS)
+        assert want is not None
+        error, trial, snr_db = want
+        if pairs_per_chunk is not None:
+            monkeypatch.setattr(simulate, "CHUNK_BYTES", chunk_budget(self.CFG, plan, pairs_per_chunk))
+        with pytest.raises(DoflabError, match=rf"^trial {trial}, SNR {snr_db} dB: ") as info:
+            estimate_rates(self.CFG, plan, self.PARAMS)
+        assert type(info.value) is error
+
+
+# The benchmark's campaign plans, at their corners.
+CAMPAIGN_CONFIGS = [
+    SystemConfig(2, 1, 1),
+    SystemConfig(3, 2, 1),
+    SystemConfig(2, 1, 1, F(1, 2), F(1, 2)),
+    SystemConfig(4, 2, 2, F(1, 2), F(1, 2)),
+    SystemConfig(5, 3, 2, F(1, 2), F(1, 3)),
+    SystemConfig(5, 3, 2),
+]
+# Measured peak / (pairs * pair_bytes) of a full chunk on these plans: 1.06
+# to 1.39 (numpy 2.4, x86-64); the bound leaves room on both sides.
+PAIR_BYTES_FACTOR = 2.0
+
+
+@pytest.mark.parametrize("cfg", CAMPAIGN_CONFIGS, ids=str)
+def test_pair_bytes_tracks_chunk_memory(cfg):
+    plan = plan_schedule(cfg, corner_weight(cfg))
+    geom = simulate._PlanGeometry(cfg, plan)
+    pairs = max(1, simulate.CHUNK_BYTES // geom.pair_bytes())
+    trial, point = np.divmod(np.arange(pairs), 7)
+    rho = 10.0 ** ((30.0 + 5.0 * point) / 10.0)
+    real = simulate._TrialDraws(cfg, plan.total_slots, 1).take(trial)
+    simulate._pair_rates(geom, real, rho)  # builds the plan's index maps
+    tracemalloc.start()
+    try:
+        simulate._pair_rates(geom, real, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = pairs * geom.pair_bytes()
+    assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
