@@ -94,12 +94,8 @@ def _alpha(value: str, name: str):
 
 
 def _config(args) -> SystemConfig:
-    a1 = _alpha(args.alpha1, "alpha1") if hasattr(args, "alpha1") else as_ratio(1)
-    a2 = _alpha(args.alpha2, "alpha2") if hasattr(args, "alpha2") else as_ratio(1)
-    try:
-        return SystemConfig(args.M, args.N1, args.N2, a1, a2)
-    except ValueError as exc:
-        raise _CliError("INVALID_CONFIG", str(exc))
+    a1, a2 = _alpha(args.alpha1, "alpha1"), _alpha(args.alpha2, "alpha2")
+    return SystemConfig(args.M, args.N1, args.N2, a1, a2)
 
 
 def _emit(text: str, out: str):

@@ -68,8 +68,8 @@ class GramOverflow(DoflabError):
     """A rate's Gram matrix ``I + G^H Sigma^{-1} G`` lost positive
     definiteness in floating point. Forming it squares the condition number
     of the whitened system, so at high SNR rounding loses its smallest
-    eigenvalues (near ``rho = 1/eps`` on rank-deficient plans) long before
-    its entries overflow (near 3000 dB).
+    eigenvalues (a little beyond ``rho = 1/eps`` at fractional alpha) long
+    before its entries overflow (near 3000 dB).
 
     ``index`` is the flat batch position of the first such matrix.
     """

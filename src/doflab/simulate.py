@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,43 +220,39 @@ def _spread(total: int, slots: int) -> list[int]:
     return [base + 1 if t < extra else base for t in range(slots)]
 
 
-class _BlockStack:
-    """Index maps of one block-diagonal phase stack.
+def _stack(h: np.ndarray, loads, take=None, scales: np.ndarray | None = None) -> np.ndarray:
+    """Block-diagonal stack of per-slot channels ``h`` (..., slots, rows, cols).
 
-    Slot t's (rows, cols) channel contributes its first ``loads[t]`` columns
-    at rows ``t*rows ...`` and at the next ``loads[t]`` symbol columns; every
-    other entry is zero. With ``keep``, only the first ``keep`` rows of the
-    stack are built.
+    Slot t contributes the first ``take[t]`` of its rows (all of them when
+    ``take`` is None) and its first ``loads[t]`` columns, scaled by
+    ``scales[..., t]`` when given, at the next free rows and symbol columns;
+    every other entry is zero. Consecutive slots with equal (rows, load)
+    blocks form a run, and each run is written with one diagonal assignment.
     """
-
-    def __init__(self, loads: tuple[int, ...], rows: int, cols: int, keep: int | None = None):
-        counts = np.asarray(loads, dtype=np.intp)
-        symbols = int(counts.sum())
-        slot = np.repeat(np.arange(len(counts)), counts)  # slot of each symbol column
-        antenna = np.arange(symbols) - np.repeat(np.cumsum(counts) - counts, counts)
-        row = slot[None, :] * rows + np.arange(rows)[:, None]  # (rows, symbols)
-        col = np.broadcast_to(np.arange(symbols), row.shape)
-        self.shape = (rows * len(counts) if keep is None else keep, symbols)
-        wanted = row < self.shape[0]
-        self.dst = (row * symbols + col)[wanted]
-        self.src = (row * cols + antenna[None, :])[wanted]
-        self.slot = np.broadcast_to(slot, row.shape)[wanted]
-
-    def __call__(self, h: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
-        """Stack ``h`` (..., slots, rows, cols), optionally scaling slot t's
-        block by ``scales[..., t]``, into (..., stack rows, symbols)."""
-        batch = h.shape[:-3]
-        values = h.reshape(batch + (-1,))[..., self.src]
-        if scales is not None:
-            values = scales[..., self.slot] * values
-        out = np.zeros(batch + (self.shape[0] * self.shape[1],), dtype=np.complex128)
-        out[..., self.dst] = values
-        return out.reshape(batch + self.shape)
-
-
-@functools.lru_cache(maxsize=64)
-def _block_stack(loads: tuple[int, ...], rows: int, cols: int, keep: int | None = None):
-    return _BlockStack(loads, rows, cols, keep)
+    if take is None:
+        take = [h.shape[-2]] * len(loads)
+    if max(take, default=0) > h.shape[-2] or max(loads, default=0) > h.shape[-1]:
+        raise ShapeMismatch(
+            f"slot blocks of up to {max(take)} x {max(loads)} do not fit "
+            f"{h.shape[-2]} x {h.shape[-1]} channels"
+        )
+    batch = h.shape[:-3]
+    out = np.zeros(batch + (sum(take), sum(loads)), dtype=np.complex128)
+    slot = row = col = 0
+    for (rows, load), run in itertools.groupby(zip(take, loads)):
+        count = len(list(run))
+        if rows and load:
+            block = h[..., slot : slot + count, :rows, :load]
+            if scales is not None:
+                block = scales[..., slot : slot + count, None, None] * block
+            # splitting the two axes of a slice of ``out`` gives a view of it
+            grid = out[..., row : row + count * rows, col : col + count * load].reshape(
+                batch + (count, rows, count, load)
+            )
+            diag = np.arange(count)
+            grid[..., diag, :, diag, :] = np.moveaxis(block, -3, 0)
+        slot, row, col = slot + count, row + count * rows, col + count * load
+    return out
 
 
 def _deal(rows: np.ndarray, pick: np.ndarray) -> np.ndarray:
@@ -263,13 +260,6 @@ def _deal(rows: np.ndarray, pick: np.ndarray) -> np.ndarray:
     (t, r) gets row ``pick[t, r]``, or zeros where the pick is k."""
     zero = np.zeros((rows.shape[0], 1, *rows.shape[2:]), dtype=rows.dtype)
     return np.concatenate([rows, zero], axis=1)[:, pick]
-
-
-def _rows_of_slots(blocks: np.ndarray) -> np.ndarray:
-    """Per-slot row blocks (..., slots, rows, cols) stacked slot by slot
-    into (..., slots * rows, cols)."""
-    *batch, slots, rows, cols = blocks.shape
-    return blocks.reshape(*batch, slots * rows, cols)
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -293,22 +283,26 @@ class _PlanGeometry:
                 f"{size >> 30} GiB per (trial, SNR) pair; the cap is {MAX_PAIR_BYTES >> 30} GiB"
             )
         k1, k2 = self.payload.k1_needed, self.payload.k2_needed
-        loads1 = tuple(_spread(plan.s1_count, plan.tau1))
-        loads2 = tuple(_spread(plan.s2_count, plan.tau2))
+        loads1 = _spread(plan.s1_count, plan.tau1)
+        loads2 = _spread(plan.s2_count, plan.tau2)
         self.phase1 = slice(0, plan.tau1)
         self.phase2 = slice(plan.tau1, plan.tau1 + plan.tau2)
-        self.own1 = _block_stack(loads1, cfg.n1, cfg.m)
-        self.own2 = _block_stack(loads2, cfg.n2, cfg.m)
-        # order-2 coefficient rows: the first k_i rows of the other
-        # receiver's stack in the same phase
-        self.coef1 = _block_stack(loads1, cfg.n2, cfg.m, k1)
-        self.coef2 = _block_stack(loads2, cfg.n1, cfg.m, k2)
-        # a slot's load is at least one wherever k_i > 0 (k_i > 0 needs
-        # s_i > N_i * tau_i >= tau_i), so these never divide by zero
+        # order-2 coefficient rows: from each slot of phase i, as many rows
+        # of the other receiver's channel as receiver i lacks there,
+        # load - N_i. Loads differ by at most one, so these sum to k_i.
+        take1 = [max(0, load - cfg.n1) for load in loads1]
+        take2 = [max(0, load - cfg.n2) for load in loads2]
+        self.own1 = functools.partial(_stack, loads=loads1)
+        self.own2 = functools.partial(_stack, loads=loads2)
+        self.coef1 = functools.partial(_stack, loads=loads1, take=take1)
+        self.coef2 = functools.partial(_stack, loads=loads2, take=take2)
+        # own-row scales divide by the slot loads; a slot without streams
+        # adds no entries, so its scale is never used
         self.loads1 = np.maximum(loads1, 1)
         self.loads2 = np.maximum(loads2, 1)
-        self.row_loads1 = np.repeat(loads1, cfg.n2)[:k1].astype(float)
-        self.row_loads2 = np.repeat(loads2, cfg.n1)[:k2].astype(float)
+        # load of the slot each coefficient row comes from, for its power
+        self.row_loads1 = np.repeat(loads1, take1).astype(float)
+        self.row_loads2 = np.repeat(loads2, take2).astype(float)
         # Phase three deals the payload round-robin: symbol j goes to slot
         # j % tau3 as its stream j // tau3, which caps each slot's
         # user-i-carrying count at ceil(k_i / tau3) <= N_i. The grid below
@@ -390,15 +384,15 @@ def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
     h1, h2 = realization.h1, realization.h2
     if h1.shape[-2] != cfg.n1 or h2.shape[-2] != cfg.n2 or h1.shape[-1] != cfg.m:
         raise ShapeMismatch("realization dimensions do not match the configuration")
-    loads1 = tuple(_spread(plan.s1_count, plan.tau1))
-    loads2 = tuple(_spread(plan.s2_count, plan.tau2))
+    loads1 = _spread(plan.s1_count, plan.tau1)
+    loads2 = _spread(plan.s2_count, plan.tau2)
     p1 = slice(0, plan.tau1)
     p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
     return PhaseMatrices(
-        rx1_phase1=_block_stack(loads1, cfg.n1, cfg.m)(h1[..., p1, :, :]),
-        rx2_phase1=_block_stack(loads1, cfg.n2, cfg.m)(h2[..., p1, :, :]),
-        rx1_phase2=_block_stack(loads2, cfg.n1, cfg.m)(h1[..., p2, :, :]),
-        rx2_phase2=_block_stack(loads2, cfg.n2, cfg.m)(h2[..., p2, :, :]),
+        rx1_phase1=_stack(h1[..., p1, :, :], loads1),
+        rx2_phase1=_stack(h2[..., p1, :, :], loads1),
+        rx1_phase2=_stack(h1[..., p2, :, :], loads2),
+        rx2_phase2=_stack(h2[..., p2, :, :], loads2),
     )
 
 
@@ -409,18 +403,17 @@ def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
     The order-2 coefficients are the true channel rows and the cross part
     cancels exactly, so a deficient rank isolates a schedule defect.
     """
-    plan = geom.plan
-    k1, k2 = geom.payload.k1_needed, geom.payload.k2_needed
-    phases = build_phase_matrices(realization, plan, geom.cfg)
-    sys1, sys2 = phases.rx1_phase1, phases.rx2_phase2
+    h1, h2 = realization.h1, realization.h2
+    sys1 = geom.own1(h1[:, geom.phase1])
+    sys2 = geom.own2(h2[:, geom.phase2])
     if geom.slots3:
         q = geom.streams3
-        rows1 = _deal(phases.rx2_phase1[:, :k1], geom.pick1)
-        rows2 = _deal(phases.rx1_phase2[:, :k2], geom.pick2)
-        w1 = realization.h1[:, geom.phase3, :, :q]
-        w2 = realization.h2[:, geom.phase3, :, :q]
-        sys1 = np.concatenate([sys1, _rows_of_slots(w1 @ rows1)], axis=-2)
-        sys2 = np.concatenate([sys2, _rows_of_slots(w2 @ rows2)], axis=-2)
+        w1 = h1[:, geom.phase3, :, :q]
+        w2 = h2[:, geom.phase3, :, :q]
+        rows1 = _phase3_rows(w1, geom.coef1(h2[:, geom.phase1]), geom.pick1)
+        rows2 = _phase3_rows(w2, geom.coef2(h1[:, geom.phase2]), geom.pick2)
+        sys1 = np.concatenate([sys1, rows1], axis=-2)
+        sys2 = np.concatenate([sys2, rows2], axis=-2)
     return (
         kernels.numerical_rank_stacked(sys1, RANK_RTOL),
         kernels.numerical_rank_stacked(sys2, RANK_RTOL),
@@ -448,24 +441,32 @@ def rank_check_campaign(
     return passes[0], passes[1]
 
 
-def _phase3_system(w, own, cross, evar):
+def _phase3_rows(w: np.ndarray, rows: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Phase-three rows (B, slots * N, cols), slot by slot, that a receiver
+    with channel ``w`` (B, slots, N, streams) sees of payload rows
+    (B, k, cols) dealt by ``pick``."""
+    b, slots, n = w.shape[:3]
+    return (w @ _deal(rows, pick)).reshape(b, slots * n, rows.shape[-1])
+
+
+def _phase3_system(w, own, pick_own, cross, pick_cross, evar):
     """One receiver's phase-three rows (B, n3, symbols) and their noise
     covariance S (B, n3, n3), from its scaled channel ``w``
-    (B, slots, N, streams) and the dealt payload.
+    (B, slots, N, streams) and the payload rows dealt by the picks.
 
-    Gain rows carry the receiver's own symbols. S is the unit noise, plus
-    the mismatch that maps the other user's symbols through the
-    quantization residual left after cancellation, plus per slot an (N, N)
-    block of reconstruction thermal noise lifted through the phase-three
-    channel.
+    Gain rows carry the receiver's own symbols (``own``). S is the unit
+    noise, plus the mismatch that maps the other user's symbols through the
+    quantization residual ``cross`` left after cancellation, plus per slot
+    an (N, N) block of reconstruction thermal noise of variances ``evar``
+    lifted through the phase-three channel.
     """
     b, slots, n = w.shape[:3]
-    mism = _rows_of_slots(w @ cross)
+    mism = _phase3_rows(w, cross, pick_cross)
     sig3 = np.eye(slots * n, dtype=np.complex128) + mism @ _herm(mism)
-    extra = (w * evar[:, :, None, :]) @ _herm(w)
+    extra = (w * _deal(evar, pick_cross)[:, :, None, :]) @ _herm(w)
     diag = np.arange(slots)
     sig3.reshape(b, slots, n, slots, n)[:, diag, :, diag, :] += np.moveaxis(extra, 1, 0)
-    return _rows_of_slots(w @ own), sig3
+    return _phase3_rows(w, own, pick_own), sig3
 
 
 def _receiver_rates(own: np.ndarray, phase3) -> np.ndarray:
@@ -498,8 +499,8 @@ def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray) 
     h2_hat = quantize_csit(h2_p1, cfg.alpha2, at_rho)
     h1_hat = quantize_csit(h1_p2, cfg.alpha1, at_rho)
 
-    own1 = geom.own1(h1[:, geom.phase1], np.sqrt(power[:, None] / geom.loads1))
-    own2 = geom.own2(h2[:, geom.phase2], np.sqrt(power[:, None] / geom.loads2))
+    own1 = geom.own1(h1[:, geom.phase1], scales=np.sqrt(power[:, None] / geom.loads1))
+    own2 = geom.own2(h2[:, geom.phase2], scales=np.sqrt(power[:, None] / geom.loads2))
     # order-2 coefficient rows (estimates), their residuals and row powers
     est1, res1 = geom.coef1(h2_hat), geom.coef1(h2_p1 - h2_hat)
     est2, res2 = geom.coef2(h1_hat), geom.coef2(h1_p2 - h1_hat)
@@ -520,12 +521,8 @@ def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray) 
         w1 = h1[:, geom.phase3, :, :q] * gains[:, :, None, :]
         w2 = h2[:, geom.phase3, :, :q] * gains[:, :, None, :]
         phase3 = (
-            _phase3_system(
-                w1, _deal(est1, pick1), _deal(res2, pick2), _deal(1.0 / pow2, pick2)
-            ),
-            _phase3_system(
-                w2, _deal(est2, pick2), _deal(res1, pick1), _deal(1.0 / pow1, pick1)
-            ),
+            _phase3_system(w1, est1, pick1, res2, pick2, 1.0 / pow2),
+            _phase3_system(w2, est2, pick2, res1, pick1, 1.0 / pow1),
         )
     total = plan.total_slots
     return np.stack(

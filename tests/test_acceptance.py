@@ -1,4 +1,4 @@
-"""Acceptance gate: the nine headline checks, one pass line each.
+"""Acceptance gate: the ten headline checks, one pass line each.
 
 Every test prints a single ``PASS criterion N`` line with the measured
 numbers once its assertions clear, so a ``pytest -s`` run reads as a
@@ -163,30 +163,37 @@ def test_criterion_4_corner_vs_linear_solve():
 
 def test_criterion_5_scheme_boundary_and_hull():
     weights = [F(k, 10) for k in range(11)]
-    checked = 0
+    checked = tdma = 0
     for cfg in grid_configs():
-        if cfg.n2 >= cfg.m:
-            continue
         region = dof_region(cfg)
-        first, second = region.constraints
         points = [(F(0), F(0))]
-        for w in weights + [corner_weight(cfg)]:
-            plan = plan_schedule(cfg, w)
-            point = achieved_dof(plan, cfg)
-            assert region.contains(point)
-            check = check_decoding_conditions(plan, cfg)
-            if check.slack2 == 0:
-                assert first.is_tight_at(point.d1, point.d2)
-            if check.slack1 == 0:
-                assert second.is_tight_at(point.d1, point.d2)
-            assert check.slack1 == 0 or check.slack2 == 0
-            points.append((point.d1, point.d2))
+        if cfg.n2 >= cfg.m:
+            # time sharing is the whole scheme here
+            for w in weights:
+                point = achieved_dof(plan_tdma(cfg, w), cfg)
+                assert region.contains(point)
+                points.append((point.d1, point.d2))
+            tdma += 1
+        else:
+            first, second = region.constraints
+            for w in weights + [corner_weight(cfg)]:
+                plan = plan_schedule(cfg, w)
+                point = achieved_dof(plan, cfg)
+                assert region.contains(point)
+                check = check_decoding_conditions(plan, cfg)
+                if check.slack2 == 0:
+                    assert first.is_tight_at(point.d1, point.d2)
+                if check.slack1 == 0:
+                    assert second.is_tight_at(point.d1, point.d2)
+                assert check.slack1 == 0 or check.slack2 == 0
+                points.append((point.d1, point.d2))
+            checked += 1
         hull = convex_hull(points)
         assert set(hull) == {(v.d1, v.d2) for v in region.vertices()}
-        checked += 1
-    assert checked == 2250
+    assert checked == 2250 and tdma == 3150
     print(f"\nPASS criterion 5: boundary achievement and exact hull "
-          f"reconstruction on {checked} three-phase configs x 12 weights")
+          f"reconstruction on {checked} three-phase configs x 12 weights; "
+          f"time-sharing hull on {tdma} configs with M <= N2 x 11 weights")
 
 
 def test_criterion_6_rank_check_monte_carlo():
@@ -292,3 +299,28 @@ def test_criterion_9_figure_data(capsys):
     print("\nPASS criterion 9: sweep-alpha gives strictly nested regions "
           "(areas 1/2 < 3/5 < 2/3); sweep-pairs d2-corner strictly rises "
           "with alpha2")
+
+
+def test_criterion_10_rank_at_fractional_alpha():
+    start = time.perf_counter()
+    one = SimParams(snr_grid_db=(30.0, 40.0), trials=1, seed=2024)
+    plans = 0
+    for cfg in grid_configs():
+        if cfg.n2 >= cfg.m:
+            continue
+        plan = plan_schedule(cfg, corner_weight(cfg))
+        if plan.total_slots > 40:
+            continue
+        assert rank_check_campaign(cfg, plan, one) == (1, 1), cfg
+        plans += 1
+    assert plans == 2128
+    twenty = SimParams(snr_grid_db=(30.0, 40.0), trials=20, seed=2024)
+    for cfg in (SystemConfig(4, 2, 2, F(1, 2), F(1, 2)),
+                SystemConfig(5, 3, 2, F(1, 2), F(1, 3))):
+        plan = plan_schedule(cfg, corner_weight(cfg))
+        assert rank_check_campaign(cfg, plan, twenty) == (20, 20), cfg
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0
+    print(f"\nPASS criterion 10: full rank on both receivers at {plans} corner "
+          f"plans with N2 < M and at most 40 slots (1 trial each), and at "
+          f"M4/N2/N2 1/2 and M5/N3/N2 (1/2, 1/3) (20 trials each) ({elapsed:.1f} s)")

@@ -301,17 +301,17 @@ class TestSimulate:
 
     @needs_alarm
     def test_gram_not_positive_definite_long_before_overflow(self, run):
-        # a rank-deficient plan at fractional alpha: rounding, not overflow,
-        # breaks the Gram matrix near rho = 1/eps
+        # a fractional-alpha plan: rounding, not overflow, breaks the Gram
+        # matrix once rho is far beyond 1/eps
         with within(5.0):
             code, out, err = run(
                 "simulate", "--M", "5", "--N1", "3", "--N2", "2", "--alpha1", "1/2",
-                "--alpha2", "1/3", "--at-corner", "--snr-min", "160", "--snr-max", "170",
+                "--alpha2", "1/3", "--at-corner", "--snr-min", "250", "--snr-max", "260",
                 "--snr-step", "10", "--trials", "4", "--seed", "1",
             )
         assert code == 3 and out == ""
         assert err == (
-            "E:GRAM_OVERFLOW:trial 0, SNR 160.0 dB: rate Gram matrix I + G^H Sigma^-1 G "
+            "E:GRAM_OVERFLOW:trial 0, SNR 250.0 dB: rate Gram matrix I + G^H Sigma^-1 G "
             "is not positive definite in floating point (SNR too high)\n"
         )
 
