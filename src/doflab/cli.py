@@ -36,7 +36,13 @@ from .scheme import (
     plan_schedule,
     plan_tdma,
 )
-from .simulate import SimParams, estimate_rates, rank_check_campaign
+from .simulate import (
+    RATE_ROUNDING,
+    SimParams,
+    estimate_rates,
+    rank_check_campaign,
+    rate_snr_limit_db,
+)
 
 MAX_SNR_POINTS = 1000
 
@@ -221,6 +227,15 @@ def cmd_simulate(args) -> int:
     cfg = _config(args)
     plan, weight = _plan_for(cfg, args.weight, args.at_corner)
     snrs = _snr_grid(args.snr_min, args.snr_max, args.snr_step)
+    if args.fidelity != "rank":
+        limit = rate_snr_limit_db(cfg, plan)
+        if snrs[-1] > limit:
+            raise _CliError(
+                "INVALID_SNR_GRID",
+                f"SNR {snrs[-1]} dB is above {limit:.1f} dB, the highest at which this plan's "
+                f"rates keep rounding errors within {RATE_ROUNDING:g} "
+                "(see doflab.simulate.rate_snr_limit_db)",
+            )
     params = SimParams(
         snr_grid_db=tuple(snrs),
         trials=args.trials,

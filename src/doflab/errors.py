@@ -65,13 +65,16 @@ class SingularCovariance(DoflabError):
 
 
 class GramOverflow(DoflabError):
-    """A rate's Gram matrix ``I + G^H Sigma^{-1} G`` lost positive
-    definiteness in floating point. Forming it squares the condition number
-    of the whitened system, so at high SNR rounding loses its smallest
-    eigenvalues (a little beyond ``rho = 1/eps`` at fractional alpha) long
-    before its entries overflow (near 3000 dB).
+    """A rate system is not finite in floating point.
 
-    ``index`` is the flat batch position of the first such matrix.
+    The campaigns' rate kernel forms no Gram matrix, so it raises this only
+    for a non-finite entry of its input: an already non-finite channel, or
+    an SNR at the edge of the float range. The dense reference kernel
+    ``kernels.logdet_rate_bits_stacked`` forms ``I + G^H Sigma^{-1} G``,
+    which squares the condition number of the whitened system, and also
+    raises it when rounding costs that matrix its positive definiteness.
+
+    ``index`` is the flat batch position of the first such system.
     """
 
     code = "GRAM_OVERFLOW"

@@ -27,7 +27,6 @@ with ``[seed, trial]``; identical parameters reproduce identical reports.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import math
@@ -50,6 +49,7 @@ __all__ = [
     "ResidualScan",
     "gen_channels",
     "quantize_csit",
+    "rate_snr_limit_db",
     "build_phase_matrices",
     "rank_check_campaign",
     "estimate_rates",
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 QUANTIZER_CLIP = 4.0
+# Largest relative rounding error the rate campaign accepts in the terms
+# that set its slopes (see rate_snr_limit_db).
+RATE_ROUNDING = 1e-3
 # Working-set budget of one batched chunk of the rate and rank campaigns.
 # Small plans fit hundreds of (trial, SNR) pairs in a chunk; plans with
 # systems near 100x100 run one to a few pairs at a time.
@@ -212,6 +215,43 @@ def quantize_csit(h: np.ndarray, alpha: RatioLike, rho) -> np.ndarray:
     return step * np.round(re / step) + 1j * step * np.round(im / step)
 
 
+def rate_snr_limit_db(cfg: SystemConfig, plan: SchedulePlan) -> float:
+    """Highest SNR in dB at which ``estimate_rates`` resolves the plan's
+    rates in float64; infinite for a plan without phase three, where SNR
+    only scales the own rows.
+
+    Two rounding errors grow with ``rho``, and the limit keeps both within
+    ``RATE_ROUNDING`` for both qualities ``alpha`` of ``cfg``:
+
+    * The quantizer. An estimate is a multiple of the step
+      ``sqrt(6) * rho**(-alpha/2)`` of at most ``QUANTIZER_CLIP`` per real
+      axis, so its float64 rounding error is a share
+      ``eps * QUANTIZER_CLIP / (2 * sqrt(6)) * rho**(alpha/2)`` of the step,
+      and the residual priced as mismatch departs from the quantizer's by
+      that share. ``alpha == 0`` quantizes nothing.
+    * The own-phase noise floor. Own rows grow like ``sqrt(rho)``, and a
+      factorization of [I; A_t] resolves the unit noise along A_t's null
+      space, where phase three delivers power ``rho**alpha``, only to
+      ``(eps * sqrt(rho))**2``: a share ``eps**2 * rho**(1 - alpha)``.
+
+    Measured at ``M=2, N1=N2=1`` (corner, 30 to 40 trials, 40 dB grids),
+    the fitted slopes leave their high-SNR value from about 300 dB at
+    ``alpha = 1`` (limit 254.8 dB), 600 dB at 1/2 (509.7 dB), 470 dB at 1/3
+    (424.6 dB) and 410 dB at 1/4 (377.4 dB).
+    """
+    if not min(order2_payload(plan, cfg).length, plan.tau3):
+        return math.inf
+    eps = float(np.finfo(np.float64).eps)
+    quantizer = eps * QUANTIZER_CLIP / (2.0 * math.sqrt(6.0))
+    limit = math.inf
+    for alpha in (float(cfg.alpha1), float(cfg.alpha2)):
+        if alpha > 0:
+            limit = min(limit, 10.0 * (2.0 / alpha) * math.log10(RATE_ROUNDING / quantizer))
+        if alpha < 1:
+            limit = min(limit, 10.0 / (1.0 - alpha) * math.log10(RATE_ROUNDING / eps**2))
+    return limit
+
+
 def _spread(total: int, slots: int) -> list[int]:
     """Per-slot stream loads, largest first, summing to ``total``."""
     if slots == 0:
@@ -220,54 +260,113 @@ def _spread(total: int, slots: int) -> list[int]:
     return [base + 1 if t < extra else base for t in range(slots)]
 
 
-def _stack(h: np.ndarray, loads, take=None, scales: np.ndarray | None = None) -> np.ndarray:
-    """Block-diagonal stack of per-slot channels ``h`` (..., slots, rows, cols).
-
-    Slot t contributes the first ``take[t]`` of its rows (all of them when
-    ``take`` is None) and its first ``loads[t]`` columns, scaled by
-    ``scales[..., t]`` when given, at the next free rows and symbol columns;
-    every other entry is zero. Consecutive slots with equal (rows, load)
-    blocks form a run, and each run is written with one diagonal assignment.
-    """
-    if take is None:
-        take = [h.shape[-2]] * len(loads)
-    if max(take, default=0) > h.shape[-2] or max(loads, default=0) > h.shape[-1]:
+def _check_fit(take, loads, rows: int, cols: int) -> None:
+    """Raise ShapeMismatch unless every slot block, ``take[t]`` rows by
+    ``loads[t]`` columns, fits a ``rows`` x ``cols`` channel."""
+    if max(take, default=0) > rows or max(loads, default=0) > cols:
         raise ShapeMismatch(
             f"slot blocks of up to {max(take)} x {max(loads)} do not fit "
-            f"{h.shape[-2]} x {h.shape[-1]} channels"
+            f"{rows} x {cols} channels"
         )
+
+
+def _stack(h: np.ndarray, loads) -> np.ndarray:
+    """Block-diagonal stack of per-slot channels ``h`` (..., slots, rows, cols).
+
+    Slot t contributes all its rows and its first ``loads[t]`` columns at the
+    next free rows and symbol columns; every other entry is zero.
+    Consecutive slots with equal loads form a run, and each run is written
+    with one diagonal assignment.
+    """
+    rows = h.shape[-2]
+    _check_fit([rows] * len(loads), loads, *h.shape[-2:])
     batch = h.shape[:-3]
-    out = np.zeros(batch + (sum(take), sum(loads)), dtype=np.complex128)
-    slot = row = col = 0
-    for (rows, load), run in itertools.groupby(zip(take, loads)):
+    out = np.zeros(batch + (rows * len(loads), sum(loads)), dtype=np.complex128)
+    slot = col = 0
+    for load, run in itertools.groupby(loads):
         count = len(list(run))
-        if rows and load:
-            block = h[..., slot : slot + count, :rows, :load]
-            if scales is not None:
-                block = scales[..., slot : slot + count, None, None] * block
+        if load:
+            block = h[..., slot : slot + count, :, :load]
             # splitting the two axes of a slice of ``out`` gives a view of it
-            grid = out[..., row : row + count * rows, col : col + count * load].reshape(
+            grid = out[..., slot * rows : (slot + count) * rows, col : col + count * load].reshape(
                 batch + (count, rows, count, load)
             )
             diag = np.arange(count)
             grid[..., diag, :, diag, :] = np.moveaxis(block, -3, 0)
-        slot, row, col = slot + count, row + count * rows, col + count * load
+        slot, col = slot + count, col + count * load
     return out
-
-
-def _deal(rows: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """Payload rows (B, k, ...) dealt onto the phase-three grid: grid entry
-    (t, r) gets row ``pick[t, r]``, or zeros where the pick is k."""
-    zero = np.zeros((rows.shape[0], 1, *rows.shape[2:]), dtype=rows.dtype)
-    return np.concatenate([rows, zero], axis=1)[:, pick]
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
+class _Deal:
+    """How one receiver's order-2 payload reaches phase three.
+
+    The payload's rows are overheard channel rows: from each slot t of the
+    receiver's symbol phase, ``take[t]`` rows of the other receiver's
+    channel there. Phase three deals them round-robin: row j goes to slot
+    j % tau3 as its stream j // tau3, which caps each slot's count of this
+    receiver's rows at ceil(k / tau3) <= N. On the (phase-three slot,
+    stream) grid, stream (a, r) carries row ``pick[a, r]``, none where the
+    pick is k.
+    """
+
+    def __init__(self, take, pick: np.ndarray, slots: int):
+        self.slots = slots
+        take = np.asarray(take, dtype=int)
+        self.slot = np.repeat(np.arange(len(take)), take)  # source slot of each row
+        k = len(self.slot)
+        self.row = np.arange(k) - np.repeat(np.cumsum(take) - take, take)  # its row there
+        self.live = pick < k
+        self.pick = np.where(self.live, pick, 0)
+        # source slot of each grid stream; any slot where no row is dealt
+        self.source = self.slot[self.pick] if k else np.zeros_like(pick)
+
+    def deal(self, values: np.ndarray) -> np.ndarray:
+        """Per-row ``values`` (B, k, ...) on the grid (B, slots3, streams,
+        ...), zeros where no row is dealt."""
+        if not len(self.slot):
+            return np.zeros((values.shape[0], *self.pick.shape, *values.shape[2:]), dtype=values.dtype)
+        dealt = values[:, self.pick]
+        dealt[:, ~self.live] = 0
+        return dealt
+
+    def rows(self, h: np.ndarray) -> np.ndarray:
+        """The payload rows of the other receiver's channels ``h`` (B,
+        slots, N, width) in the symbol phase's layout, dealt onto the grid
+        (B, slots3, streams, width)."""
+        return self.deal(h[:, self.slot, self.row])
+
+    def lift(self, w: np.ndarray, dealt: np.ndarray) -> np.ndarray:
+        """Phase-three rows (B, slots3 * N, slots * width), slot by slot,
+        that a receiver with channel ``w`` (B, slots3, N, streams) sees of
+        payload rows ``dealt`` (B, slots3, streams, width). Each stream's
+        row lies in the columns of its source slot, where its terms are
+        added one stream index at a time."""
+        b, slots3, n, streams = w.shape
+        width = dealt.shape[-1]
+        out = np.zeros((b, slots3, n, self.slots, width), dtype=np.complex128)
+        if len(self.slot):
+            # (streams, slots3, B, N, width): term r indexes like the
+            # stream's target, out[:, grid, :, source[:, r], :]
+            terms = w.transpose(3, 1, 0, 2)[..., None] * dealt.transpose(2, 1, 0, 3)[:, :, :, None, :]
+            grid = np.arange(slots3)
+            for r in range(streams):
+                out[:, grid, :, self.source[:, r], :] += terms[r]
+        return out.reshape(b, slots3 * n, self.slots * width)
+
+
 class _PlanGeometry:
-    """Shared index bookkeeping for one (config, plan) pair."""
+    """Shared index bookkeeping for one (config, plan) pair.
+
+    The campaigns lay symbol phase i out as its tau_i slots of width_i
+    columns each, width_i being the phase's largest slot load. A slot with
+    one stream fewer (``_spread`` loads differ by at most one) gets a zero
+    column: a stream that carries no symbol, and adds nothing to any rank
+    or rate.
+    """
 
     def __init__(self, cfg: SystemConfig, plan: SchedulePlan):
         self.cfg = cfg
@@ -292,53 +391,67 @@ class _PlanGeometry:
         # load - N_i. Loads differ by at most one, so these sum to k_i.
         take1 = [max(0, load - cfg.n1) for load in loads1]
         take2 = [max(0, load - cfg.n2) for load in loads2]
-        self.own1 = functools.partial(_stack, loads=loads1)
-        self.own2 = functools.partial(_stack, loads=loads2)
-        self.coef1 = functools.partial(_stack, loads=loads1, take=take1)
-        self.coef2 = functools.partial(_stack, loads=loads2, take=take2)
-        # own-row scales divide by the slot loads; a slot without streams
-        # adds no entries, so its scale is never used
+        for take, loads, rows in ((take1, loads1, cfg.n2), (take2, loads2, cfg.n1)):
+            _check_fit(take, loads, rows, cfg.m)
+        self.width1 = max(loads1, default=0)
+        self.width2 = max(loads2, default=0)
+        # (slots, width): True where a slot's stream carries a symbol
+        self.mask1 = np.arange(self.width1) < np.array(loads1, dtype=int)[:, None]
+        self.mask2 = np.arange(self.width2) < np.array(loads2, dtype=int)[:, None]
+        # own-row power shares divide by the slot loads; a slot without
+        # streams has only zero columns, so its share is never used
         self.loads1 = np.maximum(loads1, 1)
         self.loads2 = np.maximum(loads2, 1)
-        # load of the slot each coefficient row comes from, for its power
-        self.row_loads1 = np.repeat(loads1, take1).astype(float)
-        self.row_loads2 = np.repeat(loads2, take2).astype(float)
-        # Phase three deals the payload round-robin: symbol j goes to slot
-        # j % tau3 as its stream j // tau3, which caps each slot's
-        # user-i-carrying count at ceil(k_i / tau3) <= N_i. The grid below
-        # holds slot t's streams in row t, padded to the longest slot; a
-        # pick equal to k_i selects an appended zero row.
+        # the phase-three grid holds slot t's streams in row t, padded to
+        # the longest slot
         self.streams3 = self.payload.per_slot_streams  # streams of the fullest slot
         base3 = plan.tau1 + plan.tau2
         self.phase3 = slice(base3, base3 + self.slots3)
         j = np.arange(self.streams3)[None, :] * plan.tau3 + np.arange(self.slots3)[:, None]
-        self.pick1 = np.where(j < k1, j, k1)
-        self.pick2 = np.where(j < k2, j, k2)
+        self.deal1 = _Deal(take1, np.where(j < k1, j, k1), plan.tau1)
+        self.deal2 = _Deal(take2, np.where(j < k2, j, k2), plan.tau2)
+        # load of the slot each payload row comes from, for its power
+        self.row_loads1 = np.repeat(loads1, take1).astype(float)
+        self.row_loads2 = np.repeat(loads2, take2).astype(float)
         self.slot_streams = np.count_nonzero(j < length, axis=1).astype(float)
 
-    def _system_rows(self) -> tuple[int, int]:
-        """Rows of each receiver's stacked system: own phase plus phase three."""
+    def symbols1(self, h: np.ndarray) -> np.ndarray:
+        """Phase-one slots of channels ``h`` (B, slots, N, M) in the
+        phase's layout (B, tau1, N, width1)."""
+        return h[:, self.phase1, :, : self.width1] * self.mask1[:, None, :]
+
+    def symbols2(self, h: np.ndarray) -> np.ndarray:
+        """Phase-two slots of ``h`` in the layout (B, tau2, N, width2)."""
+        return h[:, self.phase2, :, : self.width2] * self.mask2[:, None, :]
+
+    def _receivers(self):
+        """Per receiver: antennas N, phase-three rows n3, own-phase slots and
+        their width."""
         cfg, plan = self.cfg, self.plan
-        return cfg.n1 * (plan.tau1 + self.slots3), cfg.n2 * (plan.tau2 + self.slots3)
+        for n, symbols, slots in ((cfg.n1, plan.s1_count, plan.tau1), (cfg.n2, plan.s2_count, plan.tau2)):
+            yield n, n * self.slots3, slots, -(-symbols // slots) if slots else 0
 
     def pair_bytes(self) -> int:
-        """Bytes of one (trial, SNR) pair's rate working set and its working
-        copy: per receiver the whitened (rows, symbols) system, the
-        (symbols, symbols) Gram matrix and the (n3, n3) phase-three noise
-        covariance, n3 being the receiver's phase-three rows."""
+        """Bytes of one (trial, SNR) pair's rate working set. Per receiver,
+        with s = slots * width columns: its phase-three rows (n3, s) and S
+        (n3, n3); [L^H; U^H] (n3 + s, n3) and LAPACK's copy of it; and its
+        own slot blocks (N, s in all) with their reduced copy."""
         total = 0
-        for rows, n, symbols in zip(
-            self._system_rows(), (self.cfg.n1, self.cfg.n2), (self.plan.s1_count, self.plan.s2_count)
-        ):
-            n3 = n * self.slots3
-            total += rows * symbols + symbols * symbols + n3 * n3
-        return 2 * 16 * total
+        for n, n3, slots, width in self._receivers():
+            s = slots * width
+            total += n3 * s + n3 * n3 + 2 * (n3 + s) * n3 + 2 * n * s
+        return 16 * total
 
     def trial_bytes(self) -> int:
-        """Bytes of the systems one trial hands the rank kernel, and the
-        kernel's working copy of them."""
-        rows1, rows2 = self._system_rows()
-        return 2 * 16 * (rows1 * self.plan.s1_count + rows2 * self.plan.s2_count)
+        """Bytes of one trial's rank working set. Per receiver, with
+        s = slots * width columns: its phase-three rows P (n3, s), the slot
+        rows of P^H that enter (P N)^H, (P N)^H (s, n3) and the SVD's copy of
+        it, and per slot the block's right singular vectors and N_t^H
+        (width, width each)."""
+        total = 0
+        for n, n3, slots, width in self._receivers():
+            total += 4 * n3 * slots * width + 2 * slots * width * width
+        return 16 * total
 
 
 def _chunks(count: int, unit_bytes: int):
@@ -404,19 +517,14 @@ def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
     cancels exactly, so a deficient rank isolates a schedule defect.
     """
     h1, h2 = realization.h1, realization.h2
-    sys1 = geom.own1(h1[:, geom.phase1])
-    sys2 = geom.own2(h2[:, geom.phase2])
+    rows1 = rows2 = None
     if geom.slots3:
         q = geom.streams3
-        w1 = h1[:, geom.phase3, :, :q]
-        w2 = h2[:, geom.phase3, :, :q]
-        rows1 = _phase3_rows(w1, geom.coef1(h2[:, geom.phase1]), geom.pick1)
-        rows2 = _phase3_rows(w2, geom.coef2(h1[:, geom.phase2]), geom.pick2)
-        sys1 = np.concatenate([sys1, rows1], axis=-2)
-        sys2 = np.concatenate([sys2, rows2], axis=-2)
+        rows1 = geom.deal1.lift(h1[:, geom.phase3, :, :q], geom.deal1.rows(geom.symbols1(h2)))
+        rows2 = geom.deal2.lift(h2[:, geom.phase3, :, :q], geom.deal2.rows(geom.symbols2(h1)))
     return (
-        kernels.numerical_rank_stacked(sys1, RANK_RTOL),
-        kernels.numerical_rank_stacked(sys2, RANK_RTOL),
+        kernels.slot_rank_stacked(geom.symbols1(h1), rows1, RANK_RTOL),
+        kernels.slot_rank_stacked(geom.symbols2(h2), rows2, RANK_RTOL),
     )
 
 
@@ -441,90 +549,82 @@ def rank_check_campaign(
     return passes[0], passes[1]
 
 
-def _phase3_rows(w: np.ndarray, rows: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """Phase-three rows (B, slots * N, cols), slot by slot, that a receiver
-    with channel ``w`` (B, slots, N, streams) sees of payload rows
-    (B, k, cols) dealt by ``pick``."""
-    b, slots, n = w.shape[:3]
-    return (w @ _deal(rows, pick)).reshape(b, slots * n, rows.shape[-1])
-
-
-def _phase3_system(w, own, pick_own, cross, pick_cross, evar):
+def _phase3_system(w, own, own_deal: _Deal, cross, cross_deal: _Deal, evar):
     """One receiver's phase-three rows (B, n3, symbols) and their noise
     covariance S (B, n3, n3), from its scaled channel ``w``
-    (B, slots, N, streams) and the payload rows dealt by the picks.
+    (B, slots, N, streams) and the dealt payload rows.
 
     Gain rows carry the receiver's own symbols (``own``). S is the unit
     noise, plus the mismatch that maps the other user's symbols through the
     quantization residual ``cross`` left after cancellation, plus per slot
     an (N, N) block of reconstruction thermal noise of variances ``evar``
-    lifted through the phase-three channel.
+    (B, slots, streams) lifted through the phase-three channel.
     """
     b, slots, n = w.shape[:3]
-    mism = _phase3_rows(w, cross, pick_cross)
+    mism = cross_deal.lift(w, cross)
     sig3 = np.eye(slots * n, dtype=np.complex128) + mism @ _herm(mism)
-    extra = (w * _deal(evar, pick_cross)[:, :, None, :]) @ _herm(w)
+    extra = (w * evar[:, :, None, :]) @ _herm(w)
     diag = np.arange(slots)
     sig3.reshape(b, slots, n, slots, n)[:, diag, :, diag, :] += np.moveaxis(extra, 1, 0)
-    return _phase3_rows(w, own, pick_own), sig3
+    return own_deal.lift(w, own), sig3
 
 
 def _receiver_rates(own: np.ndarray, phase3) -> np.ndarray:
-    """Whitened log-det rate of each receiver system of the batch (bits per
-    use of the stacked channel).
+    """Log-det rate of each receiver system of the batch (bits per use of
+    the stacked channel).
 
-    The system stacks the own-phase rows ``own`` (B, n_own, s) over the
-    phase-three rows of ``phase3`` (None, or the rows and their covariance S
-    from ``_phase3_system``), under noise covariance diag(I, S). The own
-    rows are already white, so only S is factored; the Gram matrix is
-    formed from the whole whitened system in one product, as the dense
-    ``kernels.logdet_rate_bits_stacked`` forms it.
+    The system stacks the own-phase rows, block diagonal by slot and given
+    as the slot blocks ``own`` (B, slots, N, width), over the phase-three
+    rows of ``phase3`` (None, or the rows and their covariance S from
+    ``_phase3_system``), under noise covariance diag(I, S).
     """
-    if own.shape[-1] == 0:  # no symbols: rate 0, as the dense kernel gives
+    if not own.shape[1] * own.shape[3]:  # no symbols: rate 0, without factoring S
         return np.zeros(own.shape[0])
-    white = own
-    if phase3 is not None:
-        white = np.concatenate([own, kernels.whiten_stacked(*phase3)], axis=1)
-    return kernels.white_rate_bits_stacked(white)
+    return kernels.slot_rate_bits_stacked(own, *(phase3 or (None, None)))
+
+
+def _phase3_systems(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray):
+    """Each receiver's phase-three rows and their noise covariance S (see
+    ``_phase3_system``) for B (trial, SNR) pairs, or (None, None) for a plan
+    without phase three. The transmitter builds the payload from CSIT
+    quantized at SNR ``rho`` (B,)."""
+    if not geom.slots3:
+        return None, None
+    cfg = geom.cfg
+    h1, h2 = real.h1, real.h2
+    power = rho
+    at_rho = rho[:, None, None, None]
+    h2_p1, h1_p2 = geom.symbols1(h2), geom.symbols2(h1)
+    h2_hat = quantize_csit(h2_p1, cfg.alpha2, at_rho)
+    h1_hat = quantize_csit(h1_p2, cfg.alpha1, at_rho)
+    # order-2 payload rows (estimates) on the phase-three grid, their
+    # residuals, and the reconstruction noise variance of each row
+    deal1, deal2 = geom.deal1, geom.deal2
+    est1, est2 = deal1.rows(h2_hat), deal2.rows(h1_hat)
+    res1, res2 = deal1.rows(h2_p1 - h2_hat), deal2.rows(h1_p2 - h1_hat)
+    evar1 = deal1.deal(geom.row_loads1[None, :] / power[:, None])
+    evar2 = deal2.deal(geom.row_loads2[None, :] / power[:, None])
+
+    # each order-2 symbol gets an equal share of the slot's power
+    pw = np.sum(np.abs(est1) ** 2, axis=-1) + np.sum(np.abs(est2) ** 2, axis=-1)
+    spread = power[:, None, None] / geom.slot_streams[:, None]
+    gains = np.where(pw > 0, np.sqrt(spread / np.where(pw > 0, pw, 1.0)), 0.0)
+    q = geom.streams3
+    w1 = h1[:, geom.phase3, :, :q] * gains[:, :, None, :]
+    w2 = h2[:, geom.phase3, :, :q] * gains[:, :, None, :]
+    return (
+        _phase3_system(w1, est1, deal1, res2, deal2, evar2),
+        _phase3_system(w2, est2, deal2, res1, deal1, evar1),
+    )
 
 
 def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray) -> np.ndarray:
     """Rates (B, 2) in bits per slot of B (trial, SNR) pairs: channels
     ``real`` (B, slots, N_i, M) at SNR ``rho`` (B,)."""
-    cfg, plan = geom.cfg, geom.plan
-    h1, h2 = real.h1, real.h2
-    power = rho
-    at_rho = rho[:, None, None, None]
-    h2_p1, h1_p2 = h2[:, geom.phase1], h1[:, geom.phase2]
-    h2_hat = quantize_csit(h2_p1, cfg.alpha2, at_rho)
-    h1_hat = quantize_csit(h1_p2, cfg.alpha1, at_rho)
-
-    own1 = geom.own1(h1[:, geom.phase1], scales=np.sqrt(power[:, None] / geom.loads1))
-    own2 = geom.own2(h2[:, geom.phase2], scales=np.sqrt(power[:, None] / geom.loads2))
-    # order-2 coefficient rows (estimates), their residuals and row powers
-    est1, res1 = geom.coef1(h2_hat), geom.coef1(h2_p1 - h2_hat)
-    est2, res2 = geom.coef2(h1_hat), geom.coef2(h1_p2 - h1_hat)
-    pow1 = power[:, None] / geom.row_loads1
-    pow2 = power[:, None] / geom.row_loads2
-
-    phase3 = (None, None)
-    if geom.slots3:
-        pick1, pick2 = geom.pick1, geom.pick2
-        # each order-2 symbol gets an equal share of the slot's power
-        pw = (
-            _deal(np.sum(np.abs(est1) ** 2, axis=-1), pick1)
-            + _deal(np.sum(np.abs(est2) ** 2, axis=-1), pick2)
-        )
-        spread = power[:, None, None] / geom.slot_streams[:, None]
-        gains = np.where(pw > 0, np.sqrt(spread / np.where(pw > 0, pw, 1.0)), 0.0)
-        q = geom.streams3
-        w1 = h1[:, geom.phase3, :, :q] * gains[:, :, None, :]
-        w2 = h2[:, geom.phase3, :, :q] * gains[:, :, None, :]
-        phase3 = (
-            _phase3_system(w1, est1, pick1, res2, pick2, 1.0 / pow2),
-            _phase3_system(w2, est2, pick2, res1, pick1, 1.0 / pow1),
-        )
-    total = plan.total_slots
+    own1 = geom.symbols1(real.h1) * np.sqrt(rho[:, None] / geom.loads1)[:, :, None, None]
+    own2 = geom.symbols2(real.h2) * np.sqrt(rho[:, None] / geom.loads2)[:, :, None, None]
+    phase3 = _phase3_systems(geom, real, rho)
+    total = geom.plan.total_slots
     return np.stack(
         [
             _receiver_rates(own1, phase3[0]) / total,

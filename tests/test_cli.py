@@ -44,7 +44,8 @@ def within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-# rho stays finite up to about 3082 dB, but the rate Gram matrix overflows
+# rho stays finite up to about 3082 dB, far above the rate campaign's SNR
+# limit for this plan (254.8 dB at alpha = 1)
 OVERFLOWING_SNR = ["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--snr-min", "3000",
                    "--snr-max", "3080", "--snr-step", "40", "--trials", "2"]
 
@@ -292,27 +293,65 @@ class TestSimulate:
 
     @needs_alarm
     def test_gram_overflow(self, run):
+        # where the rate Gram matrix once overflowed, the SNR limit rejects
+        # the grid before anything is drawn
         with within(5.0):
             code, out, err = run(*OVERFLOWING_SNR)
         assert code == 3 and out == ""
         assert "Traceback" not in err
-        assert not err.startswith("E:INVALID_CONFIG:")
-        assert err.startswith("E:GRAM_OVERFLOW:trial 0, SNR 3080.0 dB: rate Gram matrix")
+        assert err.startswith("E:INVALID_SNR_GRID:SNR 3080.0 dB is above 254.8 dB")
 
     @needs_alarm
-    def test_gram_not_positive_definite_long_before_overflow(self, run):
-        # a fractional-alpha plan: rounding, not overflow, breaks the Gram
-        # matrix once rho is far beyond 1/eps
+    def test_snr_limit_names_its_value(self, run):
+        # just above and at the limit of M=2, N1=N2=1, alpha = 1
+        base = ("simulate", "--M", "2", "--N1", "1", "--N2", "1", "--at-corner", "--trials", "1",
+                "--snr-min", "200", "--snr-step", "10")
+        with within(5.0):
+            code, out, err = run(*base, "--snr-max", "260")
+        assert code == 3 and out == ""
+        assert err == (
+            "E:INVALID_SNR_GRID:SNR 260.0 dB is above 254.8 dB, the highest at which this "
+            "plan's rates keep rounding errors within 0.001 "
+            "(see doflab.simulate.rate_snr_limit_db)\n"
+        )
+        with within(5.0):
+            code, out, _ = run(*base, "--snr-max", "250", "--fidelity", "rate")
+        assert code == 0 and json.loads(out)["snr_db"][-1] == 250.0
+        # the rank fidelity does not depend on SNR
+        with within(5.0):
+            code, out, _ = run(*base, "--snr-max", "3000", "--snr-step", "1000",
+                               "--fidelity", "rank")
+        assert code == 0 and json.loads(out)["rank_check"]["trials"] == 1
+
+    @needs_alarm
+    def test_zero_quality_has_no_snr_limit(self, run):
+        # alpha = 0 quantizes nothing and its corner plan has no phase three:
+        # rates stay right up to the largest finite rho
+        with within(5.0):
+            code, out, err = run(
+                *OVERFLOWING_SNR, "--alpha1", "0", "--alpha2", "0", "--at-corner",
+                "--fidelity", "rate",
+            )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["slope"]["rx1"] == pytest.approx(0.5, abs=1e-9)
+        assert payload["slope"]["rx2"] == pytest.approx(0.5, abs=1e-9)
+
+    @needs_alarm
+    def test_covariance_not_positive_definite_at_extreme_snr(self, run):
+        # a fractional-alpha plan within the SNR limit (424.6 dB): rounding
+        # costs the phase-three covariance S its positive definiteness from
+        # about 330 dB, after a clean run at 320 dB
         with within(5.0):
             code, out, err = run(
                 "simulate", "--M", "5", "--N1", "3", "--N2", "2", "--alpha1", "1/2",
-                "--alpha2", "1/3", "--at-corner", "--snr-min", "250", "--snr-max", "260",
+                "--alpha2", "1/3", "--at-corner", "--snr-min", "320", "--snr-max", "330",
                 "--snr-step", "10", "--trials", "4", "--seed", "1",
             )
         assert code == 3 and out == ""
         assert err == (
-            "E:GRAM_OVERFLOW:trial 0, SNR 250.0 dB: rate Gram matrix I + G^H Sigma^-1 G "
-            "is not positive definite in floating point (SNR too high)\n"
+            "E:SINGULAR_COVARIANCE:trial 0, SNR 330.0 dB: noise covariance is not positive "
+            "definite\n"
         )
 
 
