@@ -79,14 +79,18 @@ def _add_seed_arg(sub: argparse.ArgumentParser):
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DOFLAB_SEED", "").strip()
-    if env:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("DOFLAB_SEED", "").strip()
+        if not env:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "DOFLAB_SEED"
         except ValueError:
             raise _CliError("INVALID_SEED", f"DOFLAB_SEED is not an integer: {env!r}")
-    return 0
+    if seed < 0:
+        raise _CliError("INVALID_SEED", f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _alpha(value: str, name: str):

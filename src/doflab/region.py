@@ -189,11 +189,28 @@ class DofRegion:
         constraint boundaries plus the two axes). Raises UnboundedRegion if
         some direction of the quadrant is never capped.
         """
+
+        def by_angle(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
+            # the origin first, then by y/(x+y), which grows monotonically
+            # with the polar angle in the quadrant, then by x+y
+            (x1, y1, det1), (x2, y2, det2) = a, b
+            s1, s2 = x1 + y1, x2 + y2
+            if s1 == 0 or s2 == 0:
+                return (s1 != 0) - (s2 != 0)
+            return _sign(y1 * s2 - y2 * s1) or _sign(s1 * det2 - s2 * det1)
+
+        return [
+            DofPoint(Fraction(x, det), Fraction(y, det))
+            for x, y, det in sorted(self._vertex_triples(), key=cmp_to_key(by_angle))
+        ]
+
+    def _vertex_triples(self) -> set[tuple[int, int, int]]:
+        """The vertices as integer triples ``(x*det, y*det, det)`` with
+        ``det > 0``, in lowest terms, so equal points give equal triples."""
         scaled = [hp.scaled for hp in self.constraints]
         if not any(p > 0 for p, _, _ in scaled) or not any(q > 0 for _, q, _ in scaled):
             raise UnboundedRegion("region is unbounded in the quadrant")
         lines = scaled + [(1, 0, 0), (0, 1, 0)]  # the axes d1 = 0 and d2 = 0
-        # each candidate is (x*det, y*det, det) with det > 0, in lowest terms
         found: set[tuple[int, int, int]] = set()
         for i in range(len(lines)):
             p1, q1, r1 = lines[i]
@@ -211,20 +228,7 @@ class DofRegion:
                 if all(p * x + q * y <= r * det for p, q, r in scaled):
                     g = gcd(x, y, det)
                     found.add((x // g, y // g, det // g))
-
-        def by_angle(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
-            # the origin first, then by y/(x+y), which grows monotonically
-            # with the polar angle in the quadrant, then by x+y
-            (x1, y1, det1), (x2, y2, det2) = a, b
-            s1, s2 = x1 + y1, x2 + y2
-            if s1 == 0 or s2 == 0:
-                return (s1 != 0) - (s2 != 0)
-            return _sign(y1 * s2 - y2 * s1) or _sign(s1 * det2 - s2 * det1)
-
-        return [
-            DofPoint(Fraction(x, det), Fraction(y, det))
-            for x, y, det in sorted(found, key=cmp_to_key(by_angle))
-        ]
+        return found
 
     def area(self) -> Fraction:
         """Exact area via the shoelace sum over the ordered vertices."""
@@ -323,5 +327,9 @@ def is_subset(inner: DofRegion, outer: DofRegion) -> bool:
 
 
 def region_equal(a: DofRegion, b: DofRegion) -> bool:
-    """True when the two regions are the same set of points."""
-    return is_subset(a, b) and is_subset(b, a)
+    """True when the two regions are the same set of points.
+
+    Two bounded convex polygons are equal exactly when their vertices are,
+    so this compares the vertex sets as reduced integer triples.
+    """
+    return a._vertex_triples() == b._vertex_triples()

@@ -171,19 +171,33 @@ class ResidualScan:
     slope: float
 
 
-def gen_channels(cfg: SystemConfig, total_slots: int, seed) -> ChannelRealization:
+def gen_channels(cfg: SystemConfig, total_slots: int, seed, trials=None) -> ChannelRealization:
     """Draw i.i.d. unit-variance complex Gaussian channels for both users.
 
-    ``seed`` may be an int or a sequence of ints (the campaign drivers pass
-    ``[seed, trial]`` so trials are independent but reproducible).
+    With ``trials=None``, ``seed`` may be an int or a sequence of ints and
+    the arrays have shape (slots, N_i, M). With an int array ``trials``,
+    ``seed`` is an int and the arrays gain a leading axis: row ``i`` is
+    exactly ``gen_channels(cfg, total_slots, [seed, trials[i]])``, so the
+    campaigns' trials are independent but reproducible in any batching.
+
+    Each stream fills one float64 row with, in order, the real and the
+    imaginary parts of ``h1`` and then of ``h2``; the complex channels of
+    all rows are assembled at once.
     """
     if total_slots < 1:
         raise ValueError("total_slots must be positive")
-    rng = np.random.default_rng(seed)
-    shape1 = (total_slots, cfg.n1, cfg.m)
-    shape2 = (total_slots, cfg.n2, cfg.m)
-    h1 = (rng.standard_normal(shape1) + 1j * rng.standard_normal(shape1)) / np.sqrt(2)
-    h2 = (rng.standard_normal(shape2) + 1j * rng.standard_normal(shape2)) / np.sqrt(2)
+    seeds = [seed] if trials is None else [[seed, int(t)] for t in trials]
+    shape1 = (len(seeds), total_slots, cfg.n1, cfg.m)
+    shape2 = (len(seeds), total_slots, cfg.n2, cfg.m)
+    size1, size2 = math.prod(shape1[1:]), math.prod(shape2[1:])
+    raw = np.empty((len(seeds), 2 * (size1 + size2)))
+    for row, row_seed in zip(raw, seeds):
+        np.random.default_rng(row_seed).standard_normal(out=row)
+    re1, im1, re2, im2 = np.split(raw, np.cumsum([size1, size1, size2]), axis=1)
+    h1 = (re1.reshape(shape1) + 1j * im1.reshape(shape1)) / np.sqrt(2)
+    h2 = (re2.reshape(shape2) + 1j * im2.reshape(shape2)) / np.sqrt(2)
+    if trials is None:
+        h1, h2 = h1[0], h2[0]
     return ChannelRealization(h1, h2)
 
 
@@ -463,24 +477,30 @@ def _chunks(count: int, unit_bytes: int):
 
 
 class _TrialDraws:
-    """Channel draws of a campaign, one ``gen_channels`` call per trial;
-    keeps only the trials a later chunk can still ask for."""
+    """Channel draws of a campaign, one batch ``gen_channels`` call per
+    chunk over the chunk's trials. Chunks ask for nondecreasing trials, so
+    only a chunk's last trial can be asked for again; it is carried over
+    rather than drawn twice."""
 
     def __init__(self, cfg: SystemConfig, total_slots: int, seed: int):
         self.cfg, self.total_slots, self.seed = cfg, total_slots, seed
-        self.drawn: dict[int, ChannelRealization] = {}
+        self.last = -1
+        self.carry: ChannelRealization | None = None
 
     def take(self, trials: np.ndarray) -> ChannelRealization:
-        """Channels of ``trials`` (nondecreasing), stacked on a leading axis."""
+        """Channels of ``trials`` (nondecreasing, never below an earlier
+        chunk's), stacked on a leading axis."""
         first, last = int(trials[0]), int(trials[-1])
-        self.drawn = {t: r for t, r in self.drawn.items() if t >= first}
-        for t in range(first, last + 1):
-            if t not in self.drawn:
-                self.drawn[t] = gen_channels(self.cfg, self.total_slots, [self.seed, t])
-        span = range(first, last + 1)
-        h1 = np.stack([self.drawn[t].h1 for t in span])
-        h2 = np.stack([self.drawn[t].h2 for t in span])
-        return ChannelRealization(h1[trials - first], h2[trials - first])
+        real = self.carry if first == self.last else None
+        if last > self.last:
+            fresh = np.arange(max(first, self.last + 1), last + 1)
+            drawn = gen_channels(self.cfg, self.total_slots, self.seed, fresh)
+            real = drawn if real is None else ChannelRealization(
+                np.concatenate([real.h1, drawn.h1]), np.concatenate([real.h2, drawn.h2])
+            )
+            self.last = last
+            self.carry = ChannelRealization(real.h1[-1:].copy(), real.h2[-1:].copy())
+        return ChannelRealization(real.h1[trials - first], real.h2[trials - first])
 
 
 def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,

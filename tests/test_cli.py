@@ -230,6 +230,78 @@ class TestSimulate:
         assert code == 3
         assert err.startswith("E:INVALID_SEED:")
 
+    def test_negative_seed(self, run, monkeypatch):
+        base = (
+            "simulate", "--M", "2", "--N1", "1", "--N2", "1",
+            "--snr-min", "10", "--snr-max", "20", "--snr-step", "10",
+            "--trials", "1", "--fidelity", "rate",
+        )
+        code, out, err = run(*base, "--seed", "-1")
+        assert (code, out) == (3, "")
+        assert err.startswith("E:INVALID_SEED:--seed must be a non-negative integer")
+        monkeypatch.setenv("DOFLAB_SEED", "-4")
+        code, out, err = run(*base)
+        assert (code, out) == (3, "")
+        assert err.startswith("E:INVALID_SEED:DOFLAB_SEED must be a non-negative integer")
+
+    GOLDEN = (
+        "simulate", "--M", "3", "--N1", "2", "--N2", "1", "--alpha1", "1/2", "--alpha2", "1/3",
+        "--at-corner", "--snr-min", "20", "--snr-max", "40", "--snr-step", "10",
+        "--trials", "3", "--seed", "7",
+    )
+
+    def test_golden_rate_csv(self, run):
+        code, out, _ = run(*self.GOLDEN, "--fidelity", "rate", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "snr_db,rx,rate_bits_per_slot,trials\n"
+            "20.0,1,9.682383305985734,3\n"
+            "20.0,2,0.766582903430891,3\n"
+            "30.0,1,15.113184156390872,3\n"
+            "30.0,2,1.1839516860635,3\n"
+            "40.0,1,20.514877620836884,3\n"
+            "40.0,2,1.6233425175851066,3\n"
+        )
+
+    def test_golden_rank_json(self, run):
+        code, out, _ = run(*self.GOLDEN, "--fidelity", "rank")
+        assert code == 0
+        assert out == (
+            '{\n'
+            '  "plan": {\n'
+            '    "weight": "6/7",\n'
+            '    "tau": [\n'
+            '      6,\n'
+            '      1,\n'
+            '      1\n'
+            '    ],\n'
+            '    "s1_count": 14,\n'
+            '    "s2_count": 2,\n'
+            '    "integer_scale": 7,\n'
+            '    "decoding": {\n'
+            '      "ok": true,\n'
+            '      "slack1": 0,\n'
+            '      "slack2": 0\n'
+            '    },\n'
+            '    "payload": {\n'
+            '      "k1_needed": 2,\n'
+            '      "k2_needed": 1,\n'
+            '      "length": 2,\n'
+            '      "per_slot_streams": 2\n'
+            '    },\n'
+            '    "dof": [\n'
+            '      "7/4",\n'
+            '      "1/4"\n'
+            '    ]\n'
+            '  },\n'
+            '  "rank_check": {\n'
+            '    "rx1_passes": 3,\n'
+            '    "rx2_passes": 3,\n'
+            '    "trials": 3\n'
+            '  }\n'
+            '}\n'
+        )
+
     def test_bad_snr_grid(self, run):
         code, _, err = run(
             "simulate", "--M", "2", "--N1", "1", "--N2", "1",

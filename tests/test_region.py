@@ -380,11 +380,18 @@ def constraint_lists(draw):
     nudges=[(0, 0)] * 8,
     extra=[],
 )
+@example(
+    planes=[HalfPlane(1, 0, 1), HalfPlane(0, 1, 1), HalfPlane(1, 1, 2)],
+    others=[HalfPlane(2, 0, 2), HalfPlane(0, 1, 1)],
+    nudges=[(0, 0)] * 8,
+    extra=[],
+)
 def test_integer_geometry_matches_fraction_oracle(planes, others, nudges, extra):
-    """vertices (values and order), contains, is_subset and UnboundedRegion
-    agree with the Fraction reference on arbitrary constraint lists; the
-    points probed are the vertices, each moved by at most 1/LIMIT per
-    coordinate, and a few arbitrary ones."""
+    """vertices (values and order), contains, is_subset, region_equal and
+    UnboundedRegion agree with the Fraction reference on arbitrary
+    constraint lists; the points probed are the vertices, each moved by at
+    most 1/LIMIT per coordinate, and a few arbitrary ones. region_equal
+    raises UnboundedRegion when either region is unbounded."""
     region, other = DofRegion(planes), DofRegion(others)
     expect = outcome(reference_vertices, region)
     if expect is UnboundedRegion:
@@ -401,3 +408,11 @@ def test_integer_geometry_matches_fraction_oracle(planes, others, nudges, extra)
         assert other.contains(point) == reference_contains(other, point)
     assert outcome(is_subset, region, other) == outcome(reference_is_subset, region, other)
     assert outcome(is_subset, other, region) == outcome(reference_is_subset, other, region)
+    forward = outcome(reference_is_subset, region, other)
+    backward = outcome(reference_is_subset, other, region)
+    if UnboundedRegion in (forward, backward):
+        equal = UnboundedRegion
+    else:
+        equal = forward and backward
+    assert outcome(region_equal, region, other) == equal
+    assert outcome(region_equal, other, region) == equal

@@ -81,6 +81,75 @@ class TestGenChannels:
         assert entries.size == 10_000
         assert np.mean(np.abs(entries) ** 2) == pytest.approx(1.0, abs=0.05)
 
+    def test_single_seed_matches_four_calls(self):
+        cfg = SystemConfig(3, 2, 1)
+        for seed in (0, [9, 4], 2**40, [2**64 + 3, 7]):
+            real = gen_channels(cfg, 5, seed)
+            h1, h2 = four_call_draw(cfg, 5, seed)
+            assert real.h1.shape == h1.shape and real.h2.shape == h2.shape
+            assert np.array_equal(real.h1, h1) and np.array_equal(real.h2, h2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n1=st.integers(1, 4),
+        n2=st.integers(1, 4),
+        slots=st.integers(1, 30),
+        seed=st.sampled_from([0, 1, 2**40, 2**64 + 3]) | st.integers(0, 2**70),
+        start=st.sampled_from([0, 1]) | st.integers(0, 10**6),
+        count=st.integers(0, 6),
+    )
+    @example(m=2, n1=1, n2=1, slots=3, seed=2**40, start=17, count=4)
+    @example(m=5, n1=3, n2=2, slots=27, seed=2**64 + 3, start=250, count=3)
+    def test_batch_rows_match_four_calls(self, m, n1, n2, slots, seed, start, count):
+        """Row i of a batch is bit-equal to the one-trial draw of
+        ``[seed, trials[i]]``, for trial ranges starting anywhere."""
+        cfg = SystemConfig(m, n1, n2)
+        trials = np.arange(start, start + count)
+        real = gen_channels(cfg, slots, seed, trials)
+        assert real.h1.shape == (count, slots, n1, m)
+        assert real.h2.shape == (count, slots, n2, m)
+        for row, trial in enumerate(trials):
+            h1, h2 = four_call_draw(cfg, slots, [seed, int(trial)])
+            assert np.array_equal(real.h1[row], h1)
+            assert np.array_equal(real.h2[row], h2)
+
+    @pytest.mark.parametrize("seed", [3, 2**40, 2**64 + 3])
+    @pytest.mark.parametrize("pairs_per_chunk", [1, 2, 4, 7, 60])
+    def test_chunked_draws_match_four_calls(self, seed, pairs_per_chunk, monkeypatch):
+        """A campaign's chunks of (trial, SNR) pairs, including chunks that
+        split a trial's SNR points or lie inside one trial, see the
+        one-trial draws, and every trial is drawn exactly once."""
+        cfg, slots, trials, points = SystemConfig(3, 2, 1), 4, 9, 3
+        drawn = []
+        draw = simulate.gen_channels
+
+        def recorded(cfg_, total, seed_, trials_):
+            drawn.extend(int(t) for t in trials_)
+            return draw(cfg_, total, seed_, trials_)
+
+        monkeypatch.setattr(simulate, "gen_channels", recorded)
+        draws = simulate._TrialDraws(cfg, slots, seed)
+        pairs = np.arange(trials * points)
+        for start in range(0, len(pairs), pairs_per_chunk):
+            trial = pairs[start:start + pairs_per_chunk] // points
+            real = draws.take(trial)
+            for row, t in enumerate(trial):
+                h1, h2 = four_call_draw(cfg, slots, [seed, int(t)])
+                assert np.array_equal(real.h1[row], h1)
+                assert np.array_equal(real.h2[row], h2)
+        assert drawn == list(range(trials))
+
+
+def four_call_draw(cfg, slots, seed):
+    """One trial's channels by four consecutive ``standard_normal`` calls:
+    real and imaginary parts of h1, then of h2."""
+    rng = np.random.default_rng(seed)
+    shape1, shape2 = (slots, cfg.n1, cfg.m), (slots, cfg.n2, cfg.m)
+    h1 = (rng.standard_normal(shape1) + 1j * rng.standard_normal(shape1)) / np.sqrt(2)
+    h2 = (rng.standard_normal(shape2) + 1j * rng.standard_normal(shape2)) / np.sqrt(2)
+    return h1, h2
+
 
 class TestQuantizer:
     def test_zero_quality_gives_zero_estimate(self):
@@ -634,9 +703,9 @@ class TestBatchedEquivalence:
         seen = []
         draw = simulate.gen_channels
 
-        def counted(cfg_, total, seed):
-            seen.append(tuple(seed))
-            return draw(cfg_, total, seed)
+        def counted(cfg_, total, seed, trials):
+            seen.extend((seed, int(t)) for t in trials)
+            return draw(cfg_, total, seed, trials)
 
         monkeypatch.setattr(simulate, "gen_channels", counted)
         monkeypatch.setattr(simulate, "CHUNK_BYTES", chunk_budget(cfg, plan, 2))
@@ -686,10 +755,9 @@ class TestSingularContext:
     def test_names_the_trial(self, monkeypatch):
         draw = simulate.gen_channels
 
-        def poisoned(cfg, total, seed):
-            real = draw(cfg, total, seed)
-            if seed[1] == 4:
-                real.h1[:] = np.nan
+        def poisoned(cfg, total, seed, trials):
+            real = draw(cfg, total, seed, trials)
+            real.h1[trials == 4] = np.nan
             return real
 
         monkeypatch.setattr(simulate, "gen_channels", poisoned)
