@@ -108,11 +108,16 @@ def _config(args) -> SystemConfig:
     return SystemConfig(args.M, args.N1, args.N2, a1, a2)
 
 
-def _emit(text: str, out: str):
+def _emit(text: str, out):
+    """Write ``text`` to stdout for ``-``, else to the file ``out``; a file
+    that cannot be written is an ``OUTPUT_ERROR``."""
     if out in (None, "-", ""):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise _CliError("OUTPUT_ERROR", f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _json_text(payload) -> str:
@@ -141,7 +146,7 @@ def cmd_region(args) -> int:
 def cmd_corners(args) -> int:
     region = dof_region(_config(args))
     verts = region.vertices()
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         lines = ["d1,d2"]
         lines += [f"{v.d1!s},{v.d2!s}" for v in verts]
         _emit("\n".join(lines) + "\n", args.out)
@@ -265,14 +270,14 @@ def cmd_simulate(args) -> int:
         report = replace(report, rank_passes=passes, rank_trials=params.trials)
 
     if args.out in (None, "-", ""):
-        if getattr(args, "format", "json") == "csv":
+        if args.format == "csv":
             _emit(report.to_csv_text(), args.out)
         else:
             _emit(_json_text(report.to_json_dict()), args.out)
     else:
         base = Path(args.out)
-        base.with_suffix(".csv").write_text(report.to_csv_text())
-        base.with_suffix(".json").write_text(_json_text(report.to_json_dict()))
+        _emit(report.to_csv_text(), base.with_suffix(".csv"))
+        _emit(_json_text(report.to_json_dict()), base.with_suffix(".json"))
     return 0
 
 
@@ -297,7 +302,7 @@ def cmd_sweep_alpha(args) -> int:
                 "corner": [str(corner.d1), str(corner.d2)],
             }
         )
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         lines = ["alpha,vertex_index,d1,d2"]
         for entry in entries:
             for vi, (d1, d2) in enumerate(entry["vertices"]):
@@ -331,7 +336,7 @@ def cmd_sweep_pairs(args) -> int:
                 "corner": [str(corner.d1), str(corner.d2)],
             }
         )
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         lines = ["alpha1,alpha2,d1,d2"]
         for entry in entries:
             lines.append(

@@ -126,6 +126,13 @@ def _check_weight(weight: RatioLike) -> Fraction:
     return w
 
 
+def _check_three_phase(cfg: SystemConfig) -> None:
+    if cfg.n2 >= cfg.m:
+        raise WrongCase(
+            f"three-phase scheme needs N2 < M, got N2={cfg.n2}, M={cfg.m}"
+        )
+
+
 def plan_schedule(cfg: SystemConfig, weight: RatioLike) -> SchedulePlan:
     """Plan the three-phase scheme for time-sharing weight ``weight``.
 
@@ -135,10 +142,7 @@ def plan_schedule(cfg: SystemConfig, weight: RatioLike) -> SchedulePlan:
     condition exactly tight. Requires N2 < M.
     """
     w = _check_weight(weight)
-    if cfg.n2 >= cfg.m:
-        raise WrongCase(
-            f"three-phase scheme needs N2 < M, got N2={cfg.n2}, M={cfg.m}"
-        )
+    _check_three_phase(cfg)
     r1, r2 = _overhead_ratios(cfg)
     t1, t2 = w, 1 - w
     t3 = max(r1 * t1, r2 * t2)
@@ -172,10 +176,7 @@ def corner_weight(cfg: SystemConfig) -> Fraction:
     three (then every weight is tight and 1/2 picks the midpoint of the
     off-axis edge). Requires N2 < M, like ``plan_schedule``.
     """
-    if cfg.n2 >= cfg.m:
-        raise WrongCase(
-            f"three-phase scheme needs N2 < M, got N2={cfg.n2}, M={cfg.m}"
-        )
+    _check_three_phase(cfg)
     r1, r2 = _overhead_ratios(cfg)
     if r1 + r2 == 0:
         return Fraction(1, 2)
@@ -189,13 +190,17 @@ def check_decoding_conditions(plan: SchedulePlan, cfg: SystemConfig) -> Decoding
     return DecodingCheck(slack1 >= 0 and slack2 >= 0, slack1, slack2)
 
 
-def achieved_dof(plan: SchedulePlan, cfg: SystemConfig) -> DofPoint:
-    """DoF pair the plan delivers: symbol totals over total duration."""
+def _check_feasible(plan: SchedulePlan, cfg: SystemConfig) -> None:
     check = check_decoding_conditions(plan, cfg)
     if not check.ok:
         raise InfeasiblePlan(
             f"decoding conditions violated (slacks {check.slack1}, {check.slack2})"
         )
+
+
+def achieved_dof(plan: SchedulePlan, cfg: SystemConfig) -> DofPoint:
+    """DoF pair the plan delivers: symbol totals over total duration."""
+    _check_feasible(plan, cfg)
     total = plan.total_slots
     return DofPoint(Fraction(plan.s1_count, total), Fraction(plan.s2_count, total))
 
@@ -207,11 +212,7 @@ def order2_payload(plan: SchedulePlan, cfg: SystemConfig) -> Order2Payload:
     payload is length K = max(k1, k2); each phase-three slot carries
     ceil(K / tau3) streams, which must fit the transmit array.
     """
-    check = check_decoding_conditions(plan, cfg)
-    if not check.ok:
-        raise InfeasiblePlan(
-            f"decoding conditions violated (slacks {check.slack1}, {check.slack2})"
-        )
+    _check_feasible(plan, cfg)
     k1 = max(0, plan.s1_count - cfg.n1 * plan.tau1)
     k2 = max(0, plan.s2_count - cfg.n2 * plan.tau2)
     length = max(k1, k2)
@@ -236,10 +237,7 @@ def scheme_region(cfg: SystemConfig) -> DofRegion:
     in the scheme's native variables, so the identity is a theorem the test
     suite checks, not a restatement.
     """
-    if cfg.n2 >= cfg.m:
-        raise WrongCase(
-            f"three-phase scheme needs N2 < M, got N2={cfg.n2}, M={cfg.m}"
-        )
+    _check_three_phase(cfg)
     return DofRegion(
         [
             HalfPlane.from_intercepts(cfg.enhanced_dim(1), cfg.n2),

@@ -60,12 +60,14 @@ QUANTIZER_CLIP = 4.0
 # Largest relative rounding error the rate campaign accepts in the terms
 # that set its slopes (see rate_snr_limit_db).
 RATE_ROUNDING = 1e-3
-# Working-set budget of one batched chunk of the rate and rank campaigns.
-# Small plans fit hundreds of (trial, SNR) pairs in a chunk; plans with
-# systems near 100x100 run one to a few pairs at a time.
+# Working-set budget of one batched chunk of the rate and rank campaigns,
+# and separately of the chunk's channel draws. Small plans fit hundreds of
+# (trial, SNR) pairs in a chunk; plans with systems near 100x100 run one to
+# a few pairs at a time.
 CHUNK_BYTES = 512 * 1024
-# Largest working set of one (trial, SNR) pair a campaign will take on;
-# plans beyond it raise PlanTooLarge before anything is allocated.
+# Largest working set of one (trial, SNR) pair, and largest channel draw of
+# one trial, a campaign will take on; plans beyond it raise PlanTooLarge
+# before anything is allocated.
 MAX_PAIR_BYTES = 1 << 30
 # Singular values below this share of the largest count as rank deficient.
 RANK_RTOL = 1e-9
@@ -315,33 +317,58 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-class _Deal:
-    """How one receiver's order-2 payload reaches phase three.
+class _Phase:
+    """Symbol phase i: the slots that carry user i's symbols, and how the
+    rows receiver i overhears there reach phase three.
 
-    The payload's rows are overheard channel rows: from each slot t of the
-    receiver's symbol phase, ``take[t]`` rows of the other receiver's
-    channel there. Phase three deals them round-robin: row j goes to slot
-    j % tau3 as its stream j // tau3, which caps each slot's count of this
-    receiver's rows at ceil(k / tau3) <= N. On the (phase-three slot,
-    stream) grid, stream (a, r) carries row ``pick[a, r]``, none where the
-    pick is k.
+    The campaigns lay the phase out as its tau_i slots of ``width`` columns
+    each, ``width`` being the phase's largest slot load. A slot with one
+    stream fewer (``_spread`` loads differ by at most one) gets a zero
+    column: a stream that carries no symbol, and adds nothing to any rank
+    or rate.
+
+    The order-2 payload rows are overheard channel rows: from each slot t,
+    as many rows of the other receiver's channel as receiver i lacks
+    there, load_t - N_i. Loads differ by at most one, so these add up to
+    max(0, s_i - N_i * tau_i) = k_i. Phase three deals them round-robin:
+    row j goes to slot j % tau3 as its stream j // tau3, which caps each
+    slot's count of this receiver's rows at ceil(k_i / tau3) <= N_i. On the
+    (phase-three slot, stream) grid ``streams``, stream (a, r) carries row
+    ``pick[a, r]`` where ``live[a, r]``.
     """
 
-    def __init__(self, take, pick: np.ndarray, slots: int):
-        self.slots = slots
+    def __init__(self, span: slice, count: int, n: int, other: int, m: int, streams: np.ndarray):
+        self.span = span
+        self.slots = span.stop - span.start
+        loads = _spread(count, self.slots)
+        take = [max(0, load - n) for load in loads]
+        _check_fit(take, loads, other, m)
         take = np.asarray(take, dtype=int)
+        self.width = max(loads, default=0)
+        # (slots, width): True where a slot's stream carries a symbol
+        self.mask = np.arange(self.width) < np.array(loads, dtype=int)[:, None]
+        # own-row power shares divide by the slot loads; a slot without
+        # streams has only zero columns, so its share is never used
+        self.loads = np.maximum(loads, 1)
+        # load of the slot each payload row comes from, for its power
+        self.row_loads = np.repeat(loads, take).astype(float)
         self.slot = np.repeat(np.arange(len(take)), take)  # source slot of each row
-        k = len(self.slot)
+        self.k = k = len(self.slot)
         self.row = np.arange(k) - np.repeat(np.cumsum(take) - take, take)  # its row there
-        self.live = pick < k
-        self.pick = np.where(self.live, pick, 0)
+        self.live = streams < k
+        self.pick = np.where(self.live, streams, 0)
         # source slot of each grid stream; any slot where no row is dealt
-        self.source = self.slot[self.pick] if k else np.zeros_like(pick)
+        self.source = self.slot[self.pick] if k else np.zeros_like(streams)
+
+    def symbols(self, h: np.ndarray) -> np.ndarray:
+        """The phase's slots of channels ``h`` (B, slots, N, M) in its
+        layout (B, tau_i, N, width)."""
+        return h[:, self.span, :, : self.width] * self.mask[:, None, :]
 
     def deal(self, values: np.ndarray) -> np.ndarray:
         """Per-row ``values`` (B, k, ...) on the grid (B, slots3, streams,
         ...), zeros where no row is dealt."""
-        if not len(self.slot):
+        if not self.k:
             return np.zeros((values.shape[0], *self.pick.shape, *values.shape[2:]), dtype=values.dtype)
         dealt = values[:, self.pick]
         dealt[:, ~self.live] = 0
@@ -349,7 +376,7 @@ class _Deal:
 
     def rows(self, h: np.ndarray) -> np.ndarray:
         """The payload rows of the other receiver's channels ``h`` (B,
-        slots, N, width) in the symbol phase's layout, dealt onto the grid
+        slots, N, width) in the phase's layout, dealt onto the grid
         (B, slots3, streams, width)."""
         return self.deal(h[:, self.slot, self.row])
 
@@ -362,7 +389,7 @@ class _Deal:
         b, slots3, n, streams = w.shape
         width = dealt.shape[-1]
         out = np.zeros((b, slots3, n, self.slots, width), dtype=np.complex128)
-        if len(self.slot):
+        if self.k:
             # (streams, slots3, B, N, width): term r indexes like the
             # stream's target, out[:, grid, :, source[:, r], :]
             terms = w.transpose(3, 1, 0, 2)[..., None] * dealt.transpose(2, 1, 0, 3)[:, :, :, None, :]
@@ -373,14 +400,8 @@ class _Deal:
 
 
 class _PlanGeometry:
-    """Shared index bookkeeping for one (config, plan) pair.
-
-    The campaigns lay symbol phase i out as its tau_i slots of width_i
-    columns each, width_i being the phase's largest slot load. A slot with
-    one stream fewer (``_spread`` loads differ by at most one) gets a zero
-    column: a stream that carries no symbol, and adds nothing to any rank
-    or rate.
-    """
+    """Shared index bookkeeping for one (config, plan) pair: the two symbol
+    phases (``phases``, a ``_Phase`` each) and phase three's grid."""
 
     def __init__(self, cfg: SystemConfig, plan: SchedulePlan):
         self.cfg = cfg
@@ -389,54 +410,27 @@ class _PlanGeometry:
         length = self.payload.length
         self.slots3 = min(length, plan.tau3)  # phase-three slots that carry streams
         # sized from the plan's integers alone, before any per-slot list or array
-        size = self.pair_bytes()
-        if size > MAX_PAIR_BYTES:
-            raise PlanTooLarge(
-                f"plan with tau {[plan.tau1, plan.tau2, plan.tau3]} needs over "
-                f"{size >> 30} GiB per (trial, SNR) pair; the cap is {MAX_PAIR_BYTES >> 30} GiB"
-            )
-        k1, k2 = self.payload.k1_needed, self.payload.k2_needed
-        loads1 = _spread(plan.s1_count, plan.tau1)
-        loads2 = _spread(plan.s2_count, plan.tau2)
-        self.phase1 = slice(0, plan.tau1)
-        self.phase2 = slice(plan.tau1, plan.tau1 + plan.tau2)
-        # order-2 coefficient rows: from each slot of phase i, as many rows
-        # of the other receiver's channel as receiver i lacks there,
-        # load - N_i. Loads differ by at most one, so these sum to k_i.
-        take1 = [max(0, load - cfg.n1) for load in loads1]
-        take2 = [max(0, load - cfg.n2) for load in loads2]
-        for take, loads, rows in ((take1, loads1, cfg.n2), (take2, loads2, cfg.n1)):
-            _check_fit(take, loads, rows, cfg.m)
-        self.width1 = max(loads1, default=0)
-        self.width2 = max(loads2, default=0)
-        # (slots, width): True where a slot's stream carries a symbol
-        self.mask1 = np.arange(self.width1) < np.array(loads1, dtype=int)[:, None]
-        self.mask2 = np.arange(self.width2) < np.array(loads2, dtype=int)[:, None]
-        # own-row power shares divide by the slot loads; a slot without
-        # streams has only zero columns, so its share is never used
-        self.loads1 = np.maximum(loads1, 1)
-        self.loads2 = np.maximum(loads2, 1)
+        for size, unit in ((self.pair_bytes(), "(trial, SNR) pair"),
+                           (self.draw_bytes(), "trial's channel draw")):
+            if size > MAX_PAIR_BYTES:
+                raise PlanTooLarge(
+                    f"plan with tau {[plan.tau1, plan.tau2, plan.tau3]} needs over "
+                    f"{size >> 30} GiB per {unit}; the cap is {MAX_PAIR_BYTES >> 30} GiB"
+                )
         # the phase-three grid holds slot t's streams in row t, padded to
-        # the longest slot
+        # the longest slot; payload row j sits at (j % tau3, j // tau3)
         self.streams3 = self.payload.per_slot_streams  # streams of the fullest slot
+        j = np.arange(self.streams3)[None, :] * plan.tau3 + np.arange(self.slots3)[:, None]
+        span1, span2 = slice(0, plan.tau1), slice(plan.tau1, plan.tau1 + plan.tau2)
+        self.phases = (
+            _Phase(span1, plan.s1_count, cfg.n1, cfg.n2, cfg.m, j),
+            _Phase(span2, plan.s2_count, cfg.n2, cfg.n1, cfg.m, j),
+        )
         base3 = plan.tau1 + plan.tau2
         self.phase3 = slice(base3, base3 + self.slots3)
-        j = np.arange(self.streams3)[None, :] * plan.tau3 + np.arange(self.slots3)[:, None]
-        self.deal1 = _Deal(take1, np.where(j < k1, j, k1), plan.tau1)
-        self.deal2 = _Deal(take2, np.where(j < k2, j, k2), plan.tau2)
-        # load of the slot each payload row comes from, for its power
-        self.row_loads1 = np.repeat(loads1, take1).astype(float)
-        self.row_loads2 = np.repeat(loads2, take2).astype(float)
         self.slot_streams = np.count_nonzero(j < length, axis=1).astype(float)
-
-    def symbols1(self, h: np.ndarray) -> np.ndarray:
-        """Phase-one slots of channels ``h`` (B, slots, N, M) in the
-        phase's layout (B, tau1, N, width1)."""
-        return h[:, self.phase1, :, : self.width1] * self.mask1[:, None, :]
-
-    def symbols2(self, h: np.ndarray) -> np.ndarray:
-        """Phase-two slots of ``h`` in the layout (B, tau2, N, width2)."""
-        return h[:, self.phase2, :, : self.width2] * self.mask2[:, None, :]
+        # channel columns any system reads
+        self.columns = max(self.phases[0].width, self.phases[1].width, self.streams3)
 
     def _receivers(self):
         """Per receiver: antennas N, phase-three rows n3, own-phase slots and
@@ -467,23 +461,36 @@ class _PlanGeometry:
             total += 4 * n3 * slots * width + 2 * slots * width * width
         return 16 * total
 
+    def draw_bytes(self) -> int:
+        """Bytes of one trial's channel draw at all M columns: the float64
+        normals (16 bytes per complex entry) and the complex channels."""
+        cfg = self.cfg
+        return 32 * self.plan.total_slots * (cfg.n1 + cfg.n2) * cfg.m
 
-def _chunks(count: int, unit_bytes: int):
-    """Consecutive index ranges covering ``range(count)``, each holding as
-    many units as fit in ``CHUNK_BYTES`` (at least one)."""
+
+def _chunks(count: int, per_trial: int, unit_bytes: int, draw_bytes: int):
+    """Consecutive index ranges covering ``range(count)``, units of which
+    each trial has ``per_trial`` in a row. A range holds as many units as
+    fit in ``CHUNK_BYTES``, and units of as many trials as their draws of
+    ``draw_bytes`` each fit there (at least one of each)."""
     size = max(1, CHUNK_BYTES // max(unit_bytes, 1))
-    for start in range(0, count, size):
-        yield np.arange(start, min(start + size, count))
+    trials = max(1, CHUNK_BYTES // draw_bytes)
+    start = 0
+    while start < count:
+        stop = min(start + size, (start // per_trial + trials) * per_trial, count)
+        yield np.arange(start, stop)
+        start = stop
 
 
 class _TrialDraws:
     """Channel draws of a campaign, one batch ``gen_channels`` call per
-    chunk over the chunk's trials. Chunks ask for nondecreasing trials, so
-    only a chunk's last trial can be asked for again; it is carried over
-    rather than drawn twice."""
+    chunk over the chunk's trials, of which only the first ``columns``
+    columns are kept. Chunks ask for nondecreasing trials, so only a
+    chunk's last trial can be asked for again; it is carried over rather
+    than drawn twice."""
 
-    def __init__(self, cfg: SystemConfig, total_slots: int, seed: int):
-        self.cfg, self.total_slots, self.seed = cfg, total_slots, seed
+    def __init__(self, cfg: SystemConfig, total_slots: int, seed: int, columns: int):
+        self.cfg, self.total_slots, self.seed, self.columns = cfg, total_slots, seed, columns
         self.last = -1
         self.carry: ChannelRealization | None = None
 
@@ -495,8 +502,9 @@ class _TrialDraws:
         if last > self.last:
             fresh = np.arange(max(first, self.last + 1), last + 1)
             drawn = gen_channels(self.cfg, self.total_slots, self.seed, fresh)
-            real = drawn if real is None else ChannelRealization(
-                np.concatenate([real.h1, drawn.h1]), np.concatenate([real.h2, drawn.h2])
+            h1, h2 = drawn.h1[..., : self.columns], drawn.h2[..., : self.columns]
+            real = ChannelRealization(h1, h2) if real is None else ChannelRealization(
+                np.concatenate([real.h1, h1]), np.concatenate([real.h2, h2])
             )
             self.last = last
             self.carry = ChannelRealization(real.h1[-1:].copy(), real.h2[-1:].copy())
@@ -536,16 +544,15 @@ def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
     The order-2 coefficients are the true channel rows and the cross part
     cancels exactly, so a deficient rank isolates a schedule defect.
     """
-    h1, h2 = realization.h1, realization.h2
-    rows1 = rows2 = None
-    if geom.slots3:
-        q = geom.streams3
-        rows1 = geom.deal1.lift(h1[:, geom.phase3, :, :q], geom.deal1.rows(geom.symbols1(h2)))
-        rows2 = geom.deal2.lift(h2[:, geom.phase3, :, :q], geom.deal2.rows(geom.symbols2(h1)))
-    return (
-        kernels.slot_rank_stacked(geom.symbols1(h1), rows1, RANK_RTOL),
-        kernels.slot_rank_stacked(geom.symbols2(h2), rows2, RANK_RTOL),
-    )
+    h = (realization.h1, realization.h2)
+    ranks = []
+    for i, phase in enumerate(geom.phases):
+        rows = None
+        if geom.slots3:
+            w = h[i][:, geom.phase3, :, : geom.streams3]
+            rows = phase.lift(w, phase.rows(phase.symbols(h[1 - i])))
+        ranks.append(kernels.slot_rank_stacked(phase.symbols(h[i]), rows, RANK_RTOL))
+    return ranks
 
 
 def rank_check_campaign(
@@ -560,33 +567,34 @@ def rank_check_campaign(
     receiver) rather than an SNR effect.
     """
     geom = _PlanGeometry(cfg, plan)
-    draws = _TrialDraws(cfg, plan.total_slots, params.seed)
+    draws = _TrialDraws(cfg, plan.total_slots, params.seed, geom.columns)
+    symbols = (plan.s1_count, plan.s2_count)
     passes = [0, 0]
-    for trials in _chunks(params.trials, geom.trial_bytes()):
-        rank1, rank2 = _ranks(geom, draws.take(trials))
-        passes[0] += int(np.count_nonzero(rank1 == plan.s1_count))
-        passes[1] += int(np.count_nonzero(rank2 == plan.s2_count))
+    for trials in _chunks(params.trials, 1, geom.trial_bytes(), geom.draw_bytes()):
+        for i, rank in enumerate(_ranks(geom, draws.take(trials))):
+            passes[i] += int(np.count_nonzero(rank == symbols[i]))
     return passes[0], passes[1]
 
 
-def _phase3_system(w, own, own_deal: _Deal, cross, cross_deal: _Deal, evar):
+def _phase3_system(w, own, own_phase: _Phase, cross, cross_phase: _Phase, evar):
     """One receiver's phase-three rows (B, n3, symbols) and their noise
     covariance S (B, n3, n3), from its scaled channel ``w``
     (B, slots, N, streams) and the dealt payload rows.
 
-    Gain rows carry the receiver's own symbols (``own``). S is the unit
-    noise, plus the mismatch that maps the other user's symbols through the
-    quantization residual ``cross`` left after cancellation, plus per slot
-    an (N, N) block of reconstruction thermal noise of variances ``evar``
+    Gain rows carry the receiver's own symbols (``own``, of its phase
+    ``own_phase``). S is the unit noise, plus the mismatch that maps the
+    other user's symbols through the quantization residual ``cross`` (of
+    ``cross_phase``) left after cancellation, plus per slot an (N, N) block
+    of reconstruction thermal noise of variances ``evar``
     (B, slots, streams) lifted through the phase-three channel.
     """
     b, slots, n = w.shape[:3]
-    mism = cross_deal.lift(w, cross)
+    mism = cross_phase.lift(w, cross)
     sig3 = np.eye(slots * n, dtype=np.complex128) + mism @ _herm(mism)
     extra = (w * evar[:, :, None, :]) @ _herm(w)
     diag = np.arange(slots)
     sig3.reshape(b, slots, n, slots, n)[:, diag, :, diag, :] += np.moveaxis(extra, 1, 0)
-    return own_deal.lift(w, own), sig3
+    return own_phase.lift(w, own), sig3
 
 
 def _receiver_rates(own: np.ndarray, phase3) -> np.ndarray:
@@ -610,48 +618,43 @@ def _phase3_systems(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarr
     quantized at SNR ``rho`` (B,)."""
     if not geom.slots3:
         return None, None
-    cfg = geom.cfg
-    h1, h2 = real.h1, real.h2
-    power = rho
+    h = (real.h1, real.h2)
+    alpha = (geom.cfg.alpha1, geom.cfg.alpha2)
     at_rho = rho[:, None, None, None]
-    h2_p1, h1_p2 = geom.symbols1(h2), geom.symbols2(h1)
-    h2_hat = quantize_csit(h2_p1, cfg.alpha2, at_rho)
-    h1_hat = quantize_csit(h1_p2, cfg.alpha1, at_rho)
-    # order-2 payload rows (estimates) on the phase-three grid, their
-    # residuals, and the reconstruction noise variance of each row
-    deal1, deal2 = geom.deal1, geom.deal2
-    est1, est2 = deal1.rows(h2_hat), deal2.rows(h1_hat)
-    res1, res2 = deal1.rows(h2_p1 - h2_hat), deal2.rows(h1_p2 - h1_hat)
-    evar1 = deal1.deal(geom.row_loads1[None, :] / power[:, None])
-    evar2 = deal2.deal(geom.row_loads2[None, :] / power[:, None])
+    # per phase i: its order-2 payload rows of receiver 1 - i's channel
+    # (estimates) on the phase-three grid, their residuals, and the
+    # reconstruction noise variance of each row
+    est, res, evar = [], [], []
+    for i, phase in enumerate(geom.phases):
+        heard = phase.symbols(h[1 - i])
+        hat = quantize_csit(heard, alpha[1 - i], at_rho)
+        est.append(phase.rows(hat))
+        res.append(phase.rows(heard - hat))
+        evar.append(phase.deal(phase.row_loads[None, :] / rho[:, None]))
 
     # each order-2 symbol gets an equal share of the slot's power
-    pw = np.sum(np.abs(est1) ** 2, axis=-1) + np.sum(np.abs(est2) ** 2, axis=-1)
-    spread = power[:, None, None] / geom.slot_streams[:, None]
+    pw = np.sum(np.abs(est[0]) ** 2, axis=-1) + np.sum(np.abs(est[1]) ** 2, axis=-1)
+    spread = rho[:, None, None] / geom.slot_streams[:, None]
     gains = np.where(pw > 0, np.sqrt(spread / np.where(pw > 0, pw, 1.0)), 0.0)
-    q = geom.streams3
-    w1 = h1[:, geom.phase3, :, :q] * gains[:, :, None, :]
-    w2 = h2[:, geom.phase3, :, :q] * gains[:, :, None, :]
-    return (
-        _phase3_system(w1, est1, deal1, res2, deal2, evar2),
-        _phase3_system(w2, est2, deal2, res1, deal1, evar1),
-    )
+    systems = []
+    for i, phase in enumerate(geom.phases):
+        w = h[i][:, geom.phase3, :, : geom.streams3] * gains[:, :, None, :]
+        j = 1 - i
+        systems.append(_phase3_system(w, est[i], phase, res[j], geom.phases[j], evar[j]))
+    return systems
 
 
 def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray) -> np.ndarray:
     """Rates (B, 2) in bits per slot of B (trial, SNR) pairs: channels
     ``real`` (B, slots, N_i, M) at SNR ``rho`` (B,)."""
-    own1 = geom.symbols1(real.h1) * np.sqrt(rho[:, None] / geom.loads1)[:, :, None, None]
-    own2 = geom.symbols2(real.h2) * np.sqrt(rho[:, None] / geom.loads2)[:, :, None, None]
+    h = (real.h1, real.h2)
     phase3 = _phase3_systems(geom, real, rho)
     total = geom.plan.total_slots
-    return np.stack(
-        [
-            _receiver_rates(own1, phase3[0]) / total,
-            _receiver_rates(own2, phase3[1]) / total,
-        ],
-        axis=-1,
-    )
+    rates = []
+    for i, phase in enumerate(geom.phases):
+        own = phase.symbols(h[i]) * np.sqrt(rho[:, None] / phase.loads)[:, :, None, None]
+        rates.append(_receiver_rates(own, phase3[i]) / total)
+    return np.stack(rates, axis=-1)
 
 
 def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> SimReport:
@@ -665,16 +668,17 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     ``log2(rho)`` over the top half of the grid.
 
     The (trial, SNR) pairs run in chunks as stacked arrays, as many per
-    chunk as fit the plan's working set into ``CHUNK_BYTES``.
+    chunk as fit the plan's working set into ``CHUNK_BYTES``, from at most
+    as many trials as fit their channel draws there.
     """
     geom = _PlanGeometry(cfg, plan)
     grid = params.snr_grid_db
     points = len(grid)
     rho = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
-    draws = _TrialDraws(cfg, plan.total_slots, params.seed)
+    draws = _TrialDraws(cfg, plan.total_slots, params.seed, geom.columns)
 
     pair_rates = np.empty((params.trials * points, 2))
-    for pairs in _chunks(len(pair_rates), geom.pair_bytes()):
+    for pairs in _chunks(len(pair_rates), points, geom.pair_bytes(), geom.draw_bytes()):
         trial, point = np.divmod(pairs, points)
         try:
             pair_rates[pairs] = _pair_rates(geom, draws.take(trial), rho[point])
@@ -684,17 +688,8 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     # summed over trials in trial order, as a running total would
     rates = pair_rates.reshape(params.trials, points, 2).sum(axis=0)
     rates /= params.trials
-
-    slopes = (
-        _fit_slope(grid, rates[:, 0]),
-        _fit_slope(grid, rates[:, 1]),
-    )
-    return SimReport(
-        snr_grid_db=grid,
-        rates=rates,
-        slopes=slopes,
-        trials=params.trials,
-    )
+    slopes = tuple(_fit_slope(grid, rates[:, i]) for i in (0, 1))
+    return SimReport(snr_grid_db=grid, rates=rates, slopes=slopes, trials=params.trials)
 
 
 def _fit_slope(snr_grid_db, values) -> float:

@@ -552,6 +552,30 @@ class TestErrors:
             3, "", f"E:{code}:what went wrong\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("region", "--M", "2", "--N1", "1", "--N2", "1"),
+            ("simulate", "--M", "2", "--N1", "1", "--N2", "1", "--snr-min", "10",
+             "--snr-max", "20", "--snr-step", "10", "--trials", "1", "--fidelity", "rate"),
+        ],
+        ids=["region", "simulate"],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "is-a-dir"])
+    def test_unwritable_out(self, run, tmp_path, argv, target):
+        out = tmp_path / "x.json"
+        if target == "missing-dir":
+            out = tmp_path / "missing" / "x.json"
+        else:
+            # simulate writes x.csv, then x.json
+            for name in ("x.csv", "x.json"):
+                (tmp_path / name).mkdir()
+        code, stdout, err = run(*argv, "--out", str(out))
+        written = out if argv[0] == "region" else out.with_suffix(".csv")
+        assert (code, stdout) == (3, "")
+        assert err.startswith(f"E:OUTPUT_ERROR:cannot write {written}: ")
+        assert err.count("\n") == 1
+
     def test_usage_error_exit_two(self, run, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["region", "--M", "2", "--N1", "1"])

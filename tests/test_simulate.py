@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from doflab import (
     DoflabError,
     GramOverflow,
     InfeasiblePlan,
+    PlanTooLarge,
     SchedulePlan,
     ShapeMismatch,
     SimParams,
@@ -129,7 +131,7 @@ class TestGenChannels:
             return draw(cfg_, total, seed_, trials_)
 
         monkeypatch.setattr(simulate, "gen_channels", recorded)
-        draws = simulate._TrialDraws(cfg, slots, seed)
+        draws = simulate._TrialDraws(cfg, slots, seed, cfg.m)
         pairs = np.arange(trials * points)
         for start in range(0, len(pairs), pairs_per_chunk):
             trial = pairs[start:start + pairs_per_chunk] // points
@@ -836,16 +838,67 @@ def test_pair_bytes_tracks_chunk_memory(cfg):
     pairs = max(1, simulate.CHUNK_BYTES // geom.pair_bytes())
     trial, point = np.divmod(np.arange(pairs), 7)
     rho = 10.0 ** ((30.0 + 5.0 * point) / 10.0)
-    real = simulate._TrialDraws(cfg, plan.total_slots, 1).take(trial)
+    real = simulate._TrialDraws(cfg, plan.total_slots, 1, geom.columns).take(trial)
     peak = _traced_peak(lambda: simulate._pair_rates(geom, real, rho))
     budget = pairs * geom.pair_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
 
     trials = max(1, simulate.CHUNK_BYTES // geom.trial_bytes())
-    real = simulate._TrialDraws(cfg, plan.total_slots, 1).take(np.arange(trials))
+    real = simulate._TrialDraws(cfg, plan.total_slots, 1, geom.columns).take(np.arange(trials))
     peak = _traced_peak(lambda: simulate._ranks(geom, real))
     budget = trials * geom.trial_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
+
+
+# A plan whose systems read 2 of its M = 4000 channel columns: one trial's
+# draw (768000 bytes) outweighs a whole chunk budget.
+WIDE = SystemConfig(4000, 1, 1)
+
+
+@pytest.mark.parametrize("campaign", [estimate_rates, rank_check_campaign])
+def test_chunk_memory_bounded_in_m(campaign):
+    """The campaigns keep only the channel columns their systems read and
+    draw no more trials per chunk than fit the budget, so a wide M costs
+    at most two budgets plus two trials' draws."""
+    plan = plan_schedule(WIDE, corner_weight(WIDE))
+    geom = simulate._PlanGeometry(WIDE, plan)
+    assert geom.columns == 2 and geom.draw_bytes() > simulate.CHUNK_BYTES
+    # the command line's default grid: seven SNR points per trial
+    params = SimParams(tuple(30.0 + 5.0 * i for i in range(7)), trials=6, seed=1)
+    peak = _traced_peak(lambda: campaign(WIDE, plan, params))
+    assert peak < 2 * simulate.CHUNK_BYTES + 2 * geom.draw_bytes()
+
+
+@pytest.mark.parametrize("campaign", [estimate_rates, rank_check_campaign])
+def test_draw_too_large(campaign, monkeypatch):
+    """A plan whose one-trial draw exceeds the cap is refused before any
+    channel is drawn, even when its systems are small."""
+    plan = plan_schedule(WIDE, corner_weight(WIDE))
+    geom = simulate._PlanGeometry(WIDE, plan)
+    assert geom.pair_bytes() < geom.draw_bytes() - 1
+
+    def never(*args):
+        raise AssertionError("drew channels for a plan over the cap")
+
+    monkeypatch.setattr(simulate, "gen_channels", never)
+    monkeypatch.setattr(simulate, "MAX_PAIR_BYTES", geom.draw_bytes() - 1)
+    with pytest.raises(PlanTooLarge, match="per trial's channel draw"):
+        campaign(WIDE, plan, SimParams((30.0, 40.0), trials=1))
+
+
+def test_phase_rows_are_the_payload_deficits():
+    """Each symbol phase counts its overheard rows by its own take rule,
+    and they are order2_payload's k_i on every plan of the acceptance grid
+    (M, N1, N2 in 1..6, qualities in quarters)."""
+    qualities = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    antennas = range(1, 7)
+    for m, n1, n2, a1, a2 in itertools.product(antennas, antennas, antennas, qualities, qualities):
+        cfg = SystemConfig(m, n1, n2, a1, a2)
+        plan = plan_schedule(cfg, corner_weight(cfg)) if n2 < m else plan_tdma(cfg, F(1, 2))
+        geom = simulate._PlanGeometry(cfg, plan)
+        payload = order2_payload(plan, cfg)
+        rows = tuple(len(phase.slot) for phase in geom.phases)
+        assert rows == (payload.k1_needed, payload.k2_needed), cfg
 
 
 def _block_diagonal(own):
@@ -864,22 +917,21 @@ class TestSlotRankParity:
     def test_chosen_and_first_rows(self, cfg):
         plan = plan_schedule(cfg, corner_weight(cfg))
         geom = simulate._PlanGeometry(cfg, plan)
-        real = simulate._TrialDraws(cfg, plan.total_slots, 5).take(np.arange(6))
-        h1, h2 = real.h1, real.h2
-        w1, w2 = (h[:, geom.phase3, :, : geom.streams3] for h in (h1, h2))
+        real = simulate._TrialDraws(cfg, plan.total_slots, 5, geom.columns).take(np.arange(6))
+        h = (real.h1, real.h2)
         deficient = 0
-        for deal, own, other, w, symbols in (
-            (geom.deal1, geom.symbols1(h1), geom.symbols1(h2), w1, plan.s1_count),
-            (geom.deal2, geom.symbols2(h2), geom.symbols2(h1), w2, plan.s2_count),
-        ):
+        for i, phase in enumerate(geom.phases):
             if not geom.slots3:
                 continue
+            own, other = phase.symbols(h[i]), phase.symbols(h[1 - i])
+            w = h[i][:, geom.phase3, :, : geom.streams3]
+            symbols = (plan.s1_count, plan.s2_count)[i]
             stacked = _block_diagonal(other)
-            chosen = deal.slot * other.shape[2] + deal.row
+            chosen = phase.slot * other.shape[2] + phase.row
             for rows, first in ((stacked[:, chosen], False), (stacked[:, : len(chosen)], True)):
-                coupled = (w @ deal.deal(rows)).reshape(len(w), -1, rows.shape[-1])
+                coupled = (w @ phase.deal(rows)).reshape(len(w), -1, rows.shape[-1])
                 if not first:
-                    lifted = deal.lift(w, deal.rows(other))
+                    lifted = phase.lift(w, phase.rows(other))
                     assert np.max(np.abs(lifted - coupled)) <= 1e-12 * np.max(np.abs(coupled))
                 slot = kernels.slot_rank_stacked(own, coupled, simulate.RANK_RTOL)
                 dense = np.concatenate([_block_diagonal(own), coupled], axis=1)
