@@ -11,6 +11,7 @@ error (printed as ``E:<CODE>:<message>`` on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -109,15 +110,35 @@ def _config(args) -> SystemConfig:
 
 
 def _emit(text: str, out):
-    """Write ``text`` to stdout for ``-``, else to the file ``out``; a file
-    that cannot be written is an ``OUTPUT_ERROR``."""
+    """Write ``text`` to stdout for ``-``, else to the file ``out``."""
     if out in (None, "-", ""):
         sys.stdout.write(text)
-        return
+    else:
+        _write_files({Path(out): text})
+
+
+def _write_files(texts: dict) -> None:
+    """Write each text of ``texts`` to its path: every file, or none.
+
+    Each text goes to a fresh hidden name next to its path, and these are
+    renamed over the paths only after every write succeeded; a rename that
+    fails removes the files renamed before it. A path that cannot be
+    written is an ``OUTPUT_ERROR``.
+    """
+    temps, renamed = {}, []
     try:
-        Path(out).write_text(text)
+        for path, text in texts.items():
+            temps[path] = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+            with temps[path].open("x") as handle:
+                handle.write(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+            renamed.append(path)
     except OSError as exc:
-        raise _CliError("OUTPUT_ERROR", f"cannot write {out}: {exc.strerror or exc}")
+        for leftover in [*temps.values(), *renamed]:
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
+        raise _CliError("OUTPUT_ERROR", f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _json_text(payload) -> str:
@@ -276,8 +297,10 @@ def cmd_simulate(args) -> int:
             _emit(_json_text(report.to_json_dict()), args.out)
     else:
         base = Path(args.out)
-        _emit(report.to_csv_text(), base.with_suffix(".csv"))
-        _emit(_json_text(report.to_json_dict()), base.with_suffix(".json"))
+        _write_files({
+            base.with_suffix(".csv"): report.to_csv_text(),
+            base.with_suffix(".json"): _json_text(report.to_json_dict()),
+        })
     return 0
 
 

@@ -20,8 +20,10 @@ Rayleigh channel draws and measures two fidelities:
 
 Symbols and noise have unit power; a slot's transmit power ``rho`` is
 split evenly over the streams it carries, so SNR means exactly ``rho``.
-All randomness flows from ``numpy.random.default_rng`` seeded per trial
-with ``[seed, trial]``; identical parameters reproduce identical reports.
+Trial ``t`` of a campaign draws its channels from exactly the stream of
+``numpy.random.default_rng([seed, t])``; ``gen_channels`` reproduces
+numpy's seeding for a whole batch of trials at once. Identical parameters
+reproduce identical reports, whatever the batching.
 """
 
 from __future__ import annotations
@@ -61,13 +63,13 @@ QUANTIZER_CLIP = 4.0
 # that set its slopes (see rate_snr_limit_db).
 RATE_ROUNDING = 1e-3
 # Working-set budget of one batched chunk of the rate and rank campaigns,
-# and separately of the chunk's channel draws. Small plans fit hundreds of
+# and separately of one block of channel draws. Small plans fit hundreds of
 # (trial, SNR) pairs in a chunk; plans with systems near 100x100 run one to
 # a few pairs at a time.
 CHUNK_BYTES = 512 * 1024
-# Largest working set of one (trial, SNR) pair, and largest channel draw of
-# one trial, a campaign will take on; plans beyond it raise PlanTooLarge
-# before anything is allocated.
+# Largest working set of one (trial, SNR) pair, largest channel draw of one
+# trial, and largest array of per-pair rates a campaign will take on; plans
+# and trial counts beyond it raise PlanTooLarge before anything is allocated.
 MAX_PAIR_BYTES = 1 << 30
 # Singular values below this share of the largest count as rank deficient.
 RANK_RTOL = 1e-9
@@ -173,28 +175,135 @@ class ResidualScan:
     slope: float
 
 
+# numpy.random.SeedSequence's hash (after O'Neill's seed_seq_fe): its pool
+# of 4 uint32 words, the constants of its two hash chains, and its mix
+# multipliers; and the PCG64 multiplier that seeding steps the state with.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``count`` consecutive hash steps:
+    step j xors with the chain's value c_j and multiplies by c_(j+1), where
+    c_0 = ``init`` and each value is the last times ``mult``, mod 2**32."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    chain = np.array(chain, dtype=np.uint32)
+    return chain[:-1], chain[1:]
+
+
+# the 8 uint32 words of generate_state(4, np.uint64) read the pool twice
+_STATE_XOR, _STATE_MUL = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    # uint32 arrays wrap silently; each column takes its own hash step
+    values = (values ^ xor) * mul
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_state_words(entropy: np.ndarray) -> list[list[int]]:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` of each row ``e`` of
+    ``entropy`` (B, n) uint32, for all rows at once.
+
+    The hash constants do not depend on the data, so each step runs over
+    the whole batch; the three mixes of one source pool word into the
+    others are independent and run as one step too.
+    """
+    b, n = entropy.shape
+    extra = max(0, n - _POOL)
+    xor, mul = _hash_chain(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    pool = np.zeros((b, _POOL), dtype=np.uint32)
+    pool[:, : min(n, _POOL)] = entropy[:, :_POOL]
+    pool = _hashmix(pool, xor[:_POOL], mul[:_POOL])
+    step = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        hashed = _hashmix(pool[:, src, None], xor[step : step + 3], mul[step : step + 3])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        step += 3
+    for src in range(_POOL, n):
+        pool = _mix(pool, _hashmix(entropy[:, src, None], xor[step : step + _POOL], mul[step : step + _POOL]))
+        step += _POOL
+    words = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MUL).astype(np.uint64)
+    return (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist()
+
+
+def _entropy_words(seed) -> list[int]:
+    """SeedSequence's entropy words of ``seed``: an int's uint32 words, least
+    significant first, or the words of a sequence's items in order."""
+    if isinstance(seed, (int, np.integer)):
+        value = int(seed)
+        if value < 0:
+            raise ValueError(f"seed must be non-negative, got {value}")
+        words = [value & 0xFFFFFFFF]
+        while value >> 32:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+        return words
+    if not isinstance(seed, (list, tuple, range, np.ndarray)):
+        raise TypeError(f"seed must be an int or a sequence of ints, not {seed!r}")
+    return [word for item in seed for word in _entropy_words(item)]
+
+
+def _pcg64_states(entropies: list[list[int]]) -> list[dict]:
+    """The state of ``PCG64(SeedSequence(e))`` for each list of entropy
+    words ``e``. Lists of one length are hashed in one batch; PCG64 seeding
+    then sets inc = 2 * seq + 1 and steps the state twice, adding the seed
+    word in between, in 128-bit integers."""
+    states: list = [None] * len(entropies)
+    by_length: dict[int, list[int]] = {}
+    for i, words in enumerate(entropies):
+        by_length.setdefault(len(words), []).append(i)
+    for length, rows in by_length.items():
+        entropy = np.array([entropies[i] for i in rows], dtype=np.uint32).reshape(len(rows), length)
+        for i, (seed_hi, seed_lo, seq_hi, seq_lo) in zip(rows, _seed_state_words(entropy)):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+            states[i] = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+    return states
+
+
 def gen_channels(cfg: SystemConfig, total_slots: int, seed, trials=None) -> ChannelRealization:
     """Draw i.i.d. unit-variance complex Gaussian channels for both users.
 
     With ``trials=None``, ``seed`` may be an int or a sequence of ints and
     the arrays have shape (slots, N_i, M). With an int array ``trials``,
-    ``seed`` is an int and the arrays gain a leading axis: row ``i`` is
-    exactly ``gen_channels(cfg, total_slots, [seed, trials[i]])``, so the
+    the arrays gain a leading axis: row ``i`` is exactly
+    ``gen_channels(cfg, total_slots, [seed, trials[i]])``, so the
     campaigns' trials are independent but reproducible in any batching.
 
-    Each stream fills one float64 row with, in order, the real and the
-    imaginary parts of ``h1`` and then of ``h2``; the complex channels of
-    all rows are assembled at once.
+    Each row's stream is exactly ``numpy.random.default_rng(row_seed)``'s:
+    numpy's ``SeedSequence`` hash of the row's entropy words runs for the
+    whole batch at once, and one ``PCG64`` generator is set to each row's
+    seeded state in turn. Each stream fills one float64 row with, in order,
+    the real and the imaginary parts of ``h1`` and then of ``h2``; the
+    complex channels of all rows are assembled at once.
     """
     if total_slots < 1:
         raise ValueError("total_slots must be positive")
-    seeds = [seed] if trials is None else [[seed, int(t)] for t in trials]
-    shape1 = (len(seeds), total_slots, cfg.n1, cfg.m)
-    shape2 = (len(seeds), total_slots, cfg.n2, cfg.m)
+    head = _entropy_words(seed)
+    entropies = [head] if trials is None else [head + _entropy_words(int(t)) for t in trials]
+    shape1 = (len(entropies), total_slots, cfg.n1, cfg.m)
+    shape2 = (len(entropies), total_slots, cfg.n2, cfg.m)
     size1, size2 = math.prod(shape1[1:]), math.prod(shape2[1:])
-    raw = np.empty((len(seeds), 2 * (size1 + size2)))
-    for row, row_seed in zip(raw, seeds):
-        np.random.default_rng(row_seed).standard_normal(out=row)
+    raw = np.empty((len(entropies), 2 * (size1 + size2)))
+    bit_generator = np.random.PCG64(0)  # every row sets its own state
+    generator = np.random.Generator(bit_generator)
+    for row, state in zip(raw, _pcg64_states(entropies)):
+        bit_generator.state = state
+        generator.standard_normal(out=row)
     re1, im1, re2, im2 = np.split(raw, np.cumsum([size1, size1, size2]), axis=1)
     h1 = (re1.reshape(shape1) + 1j * im1.reshape(shape1)) / np.sqrt(2)
     h2 = (re2.reshape(shape2) + 1j * im2.reshape(shape2)) / np.sqrt(2)
@@ -468,47 +577,51 @@ class _PlanGeometry:
         return 32 * self.plan.total_slots * (cfg.n1 + cfg.n2) * cfg.m
 
 
-def _chunks(count: int, per_trial: int, unit_bytes: int, draw_bytes: int):
+def _units(unit_bytes: int) -> int:
+    """Units of ``unit_bytes`` each that fit in ``CHUNK_BYTES``, at least one."""
+    return max(1, CHUNK_BYTES // max(unit_bytes, 1))
+
+
+def _chunks(count: int, per_trial: int, size: int, block: int):
     """Consecutive index ranges covering ``range(count)``, units of which
-    each trial has ``per_trial`` in a row. A range holds as many units as
-    fit in ``CHUNK_BYTES``, and units of as many trials as their draws of
-    ``draw_bytes`` each fit there (at least one of each)."""
-    size = max(1, CHUNK_BYTES // max(unit_bytes, 1))
-    trials = max(1, CHUNK_BYTES // draw_bytes)
+    each trial has ``per_trial`` in a row. A range holds at most ``size``
+    units, all of trials of one draw block: trials ``j * block`` up to the
+    next block (see ``_TrialDraws``)."""
+    span = block * per_trial
     start = 0
     while start < count:
-        stop = min(start + size, (start // per_trial + trials) * per_trial, count)
+        stop = min(start + size, (start // span + 1) * span, count)
         yield np.arange(start, stop)
         start = stop
 
 
 class _TrialDraws:
-    """Channel draws of a campaign, one batch ``gen_channels`` call per
-    chunk over the chunk's trials, of which only the first ``columns``
-    columns are kept. Chunks ask for nondecreasing trials, so only a
-    chunk's last trial can be asked for again; it is carried over rather
-    than drawn twice."""
+    """Channel draws of a campaign's ``count`` trials, drawn ahead in blocks
+    of ``block`` trials: as many as fit their draws of ``draw_bytes()`` in
+    ``CHUNK_BYTES`` (at least one), rounded down to a whole number of
+    chunks of ``chunk_trials`` trials where one fits, so that chunks of
+    whole trials tile the blocks. Block j holds trials ``j * block`` up to
+    the next block or ``count``, from one batch ``gen_channels`` call, of
+    which only the first ``columns`` columns are kept."""
 
-    def __init__(self, cfg: SystemConfig, total_slots: int, seed: int, columns: int):
-        self.cfg, self.total_slots, self.seed, self.columns = cfg, total_slots, seed, columns
-        self.last = -1
-        self.carry: ChannelRealization | None = None
+    def __init__(self, geom: _PlanGeometry, seed: int, count: int, chunk_trials: int = 1):
+        self.cfg, self.total_slots, self.columns = geom.cfg, geom.plan.total_slots, geom.columns
+        self.seed, self.count = seed, count
+        budget = _units(geom.draw_bytes())
+        self.block = budget // chunk_trials * chunk_trials or budget
+        self.start = -1  # first trial of the drawn block
+        self.real: ChannelRealization | None = None
 
     def take(self, trials: np.ndarray) -> ChannelRealization:
-        """Channels of ``trials`` (nondecreasing, never below an earlier
-        chunk's), stacked on a leading axis."""
-        first, last = int(trials[0]), int(trials[-1])
-        real = self.carry if first == self.last else None
-        if last > self.last:
-            fresh = np.arange(max(first, self.last + 1), last + 1)
-            drawn = gen_channels(self.cfg, self.total_slots, self.seed, fresh)
-            h1, h2 = drawn.h1[..., : self.columns], drawn.h2[..., : self.columns]
-            real = ChannelRealization(h1, h2) if real is None else ChannelRealization(
-                np.concatenate([real.h1, h1]), np.concatenate([real.h2, h2])
-            )
-            self.last = last
-            self.carry = ChannelRealization(real.h1[-1:].copy(), real.h2[-1:].copy())
-        return ChannelRealization(real.h1[trials - first], real.h2[trials - first])
+        """Channels of ``trials``, all of one block, stacked on a leading
+        axis; a block is drawn when a chunk first asks for it."""
+        start = int(trials[0]) // self.block * self.block
+        if start != self.start:
+            drawn = gen_channels(self.cfg, self.total_slots, self.seed,
+                                 np.arange(start, min(start + self.block, self.count)))
+            self.real = ChannelRealization(drawn.h1[..., : self.columns], drawn.h2[..., : self.columns])
+            self.start = start
+        return ChannelRealization(self.real.h1[trials - start], self.real.h2[trials - start])
 
 
 def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
@@ -567,10 +680,11 @@ def rank_check_campaign(
     receiver) rather than an SNR effect.
     """
     geom = _PlanGeometry(cfg, plan)
-    draws = _TrialDraws(cfg, plan.total_slots, params.seed, geom.columns)
+    size = _units(geom.trial_bytes())
+    draws = _TrialDraws(geom, params.seed, params.trials, size)
     symbols = (plan.s1_count, plan.s2_count)
     passes = [0, 0]
-    for trials in _chunks(params.trials, 1, geom.trial_bytes(), geom.draw_bytes()):
+    for trials in _chunks(params.trials, 1, size, draws.block):
         for i, rank in enumerate(_ranks(geom, draws.take(trials))):
             passes[i] += int(np.count_nonzero(rank == symbols[i]))
     return passes[0], passes[1]
@@ -668,17 +782,24 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     ``log2(rho)`` over the top half of the grid.
 
     The (trial, SNR) pairs run in chunks as stacked arrays, as many per
-    chunk as fit the plan's working set into ``CHUNK_BYTES``, from at most
-    as many trials as fit their channel draws there.
+    chunk as fit the plan's working set into ``CHUNK_BYTES``, all from one
+    block of as many trials as fit their channel draws there.
     """
     geom = _PlanGeometry(cfg, plan)
     grid = params.snr_grid_db
     points = len(grid)
     rho = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
-    draws = _TrialDraws(cfg, plan.total_slots, params.seed, geom.columns)
+    # the per-pair rates are the one array that grows with the trial count
+    size = 16 * params.trials * points
+    if size > MAX_PAIR_BYTES:
+        raise PlanTooLarge(
+            f"{params.trials} trials at {points} SNR points need over {size >> 30} GiB of "
+            f"per-pair rates; the cap is {MAX_PAIR_BYTES >> 30} GiB"
+        )
+    draws = _TrialDraws(geom, params.seed, params.trials)
 
     pair_rates = np.empty((params.trials * points, 2))
-    for pairs in _chunks(len(pair_rates), points, geom.pair_bytes(), geom.draw_bytes()):
+    for pairs in _chunks(len(pair_rates), points, _units(geom.pair_bytes()), draws.block):
         trial, point = np.divmod(pairs, points)
         try:
             pair_rates[pairs] = _pair_rates(geom, draws.take(trial), rho[point])

@@ -206,6 +206,7 @@ class TestSimulate:
         csv_text = (tmp_path / "report.csv").read_text()
         assert json.loads(json_text)["trials"] == 3
         assert csv_text.startswith("snr_db,rx,rate_bits_per_slot,trials\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["report.csv", "report.json"]
 
     def test_seed_env_fallback(self, run, monkeypatch):
         base = (
@@ -362,6 +363,15 @@ class TestSimulate:
             )
         assert code == 3 and out == ""
         assert err.startswith("E:PLAN_TOO_LARGE:")
+
+    @needs_alarm
+    def test_too_many_trials(self, run):
+        # 10**10 trials x 7 SNR points of per-pair rates would need 1 TB
+        with within(5.0):
+            code, out, err = run("simulate", "--M", "2", "--N1", "1", "--N2", "1",
+                                 "--fidelity", "rate", "--trials", "10000000000")
+        assert code == 3 and out == ""
+        assert err.startswith("E:PLAN_TOO_LARGE:10000000000 trials at 7 SNR points need over ")
 
     @needs_alarm
     def test_gram_overflow(self, run):
@@ -576,6 +586,16 @@ class TestErrors:
         assert err.startswith(f"E:OUTPUT_ERROR:cannot write {written}: ")
         assert err.count("\n") == 1
 
+    def test_simulate_out_writes_both_files_or_neither(self, run, tmp_path):
+        # x.csv could be written, x.json cannot
+        (tmp_path / "x.json").mkdir()
+        code, stdout, err = run("simulate", "--M", "2", "--N1", "1", "--N2", "1", "--trials", "2",
+                                "--fidelity", "rate", "--out", str(tmp_path / "x"))
+        assert (code, stdout) == (3, "")
+        assert err.startswith(f"E:OUTPUT_ERROR:cannot write {tmp_path / 'x.json'}: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["x.json"]
+        assert not any((tmp_path / "x.json").iterdir())
+
     def test_usage_error_exit_two(self, run, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["region", "--M", "2", "--N1", "1"])
@@ -643,6 +663,8 @@ def cli_argv(draw):
 @example(argv=["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--alpha1=1e-30",
                "--at-corner", "--trials=1"])
 @example(argv=OVERFLOWING_SNR)
+@example(argv=["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--fidelity=rate",
+               "--trials=10000000000"])
 def test_fuzz_exits_cleanly(argv):
     """Every argv ends with exit 0, 2 or 3 within 5 s and no traceback."""
     out, err = io.StringIO(), io.StringIO()

@@ -85,11 +85,20 @@ class TestGenChannels:
 
     def test_single_seed_matches_four_calls(self):
         cfg = SystemConfig(3, 2, 1)
-        for seed in (0, [9, 4], 2**40, [2**64 + 3, 7]):
+        for seed in (0, [9, 4], 2**40, [2**64 + 3, 7], [], (1, 2, 3, 4, 5), [[2**40, 1], 3]):
             real = gen_channels(cfg, 5, seed)
             h1, h2 = four_call_draw(cfg, 5, seed)
             assert real.h1.shape == h1.shape and real.h2.shape == h2.shape
             assert np.array_equal(real.h1, h1) and np.array_equal(real.h2, h2)
+
+    @pytest.mark.parametrize(("seed", "error"), [(-1, ValueError), ([3, -1], ValueError),
+                                                 (1.5, TypeError), ([3, 1.5], TypeError),
+                                                 ("12", TypeError), (None, TypeError)])
+    def test_invalid_seeds_raise(self, seed, error):
+        # as numpy.random.SeedSequence does, except that None (fresh OS
+        # entropy there) is refused: every draw here is reproducible
+        with pytest.raises(error):
+            gen_channels(SystemConfig(2, 1, 1), 3, seed)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -103,6 +112,11 @@ class TestGenChannels:
     )
     @example(m=2, n1=1, n2=1, slots=3, seed=2**40, start=17, count=4)
     @example(m=5, n1=3, n2=2, slots=27, seed=2**64 + 3, start=250, count=3)
+    # trials of one and of two words in one batch, trials of three words,
+    # and entropy longer than SeedSequence's pool of four words
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**32 - 2, count=4)
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**64, count=3)
+    @example(m=3, n1=2, n2=1, slots=4, seed=2**200 + 9, start=0, count=3)
     def test_batch_rows_match_four_calls(self, m, n1, n2, slots, seed, start, count):
         """Row i of a batch is bit-equal to the one-trial draw of
         ``[seed, trials[i]]``, for trial ranges starting anywhere."""
@@ -121,26 +135,34 @@ class TestGenChannels:
     def test_chunked_draws_match_four_calls(self, seed, pairs_per_chunk, monkeypatch):
         """A campaign's chunks of (trial, SNR) pairs, including chunks that
         split a trial's SNR points or lie inside one trial, see the
-        one-trial draws, and every trial is drawn exactly once."""
-        cfg, slots, trials, points = SystemConfig(3, 2, 1), 4, 9, 3
-        drawn = []
+        one-trial draws, and every trial is drawn exactly once, in one call
+        per draw block, for blocks of one trial up to all of them."""
+        cfg, trials, points = SystemConfig(3, 2, 1), 9, 3
+        plan = plan_schedule(cfg, corner_weight(cfg))
+        geom = simulate._PlanGeometry(cfg, plan)
+        assert geom.columns == cfg.m  # every column is kept and compared
+        calls = []
         draw = simulate.gen_channels
 
         def recorded(cfg_, total, seed_, trials_):
-            drawn.extend(int(t) for t in trials_)
+            calls.append([int(t) for t in trials_])
             return draw(cfg_, total, seed_, trials_)
 
         monkeypatch.setattr(simulate, "gen_channels", recorded)
-        draws = simulate._TrialDraws(cfg, slots, seed, cfg.m)
-        pairs = np.arange(trials * points)
-        for start in range(0, len(pairs), pairs_per_chunk):
-            trial = pairs[start:start + pairs_per_chunk] // points
-            real = draws.take(trial)
-            for row, t in enumerate(trial):
-                h1, h2 = four_call_draw(cfg, slots, [seed, int(t)])
-                assert np.array_equal(real.h1[row], h1)
-                assert np.array_equal(real.h2[row], h2)
-        assert drawn == list(range(trials))
+        for block in (1, 2, 4, trials):
+            calls.clear()
+            monkeypatch.setattr(simulate, "CHUNK_BYTES", block * geom.draw_bytes())
+            draws = simulate._TrialDraws(geom, seed, trials)
+            assert draws.block == block
+            for pairs in simulate._chunks(trials * points, points, pairs_per_chunk, draws.block):
+                assert len(pairs) <= pairs_per_chunk
+                trial = pairs // points
+                real = draws.take(trial)
+                for row, t in enumerate(trial):
+                    h1, h2 = four_call_draw(cfg, plan.total_slots, [seed, int(t)])
+                    assert np.array_equal(real.h1[row], h1)
+                    assert np.array_equal(real.h2[row], h2)
+            assert calls == [list(range(b, min(b + block, trials))) for b in range(0, trials, block)]
 
 
 def four_call_draw(cfg, slots, seed):
@@ -714,6 +736,47 @@ class TestBatchedEquivalence:
         estimate_rates(cfg, plan, SimParams(self.GRID, trials=5, seed=6))
         assert seen == [(6, t) for t in range(5)]
 
+    @pytest.mark.parametrize("campaign", [estimate_rates, rank_check_campaign])
+    def test_draws_ahead_in_blocks(self, campaign, monkeypatch):
+        """On a plan whose chunks hold one to three pairs, a campaign still
+        draws its trials in blocks: at most ceil(trials / block) calls,
+        every trial once, and none at or past the trial count."""
+        cfg = SystemConfig(5, 3, 2, F(1, 2), F(1, 3))
+        plan = plan_schedule(cfg, corner_weight(cfg))
+        block = max(1, simulate.CHUNK_BYTES // simulate._PlanGeometry(cfg, plan).draw_bytes())
+        params = SimParams((30.0, 40.0), trials=2 * block + 3, seed=7)
+        calls = []
+        draw = simulate.gen_channels
+
+        def counted(cfg_, total, seed, trials):
+            calls.append([int(t) for t in trials])
+            return draw(cfg_, total, seed, trials)
+
+        monkeypatch.setattr(simulate, "gen_channels", counted)
+        campaign(cfg, plan, params)
+        assert 1 < block and len(calls) <= math.ceil(params.trials / block)
+        assert sorted(t for call in calls for t in call) == list(range(params.trials))
+
+    def test_rank_chunks_tile_the_draw_blocks(self, monkeypatch):
+        """Drawing ahead adds no rank chunk, even where a rank chunk nearly
+        fills the draw budget: the blocks hold whole chunks."""
+        cfg = SystemConfig(4, 2, 2, F(1, 2), F(1, 2))
+        plan = plan_schedule(cfg, corner_weight(cfg))
+        geom = simulate._PlanGeometry(cfg, plan)
+        chunk, budget = simulate._units(geom.trial_bytes()), simulate._units(geom.draw_bytes())
+        assert chunk < budget < 2 * chunk
+        params = SimParams((30.0, 40.0), trials=3 * chunk + 5, seed=2)
+        sizes = []
+        ranks = simulate._ranks
+
+        def counted(geom_, real):
+            sizes.append(len(real.h1))
+            return ranks(geom_, real)
+
+        monkeypatch.setattr(simulate, "_ranks", counted)
+        assert rank_check_campaign(cfg, plan, params) == reference_rank_passes(cfg, plan, params)
+        assert sizes == [chunk] * 3 + [5]
+
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         m=st.integers(1, 4),
@@ -838,13 +901,13 @@ def test_pair_bytes_tracks_chunk_memory(cfg):
     pairs = max(1, simulate.CHUNK_BYTES // geom.pair_bytes())
     trial, point = np.divmod(np.arange(pairs), 7)
     rho = 10.0 ** ((30.0 + 5.0 * point) / 10.0)
-    real = simulate._TrialDraws(cfg, plan.total_slots, 1, geom.columns).take(trial)
+    real = simulate._TrialDraws(geom, 1, int(trial[-1]) + 1).take(trial)
     peak = _traced_peak(lambda: simulate._pair_rates(geom, real, rho))
     budget = pairs * geom.pair_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
 
     trials = max(1, simulate.CHUNK_BYTES // geom.trial_bytes())
-    real = simulate._TrialDraws(cfg, plan.total_slots, 1, geom.columns).take(np.arange(trials))
+    real = simulate._TrialDraws(geom, 1, trials).take(np.arange(trials))
     peak = _traced_peak(lambda: simulate._ranks(geom, real))
     budget = trials * geom.trial_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
@@ -917,7 +980,7 @@ class TestSlotRankParity:
     def test_chosen_and_first_rows(self, cfg):
         plan = plan_schedule(cfg, corner_weight(cfg))
         geom = simulate._PlanGeometry(cfg, plan)
-        real = simulate._TrialDraws(cfg, plan.total_slots, 5, geom.columns).take(np.arange(6))
+        real = simulate._TrialDraws(geom, 5, 6).take(np.arange(6))
         h = (real.h1, real.h2)
         deficient = 0
         for i, phase in enumerate(geom.phases):
