@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import DoflabError
+from .errors import DoflabError, InvalidWeight
 from .rational import as_ratio
 from .region import (
     SystemConfig,
@@ -152,7 +152,7 @@ def _plan_for(cfg: SystemConfig, weight, at_corner: bool):
         try:
             weight = as_ratio(weight)
         except ValueError:
-            raise _CliError("INVALID_WEIGHT", f"weight is not a rational: {weight!r}")
+            raise InvalidWeight(f"weight is not a rational: {weight!r}")
     if cfg.n2 < cfg.m:
         return plan_schedule(cfg, weight), weight
     return plan_tdma(cfg, weight), weight

@@ -118,7 +118,8 @@ def slot_rate_bits_stacked(own: np.ndarray, g3: np.ndarray | None, sigma3: np.nd
 
     ``own`` holds the slot blocks A_t (..., slots, rows, width); their
     columns, slot by slot, are the k = slots * width columns of G. ``g3``
-    and ``sigma3`` are None when there are no coupling rows. No k x k Gram
+    and ``sigma3`` are None when there are no coupling rows. Without
+    symbols (k = 0) the rate is 0 and S is not factored. No k x k Gram
     matrix is formed. With R_t from a QR of [I; A_t],
     U = G blockdiag(R_t)^-1 and S = L L^H,
 
@@ -136,6 +137,8 @@ def slot_rate_bits_stacked(own: np.ndarray, g3: np.ndarray | None, sigma3: np.nd
     """
     batch = own.shape[:-3]
     slots, width = own.shape[-3], own.shape[-1]
+    if not slots * width:
+        return np.zeros(batch)
     n3 = 0 if g3 is None else g3.shape[-2]
     if n3:
         chol = _cholesky(sigma3, SingularCovariance, "noise covariance is not positive definite")

@@ -577,51 +577,33 @@ class _PlanGeometry:
         return 32 * self.plan.total_slots * (cfg.n1 + cfg.n2) * cfg.m
 
 
-def _units(unit_bytes: int) -> int:
-    """Units of ``unit_bytes`` each that fit in ``CHUNK_BYTES``, at least one."""
-    return max(1, CHUNK_BYTES // max(unit_bytes, 1))
+def _draws(geom: _PlanGeometry, seed: int, count: int, per_trial: int, unit_bytes: int):
+    """Chunks of a campaign of ``count`` trials, ``per_trial`` units each
+    (its (trial, SNR) pairs, or its trials) of ``unit_bytes``: yields each
+    chunk's unit indices, consecutive in ``range(count * per_trial)``, and
+    the channels of their trials ``units // per_trial`` on a leading axis.
 
-
-def _chunks(count: int, per_trial: int, size: int, block: int):
-    """Consecutive index ranges covering ``range(count)``, units of which
-    each trial has ``per_trial`` in a row. A range holds at most ``size``
-    units, all of trials of one draw block: trials ``j * block`` up to the
-    next block (see ``_TrialDraws``)."""
-    span = block * per_trial
-    start = 0
-    while start < count:
-        stop = min(start + size, (start // span + 1) * span, count)
-        yield np.arange(start, stop)
-        start = stop
-
-
-class _TrialDraws:
-    """Channel draws of a campaign's ``count`` trials, drawn ahead in blocks
-    of ``block`` trials: as many as fit their draws of ``draw_bytes()`` in
-    ``CHUNK_BYTES`` (at least one), rounded down to a whole number of
-    chunks of ``chunk_trials`` trials where one fits, so that chunks of
-    whole trials tile the blocks. Block j holds trials ``j * block`` up to
-    the next block or ``count``, from one batch ``gen_channels`` call, of
-    which only the first ``columns`` columns are kept."""
-
-    def __init__(self, geom: _PlanGeometry, seed: int, count: int, chunk_trials: int = 1):
-        self.cfg, self.total_slots, self.columns = geom.cfg, geom.plan.total_slots, geom.columns
-        self.seed, self.count = seed, count
-        budget = _units(geom.draw_bytes())
-        self.block = budget // chunk_trials * chunk_trials or budget
-        self.start = -1  # first trial of the drawn block
-        self.real: ChannelRealization | None = None
-
-    def take(self, trials: np.ndarray) -> ChannelRealization:
-        """Channels of ``trials``, all of one block, stacked on a leading
-        axis; a block is drawn when a chunk first asks for it."""
-        start = int(trials[0]) // self.block * self.block
-        if start != self.start:
-            drawn = gen_channels(self.cfg, self.total_slots, self.seed,
-                                 np.arange(start, min(start + self.block, self.count)))
-            self.real = ChannelRealization(drawn.h1[..., : self.columns], drawn.h2[..., : self.columns])
-            self.start = start
-        return ChannelRealization(self.real.h1[trials - start], self.real.h2[trials - start])
+    A chunk holds as many units as fit ``CHUNK_BYTES``, at least one. The
+    trials are drawn ahead in blocks, each one ``gen_channels`` call cut to
+    the first ``geom.columns`` columns, of as many trials as fit their
+    ``draw_bytes()`` there (at least one), rounded down to whole chunks
+    where chunks are whole trials. No chunk straddles two blocks.
+    """
+    size = max(1, CHUNK_BYTES // max(unit_bytes, 1))
+    block = max(1, CHUNK_BYTES // max(geom.draw_bytes(), 1))
+    if size % per_trial == 0:
+        whole = size // per_trial
+        block = block // whole * whole or block
+    for first in range(0, count, block):
+        trials = np.arange(first, min(first + block, count))
+        drawn = gen_channels(geom.cfg, geom.plan.total_slots, seed, trials)
+        h1, h2 = drawn.h1[..., : geom.columns], drawn.h2[..., : geom.columns]
+        stop = (first + len(trials)) * per_trial
+        for start in range(first * per_trial, stop, size):
+            units = np.arange(start, min(start + size, stop))
+            rows = units // per_trial - first
+            yield units, ChannelRealization(h1[rows], h2[rows])
+        del drawn, h1, h2  # free this block before the next one is drawn
 
 
 def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
@@ -678,14 +660,14 @@ def rank_check_campaign(
     as the order-2 coefficients and the cross part cancels exactly, so a
     failure isolates a schedule defect (not enough equations routed to the
     receiver) rather than an SNR effect.
+
+    The trials run in stacked chunks from ``_draws``, ``trial_bytes()`` each.
     """
     geom = _PlanGeometry(cfg, plan)
-    size = _units(geom.trial_bytes())
-    draws = _TrialDraws(geom, params.seed, params.trials, size)
     symbols = (plan.s1_count, plan.s2_count)
     passes = [0, 0]
-    for trials in _chunks(params.trials, 1, size, draws.block):
-        for i, rank in enumerate(_ranks(geom, draws.take(trials))):
+    for _, real in _draws(geom, params.seed, params.trials, 1, geom.trial_bytes()):
+        for i, rank in enumerate(_ranks(geom, real)):
             passes[i] += int(np.count_nonzero(rank == symbols[i]))
     return passes[0], passes[1]
 
@@ -711,27 +693,13 @@ def _phase3_system(w, own, own_phase: _Phase, cross, cross_phase: _Phase, evar):
     return own_phase.lift(w, own), sig3
 
 
-def _receiver_rates(own: np.ndarray, phase3) -> np.ndarray:
-    """Log-det rate of each receiver system of the batch (bits per use of
-    the stacked channel).
-
-    The system stacks the own-phase rows, block diagonal by slot and given
-    as the slot blocks ``own`` (B, slots, N, width), over the phase-three
-    rows of ``phase3`` (None, or the rows and their covariance S from
-    ``_phase3_system``), under noise covariance diag(I, S).
-    """
-    if not own.shape[1] * own.shape[3]:  # no symbols: rate 0, without factoring S
-        return np.zeros(own.shape[0])
-    return kernels.slot_rate_bits_stacked(own, *(phase3 or (None, None)))
-
-
 def _phase3_systems(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray):
     """Each receiver's phase-three rows and their noise covariance S (see
-    ``_phase3_system``) for B (trial, SNR) pairs, or (None, None) for a plan
-    without phase three. The transmitter builds the payload from CSIT
+    ``_phase3_system``) for B (trial, SNR) pairs, or (None, None) each for a
+    plan without phase three. The transmitter builds the payload from CSIT
     quantized at SNR ``rho`` (B,)."""
     if not geom.slots3:
-        return None, None
+        return (None, None), (None, None)
     h = (real.h1, real.h2)
     alpha = (geom.cfg.alpha1, geom.cfg.alpha2)
     at_rho = rho[:, None, None, None]
@@ -767,7 +735,7 @@ def _pair_rates(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarray) 
     rates = []
     for i, phase in enumerate(geom.phases):
         own = phase.symbols(h[i]) * np.sqrt(rho[:, None] / phase.loads)[:, :, None, None]
-        rates.append(_receiver_rates(own, phase3[i]) / total)
+        rates.append(kernels.slot_rate_bits_stacked(own, *phase3[i]) / total)
     return np.stack(rates, axis=-1)
 
 
@@ -781,9 +749,8 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     bits per slot; the returned slopes are least-squares fits against
     ``log2(rho)`` over the top half of the grid.
 
-    The (trial, SNR) pairs run in chunks as stacked arrays, as many per
-    chunk as fit the plan's working set into ``CHUNK_BYTES``, all from one
-    block of as many trials as fit their channel draws there.
+    The (trial, SNR) pairs, a trial's points in a row, run in stacked
+    chunks from ``_draws``, ``pair_bytes()`` each.
     """
     geom = _PlanGeometry(cfg, plan)
     grid = params.snr_grid_db
@@ -796,13 +763,11 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
             f"{params.trials} trials at {points} SNR points need over {size >> 30} GiB of "
             f"per-pair rates; the cap is {MAX_PAIR_BYTES >> 30} GiB"
         )
-    draws = _TrialDraws(geom, params.seed, params.trials)
-
     pair_rates = np.empty((params.trials * points, 2))
-    for pairs in _chunks(len(pair_rates), points, _units(geom.pair_bytes()), draws.block):
+    for pairs, real in _draws(geom, params.seed, params.trials, points, geom.pair_bytes()):
         trial, point = np.divmod(pairs, points)
         try:
-            pair_rates[pairs] = _pair_rates(geom, draws.take(trial), rho[point])
+            pair_rates[pairs] = _pair_rates(geom, real, rho[point])
         except (SingularCovariance, GramOverflow) as exc:
             at = exc.index
             raise type(exc)(f"trial {trial[at]}, SNR {grid[point[at]]} dB: {exc}") from exc

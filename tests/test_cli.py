@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -535,7 +539,7 @@ class TestErrors:
             "plan", "--M", "2", "--N1", "1", "--N2", "1", "--weight", "huh"
         )
         assert code == 3
-        assert err.startswith("E:INVALID_WEIGHT:")
+        assert err == "E:INVALID_WEIGHT:weight is not a rational: 'huh'\n"
 
     @pytest.mark.parametrize(
         "error, code",
@@ -610,6 +614,29 @@ class TestErrors:
             )
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_process_exit_codes(self, run):
+        """``python -m doflab.cli`` as a real process: its exit status is
+        the code ``main`` returns, or argparse's 2 for a usage error."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        env.pop("DOFLAB_SEED", None)
+
+        def process(*argv):
+            done = subprocess.run([sys.executable, "-m", "doflab.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            return done.returncode, done.stdout, done.stderr
+
+        golden = ("plan", "--M", "3", "--N1", "2", "--N2", "1", "--weight", "4/5")
+        code, out, err = process(*golden)
+        assert (code, err) == (0, "")
+        assert out == run(*golden)[1] and json.loads(out)["tau"] == [4, 1, 2]
+        assert process("plan", "--M", "2", "--N1", "1", "--N2", "1", "--weight", "huh") == (
+            3, "", "E:INVALID_WEIGHT:weight is not a rational: 'huh'\n"
+        )
+        code, out, err = process("region", "--M", "2", "--N1", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
 
 
 def mostly(good, bad):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from doflab import GramOverflow, SingularCovariance, kernels, simulate
+from doflab import GramOverflow, SingularCovariance, kernels
 
 RNG = np.random.default_rng(20240817)
 
@@ -186,9 +186,9 @@ class TestSplitKernel:
         own, g3, s3 = slot_structured(np.random.default_rng(23), 3, [1, 1], 2, 2)
         own, g3 = own[..., :0], g3[..., :0]
         s3[1] = np.nan
-        assert simulate._receiver_rates(own, (g3, s3)).tolist() == [0.0] * 3
+        assert kernels.slot_rate_bits_stacked(own, g3, s3).tolist() == [0.0] * 3
         assert kernels.logdet_rate_bits_stacked(*dense_form(own, g3, s3)).tolist() == [0.0] * 3
-        assert simulate._receiver_rates(own, None).tolist() == [0.0] * 3
+        assert kernels.slot_rate_bits_stacked(own, None, None).tolist() == [0.0] * 3
 
     def test_covariance_guard_comes_first(self):
         # member 1's own block is not finite, but member 3's S is checked first

@@ -149,20 +149,28 @@ class TestGenChannels:
             return draw(cfg_, total, seed_, trials_)
 
         monkeypatch.setattr(simulate, "gen_channels", recorded)
+        # a chunk of pairs_per_chunk pairs; 60 pairs hold 20 whole trials,
+        # more than any block, so no block is rounded down
+        unit_bytes = simulate.CHUNK_BYTES // pairs_per_chunk
+        assert simulate.CHUNK_BYTES // unit_bytes == pairs_per_chunk
         for block in (1, 2, 4, trials):
             calls.clear()
-            monkeypatch.setattr(simulate, "CHUNK_BYTES", block * geom.draw_bytes())
-            draws = simulate._TrialDraws(geom, seed, trials)
-            assert draws.block == block
-            for pairs in simulate._chunks(trials * points, points, pairs_per_chunk, draws.block):
-                assert len(pairs) <= pairs_per_chunk
-                trial = pairs // points
-                real = draws.take(trial)
-                for row, t in enumerate(trial):
+            monkeypatch.setattr(geom, "draw_bytes", lambda block=block: simulate.CHUNK_BYTES // block)
+            chunks = []
+            for pairs, real in simulate._draws(geom, seed, trials, points, unit_bytes):
+                chunks.append(pairs.tolist())
+                for row, t in enumerate(pairs // points):
                     h1, h2 = four_call_draw(cfg, plan.total_slots, [seed, int(t)])
                     assert np.array_equal(real.h1[row], h1)
                     assert np.array_equal(real.h2[row], h2)
-            assert calls == [list(range(b, min(b + block, trials))) for b in range(0, trials, block)]
+            blocks = [range(b, min(b + block, trials)) for b in range(0, trials, block)]
+            assert calls == [list(b) for b in blocks]
+            # each block's pairs, cut into chunks of at most pairs_per_chunk
+            assert chunks == [
+                list(range(start, min(start + pairs_per_chunk, b.stop * points)))
+                for b in blocks
+                for start in range(b.start * points, b.stop * points, pairs_per_chunk)
+            ]
 
 
 def four_call_draw(cfg, slots, seed):
@@ -738,13 +746,12 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("campaign", [estimate_rates, rank_check_campaign])
     def test_draws_ahead_in_blocks(self, campaign, monkeypatch):
-        """On a plan whose chunks hold one to three pairs, a campaign still
-        draws its trials in blocks: at most ceil(trials / block) calls,
-        every trial once, and none at or past the trial count."""
-        cfg = SystemConfig(5, 3, 2, F(1, 2), F(1, 3))
-        plan = plan_schedule(cfg, corner_weight(cfg))
-        block = max(1, simulate.CHUNK_BYTES // simulate._PlanGeometry(cfg, plan).draw_bytes())
-        params = SimParams((30.0, 40.0), trials=2 * block + 3, seed=7)
+        """On every benchmark plan, including those whose chunks hold one
+        to three pairs, a campaign draws its trials in blocks: one call per
+        block of consecutive trials, every trial once, and none at or past
+        the trial count. A block holds as many trials as fit the draw
+        budget, rounded down to whole chunks where chunks are whole trials,
+        so at most ceil(trials / block) calls where nothing is rounded."""
         calls = []
         draw = simulate.gen_channels
 
@@ -753,9 +760,24 @@ class TestBatchedEquivalence:
             return draw(cfg_, total, seed, trials)
 
         monkeypatch.setattr(simulate, "gen_channels", counted)
-        campaign(cfg, plan, params)
-        assert 1 < block and len(calls) <= math.ceil(params.trials / block)
-        assert sorted(t for call in calls for t in call) == list(range(params.trials))
+        for cfg in CAMPAIGN_CONFIGS:
+            plan = plan_schedule(cfg, corner_weight(cfg))
+            geom = simulate._PlanGeometry(cfg, plan)
+            block = max(1, simulate.CHUNK_BYTES // geom.draw_bytes())
+            params = SimParams((30.0, 40.0), trials=2 * block + 3, seed=7)
+            per_trial, unit = (2, geom.pair_bytes()) if campaign is estimate_rates else (1, geom.trial_bytes())
+            chunk = max(1, simulate.CHUNK_BYTES // unit)
+            whole = chunk // per_trial if chunk % per_trial == 0 else 1
+            drawn = block // whole * whole or block
+            calls.clear()
+            campaign(cfg, plan, params)
+            assert 1 < block and block // 2 < drawn <= block, cfg
+            assert drawn < block or len(calls) <= math.ceil(params.trials / block), cfg
+            assert sorted(t for call in calls for t in call) == list(range(params.trials)), cfg
+            assert calls == [
+                list(range(start, min(start + drawn, params.trials)))
+                for start in range(0, params.trials, drawn)
+            ], cfg
 
     def test_rank_chunks_tile_the_draw_blocks(self, monkeypatch):
         """Drawing ahead adds no rank chunk, even where a rank chunk nearly
@@ -763,7 +785,8 @@ class TestBatchedEquivalence:
         cfg = SystemConfig(4, 2, 2, F(1, 2), F(1, 2))
         plan = plan_schedule(cfg, corner_weight(cfg))
         geom = simulate._PlanGeometry(cfg, plan)
-        chunk, budget = simulate._units(geom.trial_bytes()), simulate._units(geom.draw_bytes())
+        chunk = simulate.CHUNK_BYTES // geom.trial_bytes()
+        budget = simulate.CHUNK_BYTES // geom.draw_bytes()
         assert chunk < budget < 2 * chunk
         params = SimParams((30.0, 40.0), trials=3 * chunk + 5, seed=2)
         sizes = []
@@ -899,15 +922,16 @@ def test_pair_bytes_tracks_chunk_memory(cfg):
     plan = plan_schedule(cfg, corner_weight(cfg))
     geom = simulate._PlanGeometry(cfg, plan)
     pairs = max(1, simulate.CHUNK_BYTES // geom.pair_bytes())
-    trial, point = np.divmod(np.arange(pairs), 7)
-    rho = 10.0 ** ((30.0 + 5.0 * point) / 10.0)
-    real = simulate._TrialDraws(geom, 1, int(trial[-1]) + 1).take(trial)
+    units, real = next(simulate._draws(geom, 1, -(-pairs // 7), 7, geom.pair_bytes()))
+    assert len(units) == pairs
+    rho = 10.0 ** ((30.0 + 5.0 * (units % 7)) / 10.0)
     peak = _traced_peak(lambda: simulate._pair_rates(geom, real, rho))
     budget = pairs * geom.pair_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
 
     trials = max(1, simulate.CHUNK_BYTES // geom.trial_bytes())
-    real = simulate._TrialDraws(geom, 1, trials).take(np.arange(trials))
+    units, real = next(simulate._draws(geom, 1, trials, 1, geom.trial_bytes()))
+    assert len(units) == trials
     peak = _traced_peak(lambda: simulate._ranks(geom, real))
     budget = trials * geom.trial_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
@@ -980,7 +1004,9 @@ class TestSlotRankParity:
     def test_chosen_and_first_rows(self, cfg):
         plan = plan_schedule(cfg, corner_weight(cfg))
         geom = simulate._PlanGeometry(cfg, plan)
-        real = simulate._TrialDraws(geom, 5, 6).take(np.arange(6))
+        # units of one byte: the six trials in one chunk
+        units, real = next(simulate._draws(geom, 5, 6, 1, 1))
+        assert units.tolist() == list(range(6))
         h = (real.h1, real.h2)
         deficient = 0
         for i, phase in enumerate(geom.phases):
