@@ -97,8 +97,8 @@ def _resolve_seed(args) -> int:
 def _alpha(value: str, name: str):
     try:
         ratio = as_ratio(value)
-    except ValueError:
-        raise _CliError("INVALID_ALPHA", f"{name} is not a rational: {value!r}")
+    except ValueError as exc:
+        raise _CliError("INVALID_ALPHA", f"{name} is {exc}")
     if not 0 <= ratio <= 1:
         raise _CliError("INVALID_ALPHA", f"{name} must lie in [0, 1], got {value}")
     return ratio
@@ -151,8 +151,8 @@ def _plan_for(cfg: SystemConfig, weight, at_corner: bool):
     else:
         try:
             weight = as_ratio(weight)
-        except ValueError:
-            raise InvalidWeight(f"weight is not a rational: {weight!r}")
+        except ValueError as exc:
+            raise InvalidWeight(f"weight is {exc}")
     if cfg.n2 < cfg.m:
         return plan_schedule(cfg, weight), weight
     return plan_tdma(cfg, weight), weight

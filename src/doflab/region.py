@@ -10,9 +10,17 @@ noise floor (0 = no usable CSIT, 1 = estimation error at the noise floor).
 A DoF region here is an intersection of half-planes ``p*d1 + q*d2 <= r`` in
 the nonnegative quadrant. All coefficients and all derived quantities
 (vertices, areas, corner points) are exact rationals; nothing in this module
-touches floating point. Vertex enumeration and containment run on each
-constraint scaled to integers, which is just as exact and avoids a gcd per
-arithmetic step.
+touches floating point.
+
+``Fraction`` is the type at the API: the fields of ``SystemConfig``,
+``HalfPlane`` and ``DofPoint``, and every value a function returns. The
+arithmetic behind them runs on plain integers, which is just as exact and
+avoids a gcd per step: the enhanced dimensions are summed and capped on
+numerators over the alpha's denominator, ``HalfPlane`` keeps its
+constraint scaled to integers for vertex enumeration and containment, and
+the corner is solved over the common denominator of the enhanced
+dimensions. Each of these builds a ``Fraction`` only for the value it
+returns.
 """
 
 from __future__ import annotations
@@ -76,11 +84,17 @@ class SystemConfig:
         equations are credited at that user's CSIT quality:
         min(N_rx + alpha_other * N_other, M). Fractional in general.
         """
+        return Fraction(*self._enhanced(rx))
+
+    def _enhanced(self, rx: int) -> tuple[int, int]:
+        """``enhanced_dim(rx)`` as integers ``(num, den)``, not in lowest
+        terms: ``den`` is the other user's alpha denominator."""
         if rx == 1:
-            raw = self.n1 + self.alpha2 * self.n2
+            own, other, alpha = self.n1, self.n2, self.alpha2
         else:
-            raw = self.n2 + self.alpha1 * self.n1
-        return min(raw, Fraction(self.m))
+            own, other, alpha = self.n2, self.n1, self.alpha1
+        den = alpha.denominator
+        return min(own * den + alpha.numerator * other, self.m * den), den
 
     def with_quality(self, alpha1: RatioLike, alpha2: RatioLike) -> "SystemConfig":
         return SystemConfig(self.m, self.n1, self.n2, as_ratio(alpha1), as_ratio(alpha2))
@@ -100,25 +114,31 @@ class HalfPlane:
     r: Fraction
 
     def __post_init__(self):
-        for name in ("p", "q", "r"):
-            object.__setattr__(self, name, as_ratio(getattr(self, name)))
-        if self.p < 0 or self.q < 0 or self.r < 0:
-            raise ValueError("half-plane coefficients must be nonnegative")
-        if self.p == 0 and self.q == 0:
-            raise ValueError("half-plane needs a nonzero normal")
-        coefs = (self.p, self.q, self.r)
-        scale = lcm(*(c.denominator for c in coefs))
-        object.__setattr__(
-            self, "scaled", tuple(c.numerator * (scale // c.denominator) for c in coefs)
+        p, q, r = as_ratio(self.p), as_ratio(self.q), as_ratio(self.r)
+        scale = lcm(p.denominator, q.denominator, r.denominator)
+        scaled = (
+            p.numerator * (scale // p.denominator),
+            q.numerator * (scale // q.denominator),
+            r.numerator * (scale // r.denominator),
         )
+        if scaled[0] < 0 or scaled[1] < 0 or scaled[2] < 0:
+            raise ValueError("half-plane coefficients must be nonnegative")
+        if scaled[0] == 0 and scaled[1] == 0:
+            raise ValueError("half-plane needs a nonzero normal")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "scaled", scaled)
 
     @classmethod
     def from_intercepts(cls, d1_max: RatioLike, d2_max: RatioLike) -> "HalfPlane":
         """Build ``d1/d1_max + d2/d2_max <= 1`` from positive axis intercepts."""
         x, y = as_ratio(d1_max), as_ratio(d2_max)
-        if x <= 0 or y <= 0:
+        if x.numerator <= 0 or y.numerator <= 0:
             raise ValueError("intercepts must be positive")
-        return cls(1 / x, 1 / y, Fraction(1))
+        return cls(
+            Fraction(x.denominator, x.numerator), Fraction(y.denominator, y.numerator), Fraction(1)
+        )
 
     def evaluate(self, d1: Fraction, d2: Fraction) -> Fraction:
         return self.p * d1 + self.q * d2
@@ -225,7 +245,10 @@ class DofRegion:
                     det, x, y = -det, -x, -y
                 if x < 0 or y < 0:
                     continue
-                if all(p * x + q * y <= r * det for p, q, r in scaled):
+                for p, q, r in scaled:
+                    if p * x + q * y > r * det:
+                        break
+                else:
                     g = gcd(x, y, det)
                     found.add((x // g, y // g, det // g))
         return found
@@ -281,6 +304,27 @@ def delayed_csit_region(cfg: SystemConfig) -> DofRegion:
     return dof_region(cfg.with_quality(1, 1))
 
 
+def _corner(cfg: SystemConfig) -> DofPoint | None:
+    """``corner_point``, or None when the boundary lines coincide.
+
+    With b = bn/bd and c = cn/cd, the closed form multiplied through by
+    (bd*cd)**2 has integer numerators and an integer denominator, so a
+    Fraction is built only for each coordinate.
+    """
+    a = min(cfg.n1, cfg.m)
+    d = min(cfg.n2, cfg.m)
+    bn, bd = cfg._enhanced(2)
+    cn, cd = cfg._enhanced(1)
+    den = bd * cd
+    b, c = bn * cd, cn * bd  # b and c times den
+    det = a * d * den * den - b * c
+    if det == 0:
+        return None
+    return DofPoint(
+        Fraction(a * c * (d * den - b), det), Fraction(b * d * (a * den - c), det)
+    )
+
+
 def corner_point(cfg: SystemConfig) -> DofPoint:
     """Closed-form intersection of the two boundary lines of ``dof_region``.
 
@@ -293,32 +337,26 @@ def corner_point(cfg: SystemConfig) -> DofPoint:
     which happens exactly when both alphas contribute nothing, e.g.
     alpha1 = alpha2 = 0 or all the mins saturate at M.
     """
-    a = cfg.spatial_dim(1)
-    b = cfg.enhanced_dim(2)
-    c = cfg.enhanced_dim(1)
-    d = cfg.spatial_dim(2)
-    det = a * d - b * c
-    if det == 0:
+    point = _corner(cfg)
+    if point is None:
         raise DegenerateCorner(
             "boundary lines coincide; the region has no off-axis corner"
         )
-    return DofPoint(a * c * (d - b) / det, b * d * (a - c) / det)
+    return point
 
 
 def representative_corner(cfg: SystemConfig) -> DofPoint:
     """``corner_point`` with a continuity fallback for the degenerate case.
 
-    When the two boundary lines coincide the region is a triangle; return the
-    midpoint of its single off-axis edge, which is the limit of the moving
-    corner as the qualities shrink (e.g. (1/2, 1/2) for M=2, N1=N2=1,
-    alpha -> 0).
+    When the two boundary lines coincide the region is the triangle
+    d1/a + d2/d <= 1; return the midpoint (a/2, d/2) of its single off-axis
+    edge, which is the limit of the moving corner as the qualities shrink
+    (e.g. (1/2, 1/2) for M=2, N1=N2=1, alpha -> 0).
     """
-    try:
-        return corner_point(cfg)
-    except DegenerateCorner:
-        verts = dof_region(cfg).vertices()
-        a, b = verts[-2], verts[-1]
-        return DofPoint((a.d1 + b.d1) / 2, (a.d2 + b.d2) / 2)
+    point = _corner(cfg)
+    if point is None:
+        return DofPoint(Fraction(min(cfg.n1, cfg.m), 2), Fraction(min(cfg.n2, cfg.m), 2))
+    return point
 
 
 def is_subset(inner: DofRegion, outer: DofRegion) -> bool:

@@ -108,15 +108,18 @@ class Order2Payload:
 
 
 def _overhead_ratios(cfg: SystemConfig) -> tuple[Fraction, Fraction]:
-    # r_i: phase-three slots needed per slot of phase i to finish user i
-    r1 = max(Fraction(0), cfg.enhanced_dim(1) - cfg.n1) / cfg.n1
-    r2 = max(Fraction(0), cfg.enhanced_dim(2) - cfg.n2) / cfg.n2
-    return r1, r2
+    # r_i = max(0, m_i - N_i) / N_i: phase-three slots needed per slot of
+    # phase i to finish user i, with m_i = num/den kept in integers
+    def ratio(rx: int, n: int) -> Fraction:
+        num, den = cfg._enhanced(rx)
+        return Fraction(max(0, num - n * den), n * den)
+
+    return ratio(1, cfg.n1), ratio(2, cfg.n2)
 
 
 def _integerize(values: list[Fraction]) -> tuple[list[int], int]:
     scale = math.lcm(*(v.denominator for v in values))
-    return [int(v * scale) for v in values], scale
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _check_weight(weight: RatioLike) -> Fraction:

@@ -4,16 +4,18 @@ import contextlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from doflab import cli, errors
+from doflab import cli, errors, rational
 from doflab.cli import main
 
 
@@ -540,6 +542,38 @@ class TestErrors:
         )
         assert code == 3
         assert err == "E:INVALID_WEIGHT:weight is not a rational: 'huh'\n"
+
+    @needs_alarm
+    @pytest.mark.parametrize("command", ["region", "corners", "sweep-pairs", "plan"])
+    def test_rationals_at_the_digit_limit(self, run, command):
+        """Qualities and weights of DIGIT_LIMIT-digit numerators and
+        denominators print in full; one digit more exits 3 at once."""
+        limit = rational.DIGIT_LIMIT
+        big = 10**limit - 1  # limit digits, as are big - 1 and big - 2
+        at = {"alpha1": f"{big - 1}/{big}", "alpha2": f"{big - 2}/{big - 1}",
+              "weight": f"{big - 2}/{big}"}
+        over = {"alpha1": f"1/{10 * big}", "alpha2": f"1e-{limit}", "weight": "1e-10000000"}
+
+        def argv(values):
+            base = [command, "--M", "5", "--N1", "3", "--N2", "2"]
+            if command == "sweep-pairs":
+                return base + ["--pairs", f"1:0,{values['alpha1']}:{values['alpha2']}"]
+            base += ["--alpha1", values["alpha1"], "--alpha2", values["alpha2"]]
+            return base + (["--weight", values["weight"]] if command == "plan" else [])
+
+        with within(5.0):
+            code, out, err = run(*argv(at))
+        assert (code, err) == (0, "")
+        numbers = [F(x) for x in re.findall(r"-?\d+(?:/\d+)?", out)]
+        assert max(len(str(abs(x.numerator))) for x in numbers) > 2 * limit - 5
+        for name, value in over.items():
+            if name == "weight" and command != "plan":
+                continue
+            with within(1.0):
+                code, out, err = run(*argv({**at, name: value}))
+            code_name = "INVALID_WEIGHT" if name == "weight" else "INVALID_ALPHA"
+            assert (code, out) == (3, "")
+            assert err == f"E:{code_name}:{name} is a rational of more than {limit} digits\n"
 
     @pytest.mark.parametrize(
         "error, code",

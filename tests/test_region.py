@@ -76,6 +76,52 @@ class TestHalfPlane:
         assert HalfPlane.from_json_dict(hp.to_json_dict()) == hp
 
 
+class TestAsRatio:
+    def test_bool_is_not_a_rational(self):
+        for value in (True, False):
+            with pytest.raises(TypeError, match="bool"):
+                rational.as_ratio(value)
+        with pytest.raises(TypeError):
+            SystemConfig(2, 1, 1, True, False)
+
+    def test_digit_limit(self):
+        limit = rational.DIGIT_LIMIT
+        accepted = {
+            "1/" + "9" * limit: F(1, 10**limit - 1),
+            "1e-" + str(limit - 1): F(1, 10 ** (limit - 1)),
+            "0." + "0" * (limit - 2) + "1": F(1, 10 ** (limit - 1)),
+            "1" * limit: F(int("1" * limit)),
+            "1e" + str(limit - 1): F(10 ** (limit - 1)),
+            " -00" + "3" * limit + "/10 ": F(-int("3" * limit), 10),
+        }
+        for text, value in accepted.items():
+            assert rational.as_ratio(text) == value
+        for text in ("1/" + "9" * (limit + 1), "1e-" + str(limit), "0." + "0" * (limit - 1) + "1",
+                     "1" * (limit + 1), "1e" + str(limit), "0e-" + str(limit),
+                     "1e-10000000", "1e" + "9" * 30):
+            with pytest.raises(ValueError, match=f"^a rational of more than {limit} digits$"):
+                rational.as_ratio(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789_./eE+- x", max_size=10))
+@example("1e999999")
+@example("1.e-5")
+@example("._1")
+def test_as_ratio_parses_as_fraction_does(text):
+    """Within the digit limit, a string parses to Fraction's value or is
+    rejected by both; the limit is checked before Fraction sees it."""
+    try:
+        value = rational.as_ratio(text)
+    except ValueError as exc:
+        if str(exc).startswith("a rational of more than"):
+            return
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            F(text)
+    else:
+        assert value == F(text)
+
+
 class TestRegionConstruction:
     def test_symmetric_single_antenna_users(self):
         # caps: min{1+a, 2} = 1+a on both sides
