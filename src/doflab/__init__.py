@@ -13,6 +13,7 @@ from .errors import (
     PlanTooLarge,
     ShapeMismatch,
     SingularCovariance,
+    TooManyAntennas,
     UnboundedRegion,
     WrongCase,
 )

@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import DoflabError, InvalidWeight
+from .errors import DoflabError, InvalidWeight, TooManyAntennas
 from .rational import as_ratio
 from .region import (
     SystemConfig,
@@ -37,15 +37,13 @@ from .scheme import (
     plan_schedule,
     plan_tdma,
 )
-from .simulate import (
-    RATE_ROUNDING,
-    SimParams,
-    estimate_rates,
-    rank_check_campaign,
-    rate_snr_limit_db,
-)
 
 MAX_SNR_POINTS = 1000
+# Largest antenna count: with qualities and weights of up to
+# rational.DIGIT_LIMIT digits, every command's numbers then stay within
+# Python's 4300-digit limit on printing an integer.
+ANTENNA_DIGITS = 300
+MAX_ANTENNAS = 10**ANTENNA_DIGITS
 
 
 class _CliError(DoflabError):
@@ -104,9 +102,19 @@ def _alpha(value: str, name: str):
     return ratio
 
 
+def _antennas(args) -> tuple[int, int, int]:
+    """--M, --N1 and --N2, refused above MAX_ANTENNAS before any geometry
+    runs."""
+    for name in ("M", "N1", "N2"):
+        if getattr(args, name) > MAX_ANTENNAS:
+            raise TooManyAntennas(f"--{name} is above the cap of 10**{ANTENNA_DIGITS} antennas")
+    return args.M, args.N1, args.N2
+
+
 def _config(args) -> SystemConfig:
+    antennas = _antennas(args)
     a1, a2 = _alpha(args.alpha1, "alpha1"), _alpha(args.alpha2, "alpha2")
-    return SystemConfig(args.M, args.N1, args.N2, a1, a2)
+    return SystemConfig(*antennas, a1, a2)
 
 
 def _emit(text: str, out):
@@ -254,6 +262,15 @@ def _snr_grid(snr_min: float, snr_max: float, step: float) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
+    # only this command loads the simulator, and numpy with it
+    from .simulate import (
+        RATE_ROUNDING,
+        SimParams,
+        estimate_rates,
+        rank_check_campaign,
+        rate_snr_limit_db,
+    )
+
     cfg = _config(args)
     plan, weight = _plan_for(cfg, args.weight, args.at_corner)
     snrs = _snr_grid(args.snr_min, args.snr_max, args.snr_step)
@@ -312,10 +329,11 @@ def _parse_alpha_list(text: str) -> list:
 
 
 def cmd_sweep_alpha(args) -> int:
+    antennas = _antennas(args)
     alphas = _parse_alpha_list(args.alphas)
     entries = []
     for alpha in alphas:
-        cfg = SystemConfig(args.M, args.N1, args.N2, alpha, alpha)
+        cfg = SystemConfig(*antennas, alpha, alpha)
         region = dof_region(cfg)
         corner = representative_corner(cfg)
         entries.append(
@@ -337,6 +355,7 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_sweep_pairs(args) -> int:
+    antennas = _antennas(args)
     pairs = []
     for piece in args.pairs.split(","):
         piece = piece.strip()
@@ -350,7 +369,7 @@ def cmd_sweep_pairs(args) -> int:
         raise _CliError("INVALID_ALPHA", "empty pair list")
     entries = []
     for a1, a2 in pairs:
-        cfg = SystemConfig(args.M, args.N1, args.N2, a1, a2)
+        cfg = SystemConfig(*antennas, a1, a2)
         corner = representative_corner(cfg)
         entries.append(
             {

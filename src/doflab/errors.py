@@ -35,6 +35,12 @@ class InvalidWeight(DoflabError):
     code = "INVALID_WEIGHT"
 
 
+class TooManyAntennas(DoflabError):
+    """An antenna count above the command line's cap."""
+
+    code = "TOO_MANY_ANTENNAS"
+
+
 class AntennaOverflow(DoflabError):
     """A schedule needs more simultaneous streams than transmit antennas."""
 

@@ -2,11 +2,11 @@
 
 Each kernel works on a stack of systems: the leading axes are batch axes
 and the last two hold one matrix, so a whole chunk of (trial, SNR) pairs
-goes through LAPACK in one call. The slot kernels take a system whose own
-rows are block diagonal by slot as its slot blocks (..., slots, rows,
-width), and factor them all at once. The dense kernels evaluate a system
-given as one matrix; the 2-D forms evaluate a single system through the
-same code.
+goes through one LAPACK call or one vectorized pass. The slot kernels take
+a system whose own rows are block diagonal by slot as its slot blocks
+(..., slots, rows, width), and factor them all at once. The dense kernels
+evaluate a system given as one matrix; the 2-D forms evaluate a single
+system through the same code.
 """
 
 from __future__ import annotations
@@ -204,35 +204,77 @@ def numerical_rank_stacked(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return np.count_nonzero(s > rtol * s[..., :1], axis=-1)
 
 
+def _row_basis(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rank r and null-space projector of each block A of a batch-last stack
+    (rows, width, B), by one pivoted Gram-Schmidt pass over all blocks.
+
+    Step p takes each block's row of largest residual norm, orthogonalizes
+    it once more against q_0..q_p-1 and counts it when its norm exceeds
+    rtol times the block's largest row norm; its unit row q_p is then
+    projected out of every row. A row at or below the cut gives q_p = 0, so
+    a block's rank stops there. Returns r (B,) and I - Q^H Q (width, width,
+    B), the orthogonal projector onto the null space of A, set to exactly
+    zero where r = width so that its rounding noise cannot become rank.
+    """
+    rows, width, batch = a.shape
+    x = np.array(a, dtype=np.complex128, order="C")  # the residual rows
+    sq = (x.real**2 + x.imag**2).sum(axis=1)  # their squared norms (rows, B)
+    cut = rtol * np.sqrt(np.max(sq, axis=0, initial=0.0))
+    q = np.zeros((min(rows, width), width, batch), dtype=np.complex128)
+    rank = np.zeros(batch, dtype=np.int64)
+    for p in range(len(q)):
+        v = np.take_along_axis(x, np.argmax(sq, axis=0)[None, None, :], axis=0)[0]
+        if p:  # the second pass of classical Gram-Schmidt, on the pivot row alone
+            v -= (np.sum(q[:p].conj() * v, axis=1)[:, None, :] * q[:p]).sum(axis=0)
+        norm = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        keep = norm > cut
+        rank += keep
+        q[p] = v * np.divide(1.0, norm, out=np.zeros(batch), where=keep)
+        x -= np.sum(q[p].conj() * x, axis=1)[:, None, :] * q[p]
+        sq = (x.real**2 + x.imag**2).sum(axis=1)
+    null_h = np.eye(width)[..., None] - np.sum(q.conj()[:, :, None, :] * q[:, None, :, :], axis=0)
+    null_h *= rank < width
+    return rank, null_h
+
+
 def slot_rank_stacked(own: np.ndarray, coupled: np.ndarray | None, rtol: float = 1e-9) -> np.ndarray:
     """Rank of each system [A; P] of the stack: own rows A = blockdiag(A_t)
     over coupling rows P (..., n3, k), laid out as in
     ``slot_rate_bits_stacked`` (``coupled`` is None without coupling rows).
 
     rank([A; P]) = sum_t rank(A_t) + rank(P N), where N = blockdiag(N_t)
-    and N_t spans the null space of A_t. One batched SVD covers the slot
-    blocks and one more P N. Each of these ranks counts the singular values
-    above rtol times the largest of its own matrix, so a slot block far
-    weaker than the rest still counts in full.
+    and N_t spans the null space of A_t. One pivoted Gram-Schmidt pass over
+    the rows of every slot block of the stack (``_row_basis``) gives each
+    rank(A_t), counted against A_t's own largest row norm so that a slot
+    block far weaker than the rest still counts in full, and the projector
+    N_t N_t^H = I - Q_t^H Q_t, which has the row space of N_t^H and so
+    stands in for it. One batched singular-values-only SVD then gives
+    rank(P N), counting the singular values above rtol times ||P||_F: P N
+    is cut against the scale of the coupling rows, not its own, so coupling
+    rows in the row span of the own rows leave only rounding noise there,
+    and add no rank.
     """
-    slots, width = own.shape[-3], own.shape[-1]
+    batch = own.shape[:-3]
+    slots, rows, width = own.shape[-3:]
     if not slots * width:
-        return np.zeros(own.shape[:-3], dtype=np.int64)
-    # the right singular vectors of A_t are the left ones of A_t^H
-    v, s, _ = np.linalg.svd(_herm(own))
-    r = np.count_nonzero(s > rtol * s[..., :1], axis=-1)
-    rank = np.sum(r, axis=-1)
+        return np.zeros(batch, dtype=np.int64)
+    # batch-last (rows, width, B * slots): each step of the pass runs over
+    # contiguous vectors of all blocks
+    r, null_h = _row_basis(np.moveaxis(own.reshape(-1, rows, width), 0, -1), rtol)
+    rank = r.reshape(batch + (slots,)).sum(axis=-1)
     if coupled is None or not coupled.shape[-2]:
         return rank
     _check_coupling(own, coupled)
     n3 = coupled.shape[-2]
-    # N_t^H: the singular vectors past the rank span the null space; the
-    # others are zeroed, which leaves the rank of P N unchanged
-    null_h = _herm(v) * (np.arange(width) >= r[..., None])[..., None]
-    # (P N)^H, slot t's rows N_t^H P_t^H
-    p_h = _herm(coupled).reshape(coupled.shape[:-2] + (slots, width, n3))
-    projected = (null_h @ p_h).reshape(coupled.shape[:-2] + (slots * width, n3))
-    return rank + numerical_rank_stacked(projected, rtol)
+    # P_t^H batch-last (width, n3, B * slots): entry (b, m, i * slots + t)
+    # is conj(P[i][m, t * width + b])
+    p_h = coupled.conj().reshape(-1, n3, slots, width).transpose(3, 1, 0, 2).reshape(width, n3, -1)
+    # (P N)^H, slot t's rows N_t N_t^H P_t^H, summed over the projector's columns
+    projected = sum(null_h[:, b, None, :] * p_h[b] for b in range(width))
+    projected = projected.reshape(width, n3, -1, slots).transpose(2, 3, 0, 1)
+    s = np.linalg.svd(projected.reshape(batch + (slots * width, n3)), compute_uv=False)
+    scale = np.linalg.norm(coupled, axis=(-2, -1))
+    return rank + np.count_nonzero(s > (rtol * scale)[..., None], axis=-1)
 
 
 def logdet_rate_bits(g: np.ndarray, sigma: np.ndarray) -> float:

@@ -71,7 +71,10 @@ CHUNK_BYTES = 512 * 1024
 # trial, and largest array of per-pair rates a campaign will take on; plans
 # and trial counts beyond it raise PlanTooLarge before anything is allocated.
 MAX_PAIR_BYTES = 1 << 30
-# Singular values below this share of the largest count as rank deficient.
+# The rank fidelity's relative cut (kernels.slot_rank_stacked): a slot
+# block's rank counts its Gram-Schmidt residual row norms above this share
+# of its largest row norm, and rank(P N) the singular values of P N above
+# this share of the coupling rows' ||P||_F.
 RANK_RTOL = 1e-9
 
 
@@ -561,10 +564,12 @@ class _PlanGeometry:
 
     def trial_bytes(self) -> int:
         """Bytes of one trial's rank working set. Per receiver, with
-        s = slots * width columns: its phase-three rows P (n3, s), the slot
-        rows of P^H that enter (P N)^H, (P N)^H (s, n3) and the SVD's copy of
-        it, and per slot the block's right singular vectors and N_t^H
-        (width, width each)."""
+        s = slots * width columns: its phase-three rows P (n3, s), P^H in
+        the Gram-Schmidt pass's batch-last layout, (P N)^H (s, n3) and the
+        SVD's copy of it, and per slot the pivot rows Q_t and the projector
+        I - Q_t^H Q_t (width, width each). On the benchmark's campaign
+        plans a full rank chunk's traced peak is 0.8 to 1.3 times this
+        count."""
         total = 0
         for n, n3, slots, width in self._receivers():
             total += 4 * n3 * slots * width + 2 * slots * width * width
@@ -637,7 +642,10 @@ def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
     leading axis.
 
     The order-2 coefficients are the true channel rows and the cross part
-    cancels exactly, so a deficient rank isolates a schedule defect.
+    cancels exactly, so a deficient rank isolates a schedule defect. Each
+    receiver's systems take one ``kernels.slot_rank_stacked`` call: one
+    pivoted Gram-Schmidt pass over every slot block of the chunk, and one
+    batched SVD of P N.
     """
     h = (realization.h1, realization.h2)
     ranks = []

@@ -576,6 +576,48 @@ class TestErrors:
             assert err == f"E:{code_name}:{name} is a rational of more than {limit} digits\n"
 
     @pytest.mark.parametrize(
+        "command", ["region", "corners", "compare", "plan", "sweep-alpha", "sweep-pairs", "simulate"]
+    )
+    @needs_alarm
+    def test_antennas_at_the_cap(self, run, command):
+        """At MAX_ANTENNAS, with qualities and weights at the digit limit,
+        every geometry command prints its numbers in full and simulate
+        refuses the plan's size; one antenna more exits 3 at once."""
+        cap = cli.MAX_ANTENNAS
+        big = 10**rational.DIGIT_LIMIT - 1
+        alpha1, alpha2 = f"{big - 1}/{big}", f"{big - 2}/{big - 1}"
+        if command == "simulate":
+            alpha1, alpha2 = "1/3", "2/7"
+
+        def argv(m, n1, n2):
+            base = [command, "--M", str(m), "--N1", str(n1), "--N2", str(n2)]
+            if command == "sweep-alpha":
+                return base + ["--alphas", f"0,{alpha1},1"]
+            if command == "sweep-pairs":
+                return base + ["--pairs", f"1:0,{alpha1}:{alpha2}"]
+            base += ["--alpha1", alpha1, "--alpha2", alpha2]
+            if command == "plan":
+                return base + ["--weight", f"{big - 2}/{big}"]
+            return base + (["--trials", "1"] if command == "simulate" else [])
+
+        at = (cap, cap // 2 + 3, cap // 2 - 5)
+        with within(5.0):
+            code, out, err = run(*argv(*at))
+        if command == "simulate":
+            assert (code, out) == (3, "") and err.startswith("E:PLAN_TOO_LARGE:plan with tau ")
+        else:
+            assert (code, err) == (0, "")
+            numbers = [F(x) for x in re.findall(r"-?\d+(?:/\d+)?", out)]
+            assert max(len(str(abs(x.numerator))) for x in numbers) > 2 * cli.ANTENNA_DIGITS
+        for index, name in enumerate(("M", "N1", "N2")):
+            over = list(at)
+            over[index] = cap + 1
+            with within(1.0):
+                assert run(*argv(*over)) == (
+                    3, "", f"E:TOO_MANY_ANTENNAS:--{name} is above the cap of 10**300 antennas\n"
+                )
+
+    @pytest.mark.parametrize(
         "error, code",
         [
             (errors.DoflabError, "DOMAIN_ERROR"),
@@ -589,6 +631,7 @@ class TestErrors:
             (errors.SingularCovariance, "SINGULAR_COVARIANCE"),
             (errors.GramOverflow, "GRAM_OVERFLOW"),
             (errors.PlanTooLarge, "PLAN_TOO_LARGE"),
+            (errors.TooManyAntennas, "TOO_MANY_ANTENNAS"),
         ],
     )
     def test_code_of_each_error_type(self, run, monkeypatch, error, code):
@@ -671,6 +714,30 @@ class TestErrors:
         code, out, err = process("region", "--M", "2", "--N1", "1")
         assert (code, out) == (2, "")
         assert err.startswith("usage: ")
+
+
+def test_geometry_commands_leave_numpy_unloaded():
+    """Only ``simulate`` loads the simulator and numpy: the geometry and
+    planning commands run without them, and simulate still runs after."""
+    src = Path(cli.__file__).resolve().parents[1]
+    script = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from doflab import cli
+config = ["--M", "3", "--N1", "2", "--N2", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["region", *config], ["corners", *config], ["compare", *config],
+        ["plan", *config, "--weight", "4/5"], ["sweep-alpha", *config], ["sweep-pairs", *config])]
+print(codes, sorted({"numpy", "doflab.simulate", "doflab.kernels"} & set(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--trials", "3"])
+print(code, "numpy" in sys.modules, out.getvalue().count("rx1_passes"))
+"""
+    done = subprocess.run([sys.executable, "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[0, 0, 0, 0, 0, 0] []\n0 True 1\n"
 
 
 def mostly(good, bad):

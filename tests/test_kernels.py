@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doflab import GramOverflow, SingularCovariance, kernels
 
@@ -239,10 +241,7 @@ class TestSlotRank:
     stacked system."""
 
     def dense_rank(self, own, coupled, rtol=1e-9):
-        stacked = block_diagonal(own)
-        if coupled is not None:
-            stacked = np.concatenate([stacked, coupled], axis=-2)
-        return kernels.numerical_rank_stacked(stacked, rtol)
+        return dense_rank(own, coupled, rtol)
 
     def test_random_systems(self):
         for trial in range(40):
@@ -292,6 +291,148 @@ class TestSlotRank:
         weak[:, 1] *= 1e-12
         assert kernels.slot_rank_stacked(weak, coupled)[1] == 4
         assert self.dense_rank(weak, coupled)[1] == 2
+
+
+def svd_slot_rank(own, coupled, rtol=1e-9):
+    """rank([A; P]) = sum_t rank(A_t) + rank(P N) by one SVD per slot block:
+    the reference for the Gram-Schmidt pass of ``slot_rank_stacked``. N_t^H
+    is the right singular vectors of A_t past its rank, the others zeroed;
+    rank(P N) counts the singular values above rtol * ||P||_F."""
+    slots, width = own.shape[-3], own.shape[-1]
+    if not slots * width:
+        return np.zeros(own.shape[:-3], dtype=np.int64)
+    # the right singular vectors of A_t are the left ones of A_t^H
+    v, s, _ = np.linalg.svd(np.swapaxes(own.conj(), -1, -2))
+    r = np.count_nonzero(s > rtol * s[..., :1], axis=-1)
+    rank = np.sum(r, axis=-1)
+    if coupled is None or not coupled.shape[-2]:
+        return rank
+    n3 = coupled.shape[-2]
+    null_h = np.swapaxes(v.conj(), -1, -2) * (np.arange(width) >= r[..., None])[..., None]
+    p_h = np.swapaxes(coupled.conj(), -1, -2).reshape(coupled.shape[:-2] + (slots, width, n3))
+    projected = (null_h @ p_h).reshape(coupled.shape[:-2] + (slots * width, n3))
+    s = np.linalg.svd(projected, compute_uv=False)
+    scale = np.linalg.norm(coupled, axis=(-2, -1))
+    return rank + np.count_nonzero(s > rtol * scale[..., None], axis=-1)
+
+
+def unitary(rng, n, batch):
+    q, _ = np.linalg.qr(rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n)))
+    return q
+
+
+# Singular values of the slot blocks, relative to the largest (1): each is
+# a thousand times away from the cut at rtol = 1e-9, where a pivoted
+# Gram-Schmidt residual and a singular value may fall on either side.
+SINGULAR = (1.0, 1e-3, 1e-6, 1e-12, 0.0)
+
+
+@st.composite
+def slot_systems(draw):
+    """Slot blocks (batch, slots, rows, width) with chosen singular values,
+    loads below the width (masked columns), chosen zero rows and zeroed
+    blocks, over coupling rows that are free, or lie in the row span of the
+    own rows, exactly or up to 1e-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch, rows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    loads = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any))
+    width = max(loads)
+    own = np.zeros((batch, len(loads), rows, width), dtype=complex)
+    for t, load in enumerate(loads):
+        count = min(rows, load)
+        if not count:
+            continue
+        values = [1.0] + draw(st.lists(st.sampled_from(SINGULAR), min_size=count - 1, max_size=count - 1))
+        if draw(st.booleans()):
+            values = [0.0] * count  # a zeroed block
+        middle = np.zeros((rows, load))
+        middle[range(count), range(count)] = values
+        own[:, t, :, :load] = unitary(rng, rows, batch) @ middle @ unitary(rng, load, batch)
+    zero_rows = sorted(draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)))
+    own[:, :, zero_rows] = 0
+    n3 = draw(st.integers(0, 5))
+    free = draw(st.sampled_from((0.0, 1e-3, 1.0)))
+    shape = (batch, n3, len(loads) * rows)
+    coupled = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) @ block_diagonal(own)
+    coupled += free * (rng.standard_normal(coupled.shape) + 1j * rng.standard_normal(coupled.shape))
+    return own, coupled if n3 or draw(st.booleans()) else None
+
+
+def dense_rank(own, coupled, rtol=1e-9):
+    stacked = block_diagonal(own)
+    if coupled is not None:
+        stacked = np.concatenate([stacked, coupled], axis=-2)
+    return kernels.numerical_rank_stacked(stacked, rtol)
+
+
+class TestSlotRankGramSchmidt:
+    """The pivoted Gram-Schmidt pass against one SVD per slot block and
+    against an SVD of the dense system."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(slot_systems())
+    def test_matches_svd_references(self, system):
+        own, coupled = system
+        rank = kernels.slot_rank_stacked(own, coupled)
+        assert rank.tolist() == svd_slot_rank(own, coupled).tolist()
+        assert rank.tolist() == dense_rank(own, coupled).tolist()
+
+    def test_coupling_in_the_own_row_span_adds_no_rank(self):
+        """Coupling rows that mix own rows leave only rounding noise in P N,
+        which is cut against the coupling rows' scale, not its own."""
+        rng = np.random.default_rng(41)
+        for loads, rows, n3 in (([3, 2, 3], 2, 4), ([2, 2], 1, 2), ([4], 2, 3), ([3, 3, 1], 2, 6)):
+            own, _, _ = slot_structured(rng, 200, loads, rows, 1)
+            mix = rng.standard_normal((200, n3, len(loads) * rows))
+            coupled = mix @ block_diagonal(own)
+            want = dense_rank(own, None)
+            assert want.tolist() == [sum(min(rows, load) for load in loads)] * 200
+            assert dense_rank(own, coupled).tolist() == want.tolist()
+            assert kernels.slot_rank_stacked(own, coupled).tolist() == want.tolist()
+
+    def test_weak_counted_row_stays_orthogonal(self):
+        """A block with singular values 1 and 1e-8, ten times above the cut.
+        After the first step its other row is a residual of norm about 1e-8
+        that still holds rounding error of about 1e-16 along the first
+        pivot row. Without the second Gram-Schmidt pass that error, 1e-8 of
+        the residual, tilts the projector by more than the cut, and
+        coupling rows in the row span read as rank."""
+        rng = np.random.default_rng(43)
+        middle = np.diag([1.0, 1e-8, 0.0])[:2]
+        own = (unitary(rng, 2, 300) @ middle @ unitary(rng, 3, 300))[:, None]
+        coupled = rng.standard_normal((300, 4, 2)) @ own[:, 0]
+        assert dense_rank(own, coupled).tolist() == [2] * 300
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [2] * 300
+
+    def test_row_basis(self):
+        """Pivoted rows give each block's rank, also past a zero first row
+        of a tall block; the projector is Hermitian, idempotent,
+        annihilated by the block, and exactly zero where the block has full
+        column rank."""
+        rng = np.random.default_rng(42)
+        for rows, width in ((3, 2), (2, 3), (3, 3), (1, 4), (4, 1)):
+            a = rng.standard_normal((rows, width, 50)) + 1j * rng.standard_normal((rows, width, 50))
+            a[:, :, 10:20] *= (np.arange(width) < width - 1)[:, None]  # a zero column
+            a[:, :, 20:30] = 0
+            a[0, :, 30:40] = 0  # a zero first row
+            rank, null_h = kernels._row_basis(a, 1e-9)
+            blocks = np.moveaxis(a, -1, 0)
+            projector = np.moveaxis(null_h, -1, 0)
+            assert rank.tolist() == kernels.numerical_rank_stacked(blocks).tolist()
+            full = rank == width
+            assert not np.any(projector[full])
+            assert np.allclose(blocks @ projector, 0, atol=1e-12)
+            assert np.allclose(projector, np.swapaxes(projector.conj(), -1, -2), atol=1e-12)
+            assert np.allclose(projector @ projector, projector, atol=1e-12)
+            assert np.allclose(np.trace(projector, axis1=-2, axis2=-1), width - rank, atol=1e-12)
+
+    def test_all_zero_blocks_raise_no_warning(self):
+        # the tests turn a RuntimeWarning (0/0 in a normalization) into an error
+        own = np.zeros((3, 2, 2, 3), dtype=complex)
+        assert kernels.slot_rank_stacked(own, np.zeros((3, 2, 6), dtype=complex)).tolist() == [0] * 3
+        assert kernels.slot_rank_stacked(own, None).tolist() == [0] * 3
+        coupled = np.ones((3, 2, 6), dtype=complex)
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [1] * 3
 
 
 class TestNumericalRank:

@@ -900,7 +900,7 @@ CAMPAIGN_CONFIGS = [
     SystemConfig(5, 3, 2),
 ]
 # Measured peak / (units * bytes per unit) of a full chunk on these plans:
-# 0.97 to 1.47 for rate chunks, 0.70 to 0.88 for rank chunks (numpy 2.4,
+# 0.97 to 1.47 for rate chunks, 0.83 to 1.26 for rank chunks (numpy 2.4,
 # x86-64); the bound leaves room on both sides.
 PAIR_BYTES_FACTOR = 2.0
 
