@@ -9,7 +9,12 @@ from .errors import (
     DoflabError,
     GramOverflow,
     InfeasiblePlan,
+    InvalidAlpha,
+    InvalidConfig,
+    InvalidSeed,
+    InvalidSnrGrid,
     InvalidWeight,
+    OutputError,
     PlanTooLarge,
     ShapeMismatch,
     SingularCovariance,

@@ -5,7 +5,10 @@ geometry (``region``, ``corners``, ``compare``, ``sweep-alpha``,
 ``sweep-pairs``), scheduling (``plan``), and Monte Carlo simulation
 (``simulate``). Exact quantities are printed as ``p/q`` strings; output
 goes to stdout or ``--out``. Exit codes: 0 success, 2 usage, 3 domain
-error (printed as ``E:<CODE>:<message>`` on stderr).
+error. A domain error is a ``doflab.errors.DoflabError``, raised where its
+check lives (here for the parse checks of the flags, else in the library),
+and printed as ``E:<CODE>:<message>`` on stderr with the ``code`` of its
+type. Any other exception is a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import DoflabError, InvalidWeight, TooManyAntennas
+from .errors import (DoflabError, InvalidAlpha, InvalidConfig, InvalidSeed, InvalidSnrGrid,
+                     InvalidWeight, OutputError, TooManyAntennas)
 from .rational import as_ratio
 from .region import (
     SystemConfig,
@@ -44,12 +48,6 @@ MAX_SNR_POINTS = 1000
 # Python's 4300-digit limit on printing an integer.
 ANTENNA_DIGITS = 300
 MAX_ANTENNAS = 10**ANTENNA_DIGITS
-
-
-class _CliError(DoflabError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _add_config_args(sub: argparse.ArgumentParser, with_alphas: bool = True):
@@ -83,22 +81,28 @@ def _resolve_seed(args) -> int:
         env = os.environ.get("DOFLAB_SEED", "").strip()
         if not env:
             return 0
-        try:
-            seed, source = int(env), "DOFLAB_SEED"
-        except ValueError:
-            raise _CliError("INVALID_SEED", f"DOFLAB_SEED is not an integer: {env!r}")
+        seed, source = _ratio(env, "DOFLAB_SEED", InvalidSeed), "DOFLAB_SEED"
+        if seed.denominator != 1:
+            raise InvalidSeed(f"DOFLAB_SEED is not an integer: {env!r}")
+        seed = seed.numerator
     if seed < 0:
-        raise _CliError("INVALID_SEED", f"{source} must be a non-negative integer, got {seed}")
+        raise InvalidSeed(f"{source} must be a non-negative integer, got {seed}")
     return seed
 
 
-def _alpha(value: str, name: str):
+def _ratio(value: str, name: str, error):
+    """``value`` as ``as_ratio`` parses it; a value it refuses raises
+    ``error``, naming ``name``."""
     try:
-        ratio = as_ratio(value)
-    except ValueError as exc:
-        raise _CliError("INVALID_ALPHA", f"{name} is {exc}")
+        return as_ratio(value)
+    except InvalidConfig as exc:
+        raise error(f"{name} is {exc}")
+
+
+def _alpha(value: str, name: str):
+    ratio = _ratio(value, name, InvalidAlpha)
     if not 0 <= ratio <= 1:
-        raise _CliError("INVALID_ALPHA", f"{name} must lie in [0, 1], got {value}")
+        raise InvalidAlpha(f"{name} must lie in [0, 1], got {value}")
     return ratio
 
 
@@ -131,7 +135,7 @@ def _write_files(texts: dict) -> None:
     Each text goes to a fresh hidden name next to its path, and these are
     renamed over the paths only after every write succeeded; a rename that
     fails removes the files renamed before it. A path that cannot be
-    written is an ``OUTPUT_ERROR``.
+    written raises ``OutputError``.
     """
     temps, renamed = {}, []
     try:
@@ -146,21 +150,27 @@ def _write_files(texts: dict) -> None:
         for leftover in [*temps.values(), *renamed]:
             with contextlib.suppress(OSError):
                 os.unlink(leftover)
-        raise _CliError("OUTPUT_ERROR", f"cannot write {path}: {exc.strerror or exc}")
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _emit_table(args, header, rows, payload) -> None:
+    """Emit ``payload`` as JSON, or for ``--format csv`` the table of
+    ``header`` and ``rows``, each a sequence of cell strings."""
+    if args.format == "csv":
+        _emit("".join(",".join(row) + "\n" for row in [header, *rows]), args.out)
+    else:
+        _emit(_json_text(payload), args.out)
+
+
 def _plan_for(cfg: SystemConfig, weight, at_corner: bool):
     if at_corner:
         weight = corner_weight(cfg) if cfg.n2 < cfg.m else as_ratio("1/2")
     else:
-        try:
-            weight = as_ratio(weight)
-        except ValueError as exc:
-            raise InvalidWeight(f"weight is {exc}")
+        weight = _ratio(weight, "weight", InvalidWeight)
     if cfg.n2 < cfg.m:
         return plan_schedule(cfg, weight), weight
     return plan_tdma(cfg, weight), weight
@@ -173,15 +183,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_corners(args) -> int:
-    region = dof_region(_config(args))
-    verts = region.vertices()
-    if args.format == "csv":
-        lines = ["d1,d2"]
-        lines += [f"{v.d1!s},{v.d2!s}" for v in verts]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {"vertices": [[str(v.d1), str(v.d2)] for v in verts]}
-        _emit(_json_text(payload), args.out)
+    vertices = [[str(v.d1), str(v.d2)] for v in dof_region(_config(args)).vertices()]
+    _emit_table(args, ("d1", "d2"), vertices, {"vertices": vertices})
     return 0
 
 
@@ -236,17 +239,15 @@ def _snr_grid(snr_min: float, snr_max: float, step: float) -> list[float]:
     rounded to 6 decimals. The point count is checked before any is built,
     and every point's ``rho = 10**(snr/10)`` must be a positive finite float."""
     if not all(math.isfinite(x) for x in (snr_min, snr_max, step)):
-        raise _CliError("INVALID_SNR_GRID", "SNR bounds and step must be finite")
+        raise InvalidSnrGrid("SNR bounds and step must be finite")
     if step <= 0:
-        raise _CliError("INVALID_SNR_GRID", f"SNR step must be positive, got {step}")
+        raise InvalidSnrGrid(f"SNR step must be positive, got {step}")
     span = (snr_max - snr_min + 1e-9) / step
     if span >= MAX_SNR_POINTS:
-        raise _CliError(
-            "INVALID_SNR_GRID", f"SNR grid would exceed {MAX_SNR_POINTS} points"
-        )
+        raise InvalidSnrGrid(f"SNR grid would exceed {MAX_SNR_POINTS} points")
     count = math.floor(span) + 1 if span >= 0 else 0
     if count < 2:
-        raise _CliError("INVALID_SNR_GRID", "need at least two SNR points")
+        raise InvalidSnrGrid("need at least two SNR points")
     grid = [round(snr_min + i * step, 6) for i in range(count)]
     # the grid increases, so its ends bound every point's rho
     for snr_db in (grid[0], grid[-1]):
@@ -255,34 +256,17 @@ def _snr_grid(snr_min: float, snr_max: float, step: float) -> list[float]:
         except OverflowError:
             rho = math.inf
         if not 0 < rho < math.inf:
-            raise _CliError(
-                "INVALID_SNR_GRID", f"SNR {snr_db} dB gives no positive finite rho"
-            )
+            raise InvalidSnrGrid(f"SNR {snr_db} dB gives no positive finite rho")
     return grid
 
 
 def cmd_simulate(args) -> int:
     # only this command loads the simulator, and numpy with it
-    from .simulate import (
-        RATE_ROUNDING,
-        SimParams,
-        estimate_rates,
-        rank_check_campaign,
-        rate_snr_limit_db,
-    )
+    from .simulate import SimParams, estimate_rates, rank_check_campaign
 
     cfg = _config(args)
     plan, weight = _plan_for(cfg, args.weight, args.at_corner)
     snrs = _snr_grid(args.snr_min, args.snr_max, args.snr_step)
-    if args.fidelity != "rank":
-        limit = rate_snr_limit_db(cfg, plan)
-        if snrs[-1] > limit:
-            raise _CliError(
-                "INVALID_SNR_GRID",
-                f"SNR {snrs[-1]} dB is above {limit:.1f} dB, the highest at which this plan's "
-                f"rates keep rounding errors within {RATE_ROUNDING:g} "
-                "(see doflab.simulate.rate_snr_limit_db)",
-            )
     params = SimParams(
         snr_grid_db=tuple(snrs),
         trials=args.trials,
@@ -307,24 +291,18 @@ def cmd_simulate(args) -> int:
         passes = rank_check_campaign(cfg, plan, params)
         report = replace(report, rank_passes=passes, rank_trials=params.trials)
 
+    texts = {"csv": report.to_csv_text(), "json": _json_text(report.to_json_dict())}
     if args.out in (None, "-", ""):
-        if args.format == "csv":
-            _emit(report.to_csv_text(), args.out)
-        else:
-            _emit(_json_text(report.to_json_dict()), args.out)
+        sys.stdout.write(texts[args.format])
     else:
-        base = Path(args.out)
-        _write_files({
-            base.with_suffix(".csv"): report.to_csv_text(),
-            base.with_suffix(".json"): _json_text(report.to_json_dict()),
-        })
+        _write_files({Path(args.out).with_suffix(f".{ext}"): text for ext, text in texts.items()})
     return 0
 
 
 def _parse_alpha_list(text: str) -> list:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
-        raise _CliError("INVALID_ALPHA", "empty alpha list")
+        raise InvalidAlpha("empty alpha list")
     return [_alpha(piece, "alpha") for piece in items]
 
 
@@ -343,14 +321,9 @@ def cmd_sweep_alpha(args) -> int:
                 "corner": [str(corner.d1), str(corner.d2)],
             }
         )
-    if args.format == "csv":
-        lines = ["alpha,vertex_index,d1,d2"]
-        for entry in entries:
-            for vi, (d1, d2) in enumerate(entry["vertices"]):
-                lines.append(f"{entry['alpha']},{vi},{d1},{d2}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text({"entries": entries}), args.out)
+    rows = [(entry["alpha"], str(vi), *vertex)
+            for entry in entries for vi, vertex in enumerate(entry["vertices"])]
+    _emit_table(args, ("alpha", "vertex_index", "d1", "d2"), rows, {"entries": entries})
     return 0
 
 
@@ -362,11 +335,11 @@ def cmd_sweep_pairs(args) -> int:
         if not piece:
             continue
         if ":" not in piece:
-            raise _CliError("INVALID_ALPHA", f"pair {piece!r} is not alpha1:alpha2")
+            raise InvalidAlpha(f"pair {piece!r} is not alpha1:alpha2")
         left, right = piece.split(":", 1)
         pairs.append((_alpha(left, "alpha1"), _alpha(right, "alpha2")))
     if not pairs:
-        raise _CliError("INVALID_ALPHA", "empty pair list")
+        raise InvalidAlpha("empty pair list")
     entries = []
     for a1, a2 in pairs:
         cfg = SystemConfig(*antennas, a1, a2)
@@ -378,15 +351,8 @@ def cmd_sweep_pairs(args) -> int:
                 "corner": [str(corner.d1), str(corner.d2)],
             }
         )
-    if args.format == "csv":
-        lines = ["alpha1,alpha2,d1,d2"]
-        for entry in entries:
-            lines.append(
-                f"{entry['alpha1']},{entry['alpha2']},{entry['corner'][0]},{entry['corner'][1]}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text({"entries": entries}), args.out)
+    rows = [(entry["alpha1"], entry["alpha2"], *entry["corner"]) for entry in entries]
+    _emit_table(args, ("alpha1", "alpha2", "d1", "d2"), rows, {"entries": entries})
     return 0
 
 
@@ -463,15 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DoflabError as exc:
-        print(f"E:{exc.code}:{exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"E:INVALID_CONFIG:{exc}", file=sys.stderr)
+        print(f"E:{type(exc).code}:{exc}", file=sys.stderr)
         return 3
 
 

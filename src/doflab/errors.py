@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Each type carries the ``code`` the command line prints as
-``E:<code>:<message>``.
+``E:<code>:<message>``; this module is the only place a code is named.
 """
 
 
@@ -29,10 +29,44 @@ class WrongCase(DoflabError):
     code = "WRONG_CASE"
 
 
-class InvalidWeight(DoflabError):
-    """Time-sharing weight outside [0, 1]."""
+class InvalidConfig(DoflabError, ValueError):
+    """An input outside its domain, such as an antenna or trial count below
+    one, or a string that is not a rational. Also a ``ValueError``, as are
+    its subtypes."""
+
+    code = "INVALID_CONFIG"
+
+
+class InvalidAlpha(InvalidConfig):
+    """A CSIT quality that is not a rational in [0, 1]."""
+
+    code = "INVALID_ALPHA"
+
+
+class InvalidWeight(InvalidConfig):
+    """Time-sharing weight that is not a rational in [0, 1]."""
 
     code = "INVALID_WEIGHT"
+
+
+class InvalidSeed(InvalidConfig):
+    """A seed that is not a non-negative integer."""
+
+    code = "INVALID_SEED"
+
+
+class InvalidSnrGrid(InvalidConfig):
+    """An SNR grid a campaign cannot run: too few or too many points, not
+    increasing, or a point whose ``rho`` is not a positive finite float or
+    is above the rate fidelity's SNR limit."""
+
+    code = "INVALID_SNR_GRID"
+
+
+class OutputError(DoflabError):
+    """An output file that could not be written."""
+
+    code = "OUTPUT_ERROR"
 
 
 class TooManyAntennas(DoflabError):

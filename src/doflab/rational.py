@@ -19,6 +19,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import InvalidConfig
+
 DENOMINATOR_LIMIT = 10**6
 DIGIT_LIMIT = 1000
 
@@ -58,7 +60,8 @@ def as_ratio(value: RatioLike, limit: int = DENOMINATOR_LIMIT) -> Fraction:
     Strings may be ``"p/q"``, an integer, or a decimal literal, whose
     numerator and denominator have at most ``DIGIT_LIMIT`` digits each.
     Floats are converted via ``limit_denominator(limit)``. A bool is not a
-    rational.
+    rational. A string that is not such a value raises ``InvalidConfig``,
+    which is a ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
@@ -72,11 +75,11 @@ def as_ratio(value: RatioLike, limit: int = DENOMINATOR_LIMIT) -> Fraction:
         text = value.strip()
         match = _LITERAL.fullmatch(text)
         if match is None:
-            raise ValueError(f"not a rational: {value!r}")
+            raise InvalidConfig(f"not a rational: {value!r}")
         if _literal_digits(match) > DIGIT_LIMIT:
-            raise ValueError(f"a rational of more than {DIGIT_LIMIT} digits")
+            raise InvalidConfig(f"a rational of more than {DIGIT_LIMIT} digits")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            raise InvalidConfig(f"not a rational: {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")

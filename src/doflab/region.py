@@ -31,7 +31,7 @@ from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .errors import DegenerateCorner, UnboundedRegion
+from .errors import DegenerateCorner, InvalidAlpha, InvalidConfig, UnboundedRegion
 from .rational import RatioLike, as_ratio
 
 __all__ = [
@@ -67,11 +67,11 @@ class SystemConfig:
         for name in ("m", "n1", "n2"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
         for name in ("alpha1", "alpha2"):
             value = as_ratio(getattr(self, name))
             if not 0 <= value <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise InvalidAlpha(f"{name} must lie in [0, 1], got {value}")
             object.__setattr__(self, name, value)
 
     def spatial_dim(self, rx: int) -> Fraction:

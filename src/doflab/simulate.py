@@ -38,7 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import GramOverflow, PlanTooLarge, ShapeMismatch, SingularCovariance
+from .errors import (GramOverflow, InvalidConfig, InvalidSeed, InvalidSnrGrid, PlanTooLarge,
+                     ShapeMismatch, SingularCovariance)
 from .rational import RatioLike, as_ratio
 from .region import SystemConfig
 from .scheme import SchedulePlan, order2_payload
@@ -89,11 +90,11 @@ class SimParams:
     def __post_init__(self):
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if len(self.snr_grid_db) < 2:
-            raise ValueError("need at least two SNR points to fit a slope")
+            raise InvalidSnrGrid("need at least two SNR points to fit a slope")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
-            raise ValueError("SNR grid must be increasing")
+            raise InvalidSnrGrid("SNR grid must be increasing")
         if self.trials < 1:
-            raise ValueError("trials must be positive")
+            raise InvalidConfig("trials must be positive")
 
 
 @dataclass(eq=False)
@@ -248,7 +249,7 @@ def _entropy_words(seed) -> list[int]:
     if isinstance(seed, (int, np.integer)):
         value = int(seed)
         if value < 0:
-            raise ValueError(f"seed must be non-negative, got {value}")
+            raise InvalidSeed(f"seed must be non-negative, got {value}")
         words = [value & 0xFFFFFFFF]
         while value >> 32:
             value >>= 32
@@ -511,6 +512,12 @@ class _Phase:
         return out.reshape(b, slots3 * n, self.slots * width)
 
 
+def _over(size: int) -> str:
+    """``size`` bytes as the largest power of two below it: a plan's sizes
+    can have more digits than Python converts to ``str``."""
+    return f"over 2**{(size - 1).bit_length() - 1} bytes"
+
+
 class _PlanGeometry:
     """Shared index bookkeeping for one (config, plan) pair: the two symbol
     phases (``phases``, a ``_Phase`` each) and phase three's grid."""
@@ -526,8 +533,8 @@ class _PlanGeometry:
                            (self.draw_bytes(), "trial's channel draw")):
             if size > MAX_PAIR_BYTES:
                 raise PlanTooLarge(
-                    f"plan with tau {[plan.tau1, plan.tau2, plan.tau3]} needs over "
-                    f"{size >> 30} GiB per {unit}; the cap is {MAX_PAIR_BYTES >> 30} GiB"
+                    f"plan with tau {[plan.tau1, plan.tau2, plan.tau3]} needs {_over(size)} "
+                    f"per {unit}; the cap is {MAX_PAIR_BYTES >> 30} GiB"
                 )
         # the phase-three grid holds slot t's streams in row t, padded to
         # the longest slot; payload row j sits at (j % tau3, j // tau3)
@@ -758,17 +765,25 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     ``log2(rho)`` over the top half of the grid.
 
     The (trial, SNR) pairs, a trial's points in a row, run in stacked
-    chunks from ``_draws``, ``pair_bytes()`` each.
+    chunks from ``_draws``, ``pair_bytes()`` each. A grid above the plan's
+    ``rate_snr_limit_db`` raises ``InvalidSnrGrid``.
     """
-    geom = _PlanGeometry(cfg, plan)
     grid = params.snr_grid_db
+    limit = rate_snr_limit_db(cfg, plan)
+    if grid[-1] > limit:
+        raise InvalidSnrGrid(
+            f"SNR {grid[-1]} dB is above {limit:.1f} dB, the highest at which this plan's "
+            f"rates keep rounding errors within {RATE_ROUNDING:g} "
+            "(see doflab.simulate.rate_snr_limit_db)"
+        )
+    geom = _PlanGeometry(cfg, plan)
     points = len(grid)
     rho = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
     # the per-pair rates are the one array that grows with the trial count
     size = 16 * params.trials * points
     if size > MAX_PAIR_BYTES:
         raise PlanTooLarge(
-            f"{params.trials} trials at {points} SNR points need over {size >> 30} GiB of "
+            f"{params.trials} trials at {points} SNR points need {_over(size)} of "
             f"per-pair rates; the cap is {MAX_PAIR_BYTES >> 30} GiB"
         )
     pair_rates = np.empty((params.trials * points, 2))

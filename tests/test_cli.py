@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -15,8 +16,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import doflab
 from doflab import cli, errors, rational
 from doflab.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -370,6 +374,23 @@ class TestSimulate:
         assert code == 3 and out == ""
         assert err.startswith("E:PLAN_TOO_LARGE:")
 
+    @pytest.mark.parametrize("fidelity", ["rate", "rank"])
+    @needs_alarm
+    def test_plan_too_large_at_the_digit_limit(self, run, fidelity):
+        # qualities and weight of DIGIT_LIMIT digits give taus of 2000 to
+        # 3000 digits, and sizes of more digits than Python prints
+        big = 10**rational.DIGIT_LIMIT
+        with within(5.0):
+            code, out, err = run(
+                "simulate", "--M", "5", "--N1", "3", "--N2", "2",
+                "--alpha1", f"{big - 2}/{big - 1}", "--alpha2", f"{big - 3}/{big - 2}",
+                "--weight", f"{big - 3}/{big - 1}", "--trials", "1", "--fidelity", fidelity,
+            )
+        assert (code, out) == (3, "")
+        assert err.startswith("E:PLAN_TOO_LARGE:plan with tau ")
+        assert re.search(r"\] needs over 2\*\*\d+ bytes per \(trial, SNR\) pair; "
+                         r"the cap is 1 GiB\n\Z", err)
+
     @needs_alarm
     def test_too_many_trials(self, run):
         # 10**10 trials x 7 SNR points of per-pair rates would need 1 TB
@@ -632,6 +653,11 @@ class TestErrors:
             (errors.GramOverflow, "GRAM_OVERFLOW"),
             (errors.PlanTooLarge, "PLAN_TOO_LARGE"),
             (errors.TooManyAntennas, "TOO_MANY_ANTENNAS"),
+            (errors.InvalidConfig, "INVALID_CONFIG"),
+            (errors.InvalidAlpha, "INVALID_ALPHA"),
+            (errors.InvalidSeed, "INVALID_SEED"),
+            (errors.InvalidSnrGrid, "INVALID_SNR_GRID"),
+            (errors.OutputError, "OUTPUT_ERROR"),
         ],
     )
     def test_code_of_each_error_type(self, run, monkeypatch, error, code):
@@ -642,6 +668,40 @@ class TestErrors:
         assert run("region", "--M", "2", "--N1", "1", "--N2", "1") == (
             3, "", f"E:{code}:what went wrong\n"
         )
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: doflab.SystemConfig(0, 1, 1), errors.InvalidConfig),
+            (lambda: doflab.SimParams((30.0,)), errors.InvalidSnrGrid),
+            (lambda: doflab.SimParams((30.0, 40.0), trials=0), errors.InvalidConfig),
+        ],
+        ids=["no-antennas", "one-snr-point", "no-trials"],
+    )
+    def test_invalid_input_is_typed_and_a_value_error(self, build, error):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is error and isinstance(info.value, errors.DoflabError)
+
+    def test_stray_value_error_propagates(self, run, monkeypatch, capsys):
+        """A ValueError that is not a DoflabError is a programming error:
+        main lets it surface and prints no error code."""
+
+        def fail(args):
+            raise ValueError("a bug, not an input")
+
+        monkeypatch.setattr(cli, "cmd_region", fail)
+        with pytest.raises(ValueError, match="^a bug, not an input$"):
+            run("region", "--M", "2", "--N1", "1", "--N2", "1")
+        assert capsys.readouterr() == ("", "")
+
+    def test_readme_names_each_error_type_with_its_code(self):
+        paragraph = next(part for part in README.read_text().split("\n\n")
+                         if part.startswith("Each domain error type carries its code"))
+        named = dict(re.findall(r"`(\w+)`\s+\(`([A-Z_]+)`\)", paragraph))
+        types = {name: value.code for name, value in vars(errors).items()
+                 if isinstance(value, type) and issubclass(value, errors.DoflabError)}
+        assert named == types
 
     @pytest.mark.parametrize(
         "argv",
@@ -714,6 +774,21 @@ class TestErrors:
         code, out, err = process("region", "--M", "2", "--N1", "1")
         assert (code, out) == (2, "")
         assert err.startswith("usage: ")
+
+
+def test_readme_cli_quick_start(run, tmp_path, monkeypatch):
+    """Every ``doflab`` line of the README's CLI quick start succeeds in an
+    empty directory, and together they run every subcommand."""
+    section = README.read_text().split("## Quick start (CLI)", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("doflab ")]
+    assert {argv[0] for argv in commands} == {
+        "region", "corners", "compare", "plan", "simulate", "sweep-alpha", "sweep-pairs"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(*argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_geometry_commands_leave_numpy_unloaded():

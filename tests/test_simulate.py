@@ -20,6 +20,7 @@ from doflab import (
     DoflabError,
     GramOverflow,
     InfeasiblePlan,
+    InvalidSnrGrid,
     PlanTooLarge,
     SchedulePlan,
     ShapeMismatch,
@@ -405,6 +406,24 @@ class TestRateSnrLimit:
         assert limit(2, 1, 1, F(1, 3), F(1, 3)) == pytest.approx(1.5 * floor)
         assert limit(5, 3, 2, F(1, 2), F(1, 3)) == pytest.approx(1.5 * floor)
         assert 254.8 < quantizer < 254.9 and 424.6 < 1.5 * floor < 424.7
+
+    def test_estimate_rates_refuses_a_grid_above_the_limit(self, monkeypatch):
+        # the refusal the command line prints, raised by the library itself
+        # before any channel is drawn
+        cfg = SystemConfig(2, 1, 1)
+        plan = plan_schedule(cfg, corner_weight(cfg))
+
+        def never(*args):
+            raise AssertionError("drew channels for a grid above the limit")
+
+        monkeypatch.setattr(simulate, "gen_channels", never)
+        with pytest.raises(InvalidSnrGrid) as info:
+            estimate_rates(cfg, plan, SimParams((200.0, 260.0), trials=1))
+        assert str(info.value) == (
+            "SNR 260.0 dB is above 254.8 dB, the highest at which this plan's rates keep "
+            "rounding errors within 0.001 (see doflab.simulate.rate_snr_limit_db)"
+        )
+        assert isinstance(info.value, ValueError)
 
     def test_no_phase_three_no_limit(self):
         for cfg, plan in (
