@@ -18,13 +18,14 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import (DoflabError, InvalidAlpha, InvalidConfig, InvalidSeed, InvalidSnrGrid,
                      InvalidWeight, OutputError, TooManyAntennas)
-from .rational import as_ratio
+from .rational import DIGIT_LIMIT, as_ratio
 from .region import (
     SystemConfig,
     delayed_csit_region,
@@ -48,6 +49,7 @@ MAX_SNR_POINTS = 1000
 # Python's 4300-digit limit on printing an integer.
 ANTENNA_DIGITS = 300
 MAX_ANTENNAS = 10**ANTENNA_DIGITS
+_SEED = re.compile(rf"[+-]?[0-9]{{1,{DIGIT_LIMIT}}}")
 
 
 def _add_config_args(sub: argparse.ArgumentParser, with_alphas: bool = True):
@@ -68,23 +70,24 @@ def _add_output_args(sub: argparse.ArgumentParser, formats=("json",)):
 def _add_seed_arg(sub: argparse.ArgumentParser):
     sub.add_argument(
         "--seed",
-        type=int,
         default=None,
         help="RNG seed (default: $DOFLAB_SEED, else 0)",
     )
 
 
 def _resolve_seed(args) -> int:
+    """``--seed``, else ``DOFLAB_SEED``, else 0. Both are read by one rule:
+    an optional sign and at most ``DIGIT_LIMIT`` decimal digits, and not
+    negative; anything else raises ``InvalidSeed``."""
     if args.seed is not None:
-        seed, source = args.seed, "--seed"
+        text, source = args.seed.strip(), "--seed"
     else:
-        env = os.environ.get("DOFLAB_SEED", "").strip()
-        if not env:
+        text, source = os.environ.get("DOFLAB_SEED", "").strip(), "DOFLAB_SEED"
+        if not text:
             return 0
-        seed, source = _ratio(env, "DOFLAB_SEED", InvalidSeed), "DOFLAB_SEED"
-        if seed.denominator != 1:
-            raise InvalidSeed(f"DOFLAB_SEED is not an integer: {env!r}")
-        seed = seed.numerator
+    if _SEED.fullmatch(text) is None:
+        raise InvalidSeed(f"{source} is not an integer: {text!r}")
+    seed = int(text)
     if seed < 0:
         raise InvalidSeed(f"{source} must be a non-negative integer, got {seed}")
     return seed
@@ -121,12 +124,24 @@ def _config(args) -> SystemConfig:
     return SystemConfig(*antennas, a1, a2)
 
 
+def _out_path(out) -> Path | None:
+    """The file ``--out`` names, or None for stdout (``-``). A path with no
+    file name, such as ``.`` or ``/``, raises ``OutputError``."""
+    if out in (None, "-", ""):
+        return None
+    path = Path(out)
+    if not path.name:
+        raise OutputError(f"cannot write {out}: it names a directory")
+    return path
+
+
 def _emit(text: str, out):
     """Write ``text`` to stdout for ``-``, else to the file ``out``."""
-    if out in (None, "-", ""):
+    path = _out_path(out)
+    if path is None:
         sys.stdout.write(text)
     else:
-        _write_files({Path(out): text})
+        _write_files({path: text})
 
 
 def _write_files(texts: dict) -> None:
@@ -291,11 +306,15 @@ def cmd_simulate(args) -> int:
         passes = rank_check_campaign(cfg, plan, params)
         report = replace(report, rank_passes=passes, rank_trials=params.trials)
 
-    texts = {"csv": report.to_csv_text(), "json": _json_text(report.to_json_dict())}
-    if args.out in (None, "-", ""):
-        sys.stdout.write(texts[args.format])
+    base = _out_path(args.out)
+    if base is None:
+        csv = args.format == "csv"
+        _emit(report.to_csv_text() if csv else _json_text(report.to_json_dict()), args.out)
     else:
-        _write_files({Path(args.out).with_suffix(f".{ext}"): text for ext, text in texts.items()})
+        _write_files({
+            base.with_suffix(".csv"): report.to_csv_text(),
+            base.with_suffix(".json"): _json_text(report.to_json_dict()),
+        })
     return 0
 
 

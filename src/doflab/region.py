@@ -69,7 +69,10 @@ class SystemConfig:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
         for name in ("alpha1", "alpha2"):
-            value = as_ratio(getattr(self, name))
+            try:
+                value = as_ratio(getattr(self, name))
+            except InvalidConfig as exc:
+                raise InvalidAlpha(f"{name} is {exc}")
             if not 0 <= value <= 1:
                 raise InvalidAlpha(f"{name} must lie in [0, 1], got {value}")
             object.__setattr__(self, name, value)

@@ -255,6 +255,19 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err.startswith("E:INVALID_SEED:DOFLAB_SEED must be a non-negative integer")
 
+    @pytest.mark.parametrize("text", ["1e3", "10/2", "5.0", "1_000", "abc",
+                                      pytest.param("1" * 1001, id="1001-digits")])
+    def test_seed_flag_and_env_share_one_rule(self, run, monkeypatch, text):
+        base = (
+            "simulate", "--M", "2", "--N1", "1", "--N2", "1",
+            "--snr-min", "10", "--snr-max", "20", "--snr-step", "10",
+            "--trials", "1", "--fidelity", "rate",
+        )
+        assert run(*base, f"--seed={text}") == (
+            3, "", f"E:INVALID_SEED:--seed is not an integer: {text!r}\n")
+        monkeypatch.setenv("DOFLAB_SEED", text)
+        assert run(*base) == (3, "", f"E:INVALID_SEED:DOFLAB_SEED is not an integer: {text!r}\n")
+
     GOLDEN = (
         "simulate", "--M", "3", "--N1", "2", "--N2", "1", "--alpha1", "1/2", "--alpha2", "1/3",
         "--at-corner", "--snr-min", "20", "--snr-max", "40", "--snr-step", "10",
@@ -675,13 +688,18 @@ class TestErrors:
             (lambda: doflab.SystemConfig(0, 1, 1), errors.InvalidConfig),
             (lambda: doflab.SimParams((30.0,)), errors.InvalidSnrGrid),
             (lambda: doflab.SimParams((30.0, 40.0), trials=0), errors.InvalidConfig),
+            (lambda: doflab.SystemConfig(2, 1, 1, "abc"), errors.InvalidAlpha),
+            (lambda: doflab.SystemConfig(2, 1, 1, "3/2"), errors.InvalidAlpha),
         ],
-        ids=["no-antennas", "one-snr-point", "no-trials"],
+        ids=["no-antennas", "one-snr-point", "no-trials", "alpha-not-rational",
+             "alpha-above-one"],
     )
     def test_invalid_input_is_typed_and_a_value_error(self, build, error):
         with pytest.raises(ValueError) as info:
             build()
         assert type(info.value) is error and isinstance(info.value, errors.DoflabError)
+        if error is errors.InvalidAlpha:
+            assert str(info.value).startswith("alpha1 ")
 
     def test_stray_value_error_propagates(self, run, monkeypatch, capsys):
         """A ValueError that is not a DoflabError is a programming error:
@@ -712,20 +730,25 @@ class TestErrors:
         ],
         ids=["region", "simulate"],
     )
-    @pytest.mark.parametrize("target", ["missing-dir", "is-a-dir"])
-    def test_unwritable_out(self, run, tmp_path, argv, target):
+    @pytest.mark.parametrize("target", ["missing-dir", "is-a-dir", ".", "./", "/"])
+    def test_unwritable_out(self, run, tmp_path, monkeypatch, argv, target):
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "x.json"
         if target == "missing-dir":
             out = tmp_path / "missing" / "x.json"
-        else:
+        elif target == "is-a-dir":
             # simulate writes x.csv, then x.json
             for name in ("x.csv", "x.json"):
                 (tmp_path / name).mkdir()
+        else:
+            # a path with no file name
+            out = target
         code, stdout, err = run(*argv, "--out", str(out))
-        written = out if argv[0] == "region" else out.with_suffix(".csv")
+        written = out if argv[0] == "region" or out == target else out.with_suffix(".csv")
         assert (code, stdout) == (3, "")
         assert err.startswith(f"E:OUTPUT_ERROR:cannot write {written}: ")
         assert err.count("\n") == 1
+        assert not any(tmp_path.glob(".*.tmp"))
 
     def test_simulate_out_writes_both_files_or_neither(self, run, tmp_path):
         # x.csv could be written, x.json cannot
@@ -855,6 +878,9 @@ def cli_argv(draw):
             f"--snr-step={step}",
             f"--fidelity={draw(st.sampled_from(['rank', 'rate', 'both']))}",
         ]
+    if draw(st.booleans()):
+        # stdout, or paths with no file name, so that nothing is ever written
+        argv.append(f"--out={draw(st.sampled_from(['-', '.', './', '/']))}")
     return argv
 
 
