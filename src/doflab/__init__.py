@@ -66,6 +66,7 @@ _SIMULATE_NAMES = frozenset({
     "gen_channels",
     "quantize_csit",
     "rank_check_campaign",
+    "rate_snr_limit_db",
     "residual_power_scan",
 })
 

@@ -20,7 +20,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import (DoflabError, InvalidAlpha, InvalidConfig, InvalidSeed, InvalidSnrGrid,
@@ -172,11 +171,17 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _csv_text(header, rows) -> str:
+    """The table of ``header`` and ``rows``, each a sequence of cell
+    strings, one comma-separated line each."""
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
 def _emit_table(args, header, rows, payload) -> None:
     """Emit ``payload`` as JSON, or for ``--format csv`` the table of
-    ``header`` and ``rows``, each a sequence of cell strings."""
+    ``header`` and ``rows``."""
     if args.format == "csv":
-        _emit("".join(",".join(row) + "\n" for row in [header, *rows]), args.out)
+        _emit(_csv_text(header, rows), args.out)
     else:
         _emit(_json_text(payload), args.out)
 
@@ -249,10 +254,11 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _snr_grid(snr_min: float, snr_max: float, step: float) -> list[float]:
+def _snr_grid(snr_min: float, snr_max: float, step: float) -> tuple[float, ...]:
     """``snr_min``, ``snr_min + step``, ... up to ``snr_max`` (within 1e-9),
-    rounded to 6 decimals. The point count is checked before any is built,
-    and every point's ``rho = 10**(snr/10)`` must be a positive finite float."""
+    rounded to 6 decimals. Only the bounds, the step and the point cap are
+    checked here, before any point is built; ``SimParams`` checks the
+    points themselves."""
     if not all(math.isfinite(x) for x in (snr_min, snr_max, step)):
         raise InvalidSnrGrid("SNR bounds and step must be finite")
     if step <= 0:
@@ -261,18 +267,7 @@ def _snr_grid(snr_min: float, snr_max: float, step: float) -> list[float]:
     if span >= MAX_SNR_POINTS:
         raise InvalidSnrGrid(f"SNR grid would exceed {MAX_SNR_POINTS} points")
     count = math.floor(span) + 1 if span >= 0 else 0
-    if count < 2:
-        raise InvalidSnrGrid("need at least two SNR points")
-    grid = [round(snr_min + i * step, 6) for i in range(count)]
-    # the grid increases, so its ends bound every point's rho
-    for snr_db in (grid[0], grid[-1]):
-        try:
-            rho = 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            rho = math.inf
-        if not 0 < rho < math.inf:
-            raise InvalidSnrGrid(f"SNR {snr_db} dB gives no positive finite rho")
-    return grid
+    return tuple(round(snr_min + i * step, 6) for i in range(count))
 
 
 def cmd_simulate(args) -> int:
@@ -281,40 +276,31 @@ def cmd_simulate(args) -> int:
 
     cfg = _config(args)
     plan, weight = _plan_for(cfg, args.weight, args.at_corner)
-    snrs = _snr_grid(args.snr_min, args.snr_max, args.snr_step)
     params = SimParams(
-        snr_grid_db=tuple(snrs),
+        snr_grid_db=_snr_grid(args.snr_min, args.snr_max, args.snr_step),
         trials=args.trials,
         seed=_resolve_seed(args),
     )
 
-    if args.fidelity == "rank":
+    report = None if args.fidelity == "rank" else estimate_rates(cfg, plan, params)
+    rank = None
+    if args.fidelity != "rate":
         passes = rank_check_campaign(cfg, plan, params)
-        payload = {
-            "plan": _plan_payload(cfg, plan, weight),
-            "rank_check": {
-                "rx1_passes": passes[0],
-                "rx2_passes": passes[1],
-                "trials": params.trials,
-            },
-        }
-        _emit(_json_text(payload), args.out)
+        rank = {"rx1_passes": passes[0], "rx2_passes": passes[1], "trials": params.trials}
+    if report is None:
+        _emit(_json_text({"plan": _plan_payload(cfg, plan, weight), "rank_check": rank}), args.out)
         return 0
 
-    report = estimate_rates(cfg, plan, params)
-    if args.fidelity == "both":
-        passes = rank_check_campaign(cfg, plan, params)
-        report = replace(report, rank_passes=passes, rank_trials=params.trials)
-
+    json_text = _json_text({**report.to_json_dict(), "rank_check": rank})
+    rows = [(repr(snr), str(rx), repr(float(rate)), str(report.trials))
+            for snr, pair in zip(report.snr_grid_db, report.rates)
+            for rx, rate in enumerate(pair, 1)]
+    csv_text = _csv_text(("snr_db", "rx", "rate_bits_per_slot", "trials"), rows)
     base = _out_path(args.out)
     if base is None:
-        csv = args.format == "csv"
-        _emit(report.to_csv_text() if csv else _json_text(report.to_json_dict()), args.out)
+        _emit(csv_text if args.format == "csv" else json_text, args.out)
     else:
-        _write_files({
-            base.with_suffix(".csv"): report.to_csv_text(),
-            base.with_suffix(".json"): _json_text(report.to_json_dict()),
-        })
+        _write_files({base.with_suffix(".csv"): csv_text, base.with_suffix(".json"): json_text})
     return 0
 
 

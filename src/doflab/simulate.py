@@ -28,8 +28,6 @@ reproduce identical reports, whatever the batching.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,17 +79,28 @@ RANK_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SimParams:
-    """Monte Carlo controls for one campaign."""
+    """Monte Carlo controls for one campaign, and the one check on grid
+    points: at least two, each with a positive finite ``rho = 10**(snr/10)``,
+    increasing; else ``InvalidSnrGrid``."""
 
     snr_grid_db: tuple[float, ...]
     trials: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        if len(self.snr_grid_db) < 2:
-            raise InvalidSnrGrid("need at least two SNR points to fit a slope")
-        if list(self.snr_grid_db) != sorted(self.snr_grid_db):
+        grid = tuple(float(s) for s in self.snr_grid_db)
+        object.__setattr__(self, "snr_grid_db", grid)
+        if len(grid) < 2:
+            raise InvalidSnrGrid("need at least two SNR points")
+        # the ends first: on an increasing grid they bound every point's rho
+        for snr_db in (grid[0], grid[-1], *grid[1:-1]):
+            try:
+                rho = 10.0 ** (snr_db / 10.0)
+            except OverflowError:
+                rho = math.inf
+            if not 0 < rho < math.inf:
+                raise InvalidSnrGrid(f"SNR {snr_db} dB gives no positive finite rho")
+        if list(grid) != sorted(grid):
             raise InvalidSnrGrid("SNR grid must be increasing")
         if self.trials < 1:
             raise InvalidConfig("trials must be positive")
@@ -136,26 +145,8 @@ class SimReport:
     rates: np.ndarray  # (len(grid), 2) bits per slot
     slopes: tuple[float, float]
     trials: int
-    rank_passes: tuple[int, int] | None = None
-    rank_trials: int = 0
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["snr_db", "rx", "rate_bits_per_slot", "trials"])
-        for si, snr in enumerate(self.snr_grid_db):
-            for rx in (1, 2):
-                writer.writerow([repr(snr), rx, repr(float(self.rates[si, rx - 1])), self.trials])
-        return buf.getvalue()
 
     def to_json_dict(self) -> dict:
-        rank = None
-        if self.rank_passes is not None:
-            rank = {
-                "rx1_passes": self.rank_passes[0],
-                "rx2_passes": self.rank_passes[1],
-                "trials": self.rank_trials,
-            }
         return {
             "snr_db": list(self.snr_grid_db),
             "rate_bits_per_slot": {
@@ -165,7 +156,6 @@ class SimReport:
             "slope": {"rx1": self.slopes[0], "rx2": self.slopes[1]},
             "trials": self.trials,
             "backend": kernels.backend,
-            "rank_check": rank,
         }
 
 
@@ -518,6 +508,15 @@ def _over(size: int) -> str:
     return f"over 2**{(size - 1).bit_length() - 1} bytes"
 
 
+def _digits(n: int) -> str:
+    """``n`` in full up to 20 digits, else as ``<N digits>``: a plan's taus
+    can have thousands of digits."""
+    if n < 10**20:
+        return str(n)
+    count = int(n.bit_length() * math.log10(2.0))  # the digit count, or one below it
+    return f"<{count + (n >= 10**count)} digits>"
+
+
 class _PlanGeometry:
     """Shared index bookkeeping for one (config, plan) pair: the two symbol
     phases (``phases``, a ``_Phase`` each) and phase three's grid."""
@@ -532,9 +531,10 @@ class _PlanGeometry:
         for size, unit in ((self.pair_bytes(), "(trial, SNR) pair"),
                            (self.draw_bytes(), "trial's channel draw")):
             if size > MAX_PAIR_BYTES:
+                tau = ", ".join(map(_digits, (plan.tau1, plan.tau2, plan.tau3)))
                 raise PlanTooLarge(
-                    f"plan with tau {[plan.tau1, plan.tau2, plan.tau3]} needs {_over(size)} "
-                    f"per {unit}; the cap is {MAX_PAIR_BYTES >> 30} GiB"
+                    f"plan with tau [{tau}] needs {_over(size)} per {unit}; "
+                    f"the cap is {MAX_PAIR_BYTES >> 30} GiB"
                 )
         # the phase-three grid holds slot t's streams in row t, padded to
         # the longest slot; payload row j sits at (j % tau3, j // tau3)
@@ -762,11 +762,13 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     estimates, and each receiver decodes its stacked system with the
     cancellation mismatch folded into the noise covariance. Rates are in
     bits per slot; the returned slopes are least-squares fits against
-    ``log2(rho)`` over the top half of the grid.
+    ``log2(rho)`` over the top half of the grid, at least two points.
 
     The (trial, SNR) pairs, a trial's points in a row, run in stacked
-    chunks from ``_draws``, ``pair_bytes()`` each. A grid above the plan's
-    ``rate_snr_limit_db`` raises ``InvalidSnrGrid``.
+    chunks from ``_draws``, ``pair_bytes()`` each. Past ``SimParams``'s
+    checks, a grid above the plan's ``rate_snr_limit_db``, or one whose
+    lowest rho overflows a reconstruction noise variance, raises
+    ``InvalidSnrGrid``.
     """
     grid = params.snr_grid_db
     limit = rate_snr_limit_db(cfg, plan)
@@ -779,6 +781,14 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     geom = _PlanGeometry(cfg, plan)
     points = len(grid)
     rho = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
+    # a payload row's reconstruction noise variance is its slot load / rho
+    load = max((float(phase.row_loads.max()) for phase in geom.phases if phase.k), default=0.0)
+    if load / float(rho[0]) == math.inf:
+        low = 10.0 * math.log10(load / np.finfo(np.float64).max)
+        raise InvalidSnrGrid(
+            f"SNR {grid[0]} dB is below {low:.1f} dB, the lowest at which this plan's "
+            "reconstruction noise variances are finite"
+        )
     # the per-pair rates are the one array that grows with the trial count
     size = 16 * params.trials * points
     if size > MAX_PAIR_BYTES:
@@ -802,11 +812,11 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
 
 
 def _fit_slope(snr_grid_db, values) -> float:
-    """Least-squares slope of rate versus log2(rho), top half of the grid."""
+    """Least-squares slope of rate versus log2(rho), top half of the grid, two points at least."""
     x = np.asarray(snr_grid_db, dtype=float) * (math.log2(10.0) / 10.0)
     y = np.asarray(values, dtype=float)
-    top = slice(len(x) // 2, len(x))
-    design = np.vstack([x[top], np.ones(len(x) - len(x) // 2)]).T
+    top = slice(min(len(x) // 2, len(x) - 2), len(x))
+    design = np.vstack([x[top], np.ones_like(x[top])]).T
     slope, _ = np.linalg.lstsq(design, y[top], rcond=None)[0]
     return float(slope)
 

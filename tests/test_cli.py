@@ -274,18 +274,64 @@ class TestSimulate:
         "--trials", "3", "--seed", "7",
     )
 
+    GOLDEN_RATE_CSV = (
+        "snr_db,rx,rate_bits_per_slot,trials\n"
+        "20.0,1,9.682383305985734,3\n"
+        "20.0,2,0.766582903430891,3\n"
+        "30.0,1,15.113184156390872,3\n"
+        "30.0,2,1.1839516860635,3\n"
+        "40.0,1,20.514877620836884,3\n"
+        "40.0,2,1.6233425175851066,3\n"
+    )
+    GOLDEN_BOTH_JSON = (
+        '{\n'
+        '  "snr_db": [\n'
+        '    20.0,\n'
+        '    30.0,\n'
+        '    40.0\n'
+        '  ],\n'
+        '  "rate_bits_per_slot": {\n'
+        '    "rx1": [\n'
+        '      9.682383305985734,\n'
+        '      15.113184156390872,\n'
+        '      20.514877620836884\n'
+        '    ],\n'
+        '    "rx2": [\n'
+        '      0.766582903430891,\n'
+        '      1.1839516860635,\n'
+        '      1.6233425175851066\n'
+        '    ]\n'
+        '  },\n'
+        '  "slope": {\n'
+        '    "rx1": 1.6260717601803385,\n'
+        '    "rx2": 0.13226982010774227\n'
+        '  },\n'
+        '  "trials": 3,\n'
+        '  "backend": "numpy",\n'
+        '  "rank_check": {\n'
+        '    "rx1_passes": 3,\n'
+        '    "rx2_passes": 3,\n'
+        '    "trials": 3\n'
+        '  }\n'
+        '}\n'
+    )
+
     def test_golden_rate_csv(self, run):
         code, out, _ = run(*self.GOLDEN, "--fidelity", "rate", "--format", "csv")
         assert code == 0
-        assert out == (
-            "snr_db,rx,rate_bits_per_slot,trials\n"
-            "20.0,1,9.682383305985734,3\n"
-            "20.0,2,0.766582903430891,3\n"
-            "30.0,1,15.113184156390872,3\n"
-            "30.0,2,1.1839516860635,3\n"
-            "40.0,1,20.514877620836884,3\n"
-            "40.0,2,1.6233425175851066,3\n"
-        )
+        assert out == self.GOLDEN_RATE_CSV
+
+    def test_golden_both_json(self, run):
+        assert run(*self.GOLDEN, "--fidelity", "both") == (0, self.GOLDEN_BOTH_JSON, "")
+
+    def test_golden_out_pair(self, run, tmp_path):
+        # --out writes the CSV and the JSON of the same report, whatever --format says
+        code, out, err = run(*self.GOLDEN, "--fidelity", "both", "--format", "csv",
+                             "--out", str(tmp_path / "golden.txt"))
+        assert (code, out, err) == (0, "", "")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["golden.csv", "golden.json"]
+        assert (tmp_path / "golden.csv").read_text() == self.GOLDEN_RATE_CSV
+        assert (tmp_path / "golden.json").read_text() == self.GOLDEN_BOTH_JSON
 
     def test_golden_rank_json(self, run):
         code, out, _ = run(*self.GOLDEN, "--fidelity", "rank")
@@ -403,6 +449,10 @@ class TestSimulate:
         assert err.startswith("E:PLAN_TOO_LARGE:plan with tau ")
         assert re.search(r"\] needs over 2\*\*\d+ bytes per \(trial, SNR\) pair; "
                          r"the cap is 1 GiB\n\Z", err)
+        # taus of more than 20 digits are stated by their digit counts
+        assert err.startswith("E:PLAN_TOO_LARGE:plan with tau [<3000 digits>, <2000 digits>, "
+                              "<3000 digits>] ")
+        assert len(err) < 300
 
     @needs_alarm
     def test_too_many_trials(self, run):

@@ -6,7 +6,7 @@ import itertools
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields
 from fractions import Fraction as F
 
 import numpy as np
@@ -25,9 +25,11 @@ from doflab import (
     SchedulePlan,
     ShapeMismatch,
     SimParams,
+    SimReport,
     SingularCovariance,
     SystemConfig,
     build_phase_matrices,
+    cli,
     corner_weight,
     estimate_rates,
     gen_channels,
@@ -54,6 +56,59 @@ class TestSimParams:
     def test_grid_coercion(self):
         params = SimParams(snr_grid_db=[20, 30])
         assert params.snr_grid_db == (20.0, 30.0)
+
+    @pytest.mark.parametrize("grid, message", [
+        ((30.0,), "need at least two SNR points"),
+        ((), "need at least two SNR points"),
+        # rho = 10**(snr/10) overflows above about 3082 dB, and is 0 below
+        # about -3236 dB; the ends are named first
+        ((0.0, 3090.0), "SNR 3090.0 dB gives no positive finite rho"),
+        ((3000.0, 3090.0, 3180.0), "SNR 3180.0 dB gives no positive finite rho"),
+        ((-4000.0, -3500.0, 30.0), "SNR -4000.0 dB gives no positive finite rho"),
+        ((0.0, math.inf), "SNR inf dB gives no positive finite rho"),
+        ((-math.inf, 0.0), "SNR -inf dB gives no positive finite rho"),
+        ((20.0, math.nan, 40.0), "SNR nan dB gives no positive finite rho"),
+        ((20.0, 4000.0, 40.0), "SNR 4000.0 dB gives no positive finite rho"),
+        ((30.0, 20.0), "SNR grid must be increasing"),
+    ])
+    def test_grid_rules(self, grid, message):
+        with pytest.raises(InvalidSnrGrid) as info:
+            SimParams(grid)
+        assert str(info.value) == message
+
+    def test_extreme_finite_rho_is_accepted(self):
+        assert SimParams((-3230.0, 3080.0)).snr_grid_db == (-3230.0, 3080.0)
+
+
+GRID_POINT = st.one_of(
+    st.floats(min_value=-4000.0, max_value=4000.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, 4000.0, -4000.0]),
+)
+ALPHA_ONE = SystemConfig(2, 1, 1)  # its corner plan has phase three
+ALPHA_ZERO = SystemConfig(2, 1, 1, 0, 0)  # its corner plan has none
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(GRID_POINT, min_size=2, max_size=5), ordered=st.booleans())
+@example(points=[0.0, 3090.0], ordered=True)
+@example(points=[0.0, math.inf], ordered=True)
+@example(points=[-math.inf, 0.0], ordered=True)
+@example(points=[-3100.0, 0.0], ordered=True)
+def test_any_grid_is_refused_or_runs(points, ordered):
+    # a grid either fails SimParams, or gives finite rates or a typed error
+    # on a plan with phase three and on one without; never an OverflowError
+    # or a bare ValueError
+    grid = sorted(points) if ordered else points
+    try:
+        params = SimParams(grid, trials=1, seed=3)
+    except InvalidSnrGrid:
+        return
+    for cfg in (ALPHA_ONE, ALPHA_ZERO):
+        try:
+            report = estimate_rates(cfg, plan_schedule(cfg, corner_weight(cfg)), params)
+        except DoflabError:
+            continue
+        assert np.all(np.isfinite(report.rates)) and np.all(np.isfinite(report.slopes))
 
 
 class TestGenChannels:
@@ -332,7 +387,7 @@ class TestEstimateRates:
         a = estimate_rates(self.CFG, self.PLAN, self.make_params())
         b = estimate_rates(self.CFG, self.PLAN, self.make_params())
         assert np.array_equal(a.rates, b.rates)
-        assert a.to_csv_text() == b.to_csv_text()
+        assert a.slopes == b.slopes
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_rates_shape_and_sign(self):
@@ -341,7 +396,9 @@ class TestEstimateRates:
         assert np.all(report.rates >= 0)
         assert report.trials == 3
         assert report.to_json_dict()["backend"] == kernels.backend
-        assert report.rank_passes is None and report.rank_trials == 0
+        # the rank tally is the CLI's (TestSimulate::test_both_adds_rank_tally)
+        assert [field.name for field in fields(SimReport)] == [
+            "snr_grid_db", "rates", "slopes", "trials"]
 
     def test_monotone_in_snr_single_trial(self):
         report = estimate_rates(self.CFG, self.PLAN, self.make_params(trials=1))
@@ -352,6 +409,18 @@ class TestEstimateRates:
         report = estimate_rates(self.CFG, self.PLAN, self.make_params())
         assert np.all(np.diff(report.rates, axis=0) >= 0)
 
+    def test_two_point_slope_is_the_difference_quotient(self):
+        # the fit takes at least two points: a 2-point grid fits the same
+        # points as the top half of (20, 30, 40) on the same draws
+        cfg = SystemConfig(2, 1, 1, 0, 0)
+        plan = plan_schedule(cfg, corner_weight(cfg))
+        two = estimate_rates(cfg, plan, SimParams((30.0, 40.0), trials=50, seed=1))
+        three = estimate_rates(cfg, plan, SimParams((20.0, 30.0, 40.0), trials=50, seed=1))
+        assert np.array_equal(two.rates, three.rates[1:])
+        assert two.slopes == three.slopes
+        quotient = (two.rates[1] - two.rates[0]) / math.log2(10.0)  # 10 dB in log2(rho)
+        assert two.slopes == pytest.approx(tuple(quotient), rel=1e-9)
+
     def test_point_to_point_slope(self):
         cfg = SystemConfig(1, 1, 1)
         params = SimParams(snr_grid_db=(30.0, 40.0, 50.0, 60.0), trials=60, seed=5)
@@ -359,16 +428,22 @@ class TestEstimateRates:
         assert report.slopes[0] == pytest.approx(1.0, abs=0.2)
         assert report.rates[:, 1].tolist() == [0.0] * 4
 
-    def test_csv_schema(self):
-        report = estimate_rates(self.CFG, self.PLAN, self.make_params())
-        rows = list(csv.reader(io.StringIO(report.to_csv_text())))
+    def test_csv_schema(self, capsys, monkeypatch):
+        # the CLI's CSV carries the report's values, one row per (SNR, rx)
+        plan = plan_schedule(self.CFG, F(1, 2))  # the CLI's default weight
+        report = estimate_rates(self.CFG, plan, self.make_params())
+        monkeypatch.delenv("DOFLAB_SEED", raising=False)
+        code = cli.main(["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--fidelity", "rate",
+                         "--format", "csv", "--snr-min", "10", "--snr-max", "30",
+                         "--snr-step", "10", "--trials", "3", "--seed", "123"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["snr_db", "rx", "rate_bits_per_slot", "trials"]
-        assert len(rows) == 1 + 2 * 3
-        assert rows[1][0] == "10.0" and rows[1][1] == "1"
-        assert rows[2][1] == "2"
-        for row in rows[1:]:
-            assert float(row[2]) >= 0
-            assert row[3] == "3"
+        assert rows[1:] == [
+            [repr(snr), str(rx), repr(float(report.rates[i, rx - 1])), "3"]
+            for i, snr in enumerate(report.snr_grid_db) for rx in (1, 2)
+        ]
+        assert rows[1][:2] == ["10.0", "1"] and rows[2][1] == "2"
 
     def test_json_schema(self):
         report = estimate_rates(self.CFG, self.PLAN, self.make_params())
@@ -378,13 +453,8 @@ class TestEstimateRates:
         assert len(payload["rate_bits_per_slot"]["rx2"]) == 3
         assert set(payload["slope"]) == {"rx1", "rx2"}
         assert payload["trials"] == 3
-        assert payload["rank_check"] is None
-        tallied = replace(report, rank_passes=(3, 3), rank_trials=3)
-        assert tallied.to_json_dict()["rank_check"] == {
-            "rx1_passes": 3,
-            "rx2_passes": 3,
-            "trials": 3,
-        }
+        # the CLI adds "rank_check" (TestSimulate::test_both_adds_rank_tally)
+        assert list(payload) == ["snr_db", "rate_bits_per_slot", "slope", "trials", "backend"]
 
 
 class TestRateSnrLimit:
@@ -425,6 +495,25 @@ class TestRateSnrLimit:
         )
         assert isinstance(info.value, ValueError)
 
+    def test_estimate_rates_refuses_a_grid_below_the_lowest_rho(self):
+        # a payload row's reconstruction noise variance, its slot load / rho,
+        # overflows below about -3079.5 dB on this plan
+        cfg = SystemConfig(2, 1, 1)
+        plan = plan_schedule(cfg, corner_weight(cfg))
+        with pytest.raises(InvalidSnrGrid) as info:
+            estimate_rates(cfg, plan, SimParams((-3080.0, 0.0), trials=1))
+        assert str(info.value) == (
+            "SNR -3080.0 dB is below -3079.5 dB, the lowest at which this plan's "
+            "reconstruction noise variances are finite"
+        )
+        report = estimate_rates(cfg, plan, SimParams((-3079.0, 0.0), trials=1))
+        assert np.all(np.isfinite(report.rates))
+        # a plan without phase three has no noise variance to overflow
+        cfg = SystemConfig(2, 1, 1, 0, 0)
+        report = estimate_rates(cfg, plan_schedule(cfg, corner_weight(cfg)),
+                                SimParams((-3230.0, 0.0), trials=1))
+        assert report.rates[0].tolist() == [0.0, 0.0]
+
     def test_no_phase_three_no_limit(self):
         for cfg, plan in (
             (SystemConfig(2, 1, 1, 0, 0), None),
@@ -444,6 +533,13 @@ class TestRateSnrLimit:
         grid = tuple(top - 10.0 * i for i in range(4, -1, -1))
         report = estimate_rates(cfg, plan, SimParams(grid, trials=20, seed=2))
         assert report.slopes == pytest.approx((slope, slope), abs=0.02)
+
+
+def test_every_simulate_name_resolves_from_the_package():
+    import doflab
+
+    for name in simulate.__all__:
+        assert getattr(doflab, name) is getattr(simulate, name), name
 
 
 class TestResidualScan:
