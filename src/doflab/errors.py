@@ -57,8 +57,8 @@ class InvalidSeed(InvalidConfig):
 
 class InvalidSnrGrid(InvalidConfig):
     """An SNR grid a campaign cannot run: too few or too many points, not
-    increasing, or a point whose ``rho`` is not a positive finite float or
-    is above the rate fidelity's SNR limit."""
+    strictly increasing, or a point whose ``rho`` is not a positive finite
+    float or is above the rate fidelity's SNR limit."""
 
     code = "INVALID_SNR_GRID"
 

@@ -28,7 +28,6 @@ reproduce identical reports, whatever the batching.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +80,7 @@ RANK_RTOL = 1e-9
 class SimParams:
     """Monte Carlo controls for one campaign, and the one check on grid
     points: at least two, each with a positive finite ``rho = 10**(snr/10)``,
-    increasing; else ``InvalidSnrGrid``."""
+    strictly increasing; else ``InvalidSnrGrid``."""
 
     snr_grid_db: tuple[float, ...]
     trials: int = 200
@@ -100,8 +99,10 @@ class SimParams:
                 rho = math.inf
             if not 0 < rho < math.inf:
                 raise InvalidSnrGrid(f"SNR {snr_db} dB gives no positive finite rho")
-        if list(grid) != sorted(grid):
-            raise InvalidSnrGrid("SNR grid must be increasing")
+        for low, high in zip(grid, grid[1:]):
+            if low >= high:
+                raise InvalidSnrGrid(f"SNR grid repeats {low} dB" if low == high
+                                     else "SNR grid must be increasing")
         if self.trials < 1:
             raise InvalidConfig("trials must be positive")
 
@@ -379,43 +380,6 @@ def _spread(total: int, slots: int) -> list[int]:
     return [base + 1 if t < extra else base for t in range(slots)]
 
 
-def _check_fit(take, loads, rows: int, cols: int) -> None:
-    """Raise ShapeMismatch unless every slot block, ``take[t]`` rows by
-    ``loads[t]`` columns, fits a ``rows`` x ``cols`` channel."""
-    if max(take, default=0) > rows or max(loads, default=0) > cols:
-        raise ShapeMismatch(
-            f"slot blocks of up to {max(take)} x {max(loads)} do not fit "
-            f"{rows} x {cols} channels"
-        )
-
-
-def _stack(h: np.ndarray, loads) -> np.ndarray:
-    """Block-diagonal stack of per-slot channels ``h`` (..., slots, rows, cols).
-
-    Slot t contributes all its rows and its first ``loads[t]`` columns at the
-    next free rows and symbol columns; every other entry is zero.
-    Consecutive slots with equal loads form a run, and each run is written
-    with one diagonal assignment.
-    """
-    rows = h.shape[-2]
-    _check_fit([rows] * len(loads), loads, *h.shape[-2:])
-    batch = h.shape[:-3]
-    out = np.zeros(batch + (rows * len(loads), sum(loads)), dtype=np.complex128)
-    slot = col = 0
-    for load, run in itertools.groupby(loads):
-        count = len(list(run))
-        if load:
-            block = h[..., slot : slot + count, :, :load]
-            # splitting the two axes of a slice of ``out`` gives a view of it
-            grid = out[..., slot * rows : (slot + count) * rows, col : col + count * load].reshape(
-                batch + (count, rows, count, load)
-            )
-            diag = np.arange(count)
-            grid[..., diag, :, diag, :] = np.moveaxis(block, -3, 0)
-        slot, col = slot + count, col + count * load
-    return out
-
-
 def _herm(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
@@ -428,7 +392,7 @@ class _Phase:
     each, ``width`` being the phase's largest slot load. A slot with one
     stream fewer (``_spread`` loads differ by at most one) gets a zero
     column: a stream that carries no symbol, and adds nothing to any rank
-    or rate.
+    or rate. A slot load above M, or above N1 + N2, raises ShapeMismatch.
 
     The order-2 payload rows are overheard channel rows: from each slot t,
     as many rows of the other receiver's channel as receiver i lacks
@@ -445,7 +409,9 @@ class _Phase:
         self.slots = span.stop - span.start
         loads = _spread(count, self.slots)
         take = [max(0, load - n) for load in loads]
-        _check_fit(take, loads, other, m)
+        if max(take, default=0) > other or max(loads, default=0) > m:
+            raise ShapeMismatch(f"slot blocks of up to {max(take)} x {max(loads)} do not fit "
+                                f"{other} x {m} channels")
         take = np.asarray(take, dtype=int)
         self.width = max(loads, default=0)
         # (slots, width): True where a slot's stream carries a symbol
@@ -622,26 +588,30 @@ def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
                          cfg: SystemConfig) -> PhaseMatrices:
     """Stack the true channels of the two symbol phases (unscaled).
 
-    Leading axes of the realization's arrays are batch axes and carry
-    through to the stacks.
+    The stacks are the campaigns' ``_Phase`` layout made dense: each slot
+    block on the diagonal, the zero pad columns dropped. Leading axes of
+    the realization's arrays are batch axes and carry through to the
+    stacks. The plan is checked as the campaigns check it.
     """
     if realization.total_slots < plan.total_slots:
         raise ShapeMismatch(
             f"realization has {realization.total_slots} slots, plan needs {plan.total_slots}"
         )
     h1, h2 = realization.h1, realization.h2
-    if h1.shape[-2] != cfg.n1 or h2.shape[-2] != cfg.n2 or h1.shape[-1] != cfg.m:
+    if h1.shape[-2:] != (cfg.n1, cfg.m) or h2.shape[-2:] != (cfg.n2, cfg.m):
         raise ShapeMismatch("realization dimensions do not match the configuration")
-    loads1 = _spread(plan.s1_count, plan.tau1)
-    loads2 = _spread(plan.s2_count, plan.tau2)
-    p1 = slice(0, plan.tau1)
-    p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
-    return PhaseMatrices(
-        rx1_phase1=_stack(h1[..., p1, :, :], loads1),
-        rx2_phase1=_stack(h2[..., p1, :, :], loads1),
-        rx1_phase2=_stack(h1[..., p2, :, :], loads2),
-        rx2_phase2=_stack(h2[..., p2, :, :], loads2),
-    )
+    stacks = []
+    for phase in _PlanGeometry(cfg, plan).phases:
+        for h in (h1, h2):
+            batch = h.shape[:-3]
+            blocks = phase.symbols(h.reshape((math.prod(batch),) + h.shape[-3:]))
+            b, slots, n, width = blocks.shape
+            dense = np.zeros((b, slots, n, slots, width), dtype=np.complex128)
+            diag = np.arange(slots)
+            dense[:, diag, :, diag, :] = np.moveaxis(blocks, 1, 0)
+            dense = dense.reshape(b, slots * n, slots * width)[..., phase.mask.ravel()]
+            stacks.append(dense.reshape(batch + dense.shape[1:]))
+    return PhaseMatrices(*stacks)
 
 
 def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
@@ -677,8 +647,14 @@ def rank_check_campaign(
     receiver) rather than an SNR effect.
 
     The trials run in stacked chunks from ``_draws``, ``trial_bytes()`` each.
+    More trials than ``estimate_rates`` takes on its smallest grid, two
+    points, raise ``PlanTooLarge`` before anything is drawn.
     """
     geom = _PlanGeometry(cfg, plan)
+    most = MAX_PAIR_BYTES // 32  # 16 bytes of rates per pair, two pairs per trial
+    if params.trials > most:
+        raise PlanTooLarge(f"{params.trials} trials are more than {most}, the most the "
+                           "rate fidelity takes at two SNR points")
     symbols = (plan.s1_count, plan.s2_count)
     passes = [0, 0]
     for _, real in _draws(geom, params.seed, params.trials, 1, geom.trial_bytes()):
@@ -816,8 +792,13 @@ def _fit_slope(snr_grid_db, values) -> float:
     x = np.asarray(snr_grid_db, dtype=float) * (math.log2(10.0) / 10.0)
     y = np.asarray(values, dtype=float)
     top = slice(min(len(x) // 2, len(x) - 2), len(x))
-    design = np.vstack([x[top], np.ones_like(x[top])]).T
-    slope, _ = np.linalg.lstsq(design, y[top], rcond=None)[0]
+    return _line_slope(x[top], y[top])
+
+
+def _line_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Slope of the least-squares line ``y = slope * x + c``."""
+    design = np.vstack([x, np.ones_like(x)]).T
+    slope, _ = np.linalg.lstsq(design, y, rcond=None)[0]
     return float(slope)
 
 
@@ -837,8 +818,5 @@ def residual_power_scan(
         rho = 10.0 ** (snr_db / 10.0)
         hat = quantize_csit(draws, alpha, rho)
         means.append(float(np.mean(np.abs(draws - hat) ** 2)))
-    x = np.array([snr / 10.0 for snr in grid])  # log10(rho)
-    y = np.log10(np.maximum(means, 1e-300))
-    design = np.vstack([x, np.ones(len(x))]).T
-    slope, _ = np.linalg.lstsq(design, y, rcond=None)[0]
-    return ResidualScan(grid, means, float(slope))
+    log_rho = np.array([snr / 10.0 for snr in grid])  # log10(rho)
+    return ResidualScan(grid, means, _line_slope(log_rho, np.log10(np.maximum(means, 1e-300))))

@@ -397,6 +397,9 @@ class TestSimulate:
             # below about -3236 dB
             ("30", "4030", "1000"),
             ("-4000", "30", "1000"),
+            # points 1e-7 dB apart round to six copies of 30.0 and five of
+            # 30.000001
+            ("30", "30.000001", "1e-7"),
         ],
     )
     @needs_alarm
@@ -462,6 +465,20 @@ class TestSimulate:
                                  "--fidelity", "rate", "--trials", "10000000000")
         assert code == 3 and out == ""
         assert err.startswith("E:PLAN_TOO_LARGE:10000000000 trials at 7 SNR points need over ")
+
+    @pytest.mark.parametrize("fidelity, message", [
+        ("rank", "1000000000000 trials are more than 33554432, the most the rate fidelity "
+                 "takes at two SNR points\n"),
+        # the rate fidelity runs first, and refuses the count with its own message
+        ("both", "1000000000000 trials at 7 SNR points need over "),
+    ])
+    @needs_alarm
+    def test_too_many_rank_trials(self, run, fidelity, message):
+        with within(5.0):
+            code, out, err = run("simulate", "--M", "2", "--N1", "1", "--N2", "1",
+                                 "--fidelity", fidelity, "--trials", "1000000000000")
+        assert (code, out) == (3, "")
+        assert err.startswith("E:PLAN_TOO_LARGE:" + message)
 
     @needs_alarm
     def test_gram_overflow(self, run):
@@ -864,6 +881,23 @@ def test_readme_cli_quick_start(run, tmp_path, monkeypatch):
         assert (code, err) == (0, ""), argv
 
 
+def test_readme_library_quick_start():
+    """The README's library quick start prints, line by line, what the
+    comment on each ``print`` line, or the comment line after it, shows."""
+    section = README.read_text().split("## Quick start (library)", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    lines = block.splitlines()
+    expected = []
+    for i, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line.partition("#")[2] or lines[i + 1].removeprefix("#")
+            expected.append(comment.strip())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == expected
+
+
 def test_geometry_commands_leave_numpy_unloaded():
     """Only ``simulate`` loads the simulator and numpy: the geometry and
     planning commands run without them, and simulate still runs after."""
@@ -944,6 +978,8 @@ def cli_argv(draw):
 @example(argv=OVERFLOWING_SNR)
 @example(argv=["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--fidelity=rate",
                "--trials=10000000000"])
+@example(argv=["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--fidelity=rank",
+               "--trials=1000000000000"])
 def test_fuzz_exits_cleanly(argv):
     """Every argv ends with exit 0, 2 or 3 within 5 s and no traceback."""
     out, err = io.StringIO(), io.StringIO()

@@ -70,6 +70,9 @@ class TestSimParams:
         ((20.0, math.nan, 40.0), "SNR nan dB gives no positive finite rho"),
         ((20.0, 4000.0, 40.0), "SNR 4000.0 dB gives no positive finite rho"),
         ((30.0, 20.0), "SNR grid must be increasing"),
+        # a repeated point: a slope fitted over it weighs that point twice
+        ((30.0, 30.0, 40.0), "SNR grid repeats 30.0 dB"),
+        ((30.0, 40.0, 40.0), "SNR grid repeats 40.0 dB"),
     ])
     def test_grid_rules(self, grid, message):
         with pytest.raises(InvalidSnrGrid) as info:
@@ -285,6 +288,17 @@ class TestQuantizer:
             assert np.array_equal(stacked[point], quantize_csit(h, F(1, 3), float(r)))
 
 
+def acceptance_grid_plans():
+    """The acceptance grid's configurations (M, N1, N2 in 1..6, qualities
+    in quarters), each with its corner plan where N2 < M, else its TDMA
+    plan at weight 1/2."""
+    qualities = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    antennas = range(1, 7)
+    for m, n1, n2, a1, a2 in itertools.product(antennas, antennas, antennas, qualities, qualities):
+        cfg = SystemConfig(m, n1, n2, a1, a2)
+        yield cfg, plan_schedule(cfg, corner_weight(cfg)) if n2 < m else plan_tdma(cfg, F(1, 2))
+
+
 class TestPhaseMatrices:
     def test_small_symmetric_shapes(self):
         cfg = SystemConfig(2, 1, 1)
@@ -337,6 +351,28 @@ class TestPhaseMatrices:
         other = gen_channels(SystemConfig(3, 2, 1), 3, 0)
         with pytest.raises(ShapeMismatch):
             build_phase_matrices(other, plan, cfg)
+        # receiver 2's channels with one column fewer, or one more, than M
+        real = gen_channels(cfg, 3, 0)
+        for h2 in (real.h2[..., :1], other.h2):
+            with pytest.raises(ShapeMismatch, match="^realization dimensions"):
+                build_phase_matrices(ChannelRealization(real.h1, h2), plan, cfg)
+
+    def test_acceptance_grid_matches_reference(self):
+        """On every acceptance-grid plan the stacks are the reference's
+        block-diagonal stacks exactly, unbatched and with a leading axis of
+        two trials."""
+        for cfg, plan in acceptance_grid_plans():
+            real = gen_channels(cfg, plan.total_slots, 1, np.arange(2))
+            batched = build_phase_matrices(real, plan, cfg)
+            first = build_phase_matrices(ChannelRealization(real.h1[0], real.h2[0]), plan, cfg)
+            h = {1: real.h1, 2: real.h2}
+            spans = {1: slice(0, plan.tau1), 2: slice(plan.tau1, plan.tau1 + plan.tau2)}
+            loads = {1: _ref_spread(plan.s1_count, plan.tau1), 2: _ref_spread(plan.s2_count, plan.tau2)}
+            for rx, phase in itertools.product((1, 2), (1, 2)):
+                name = f"rx{rx}_phase{phase}"
+                want = [_ref_stack(h[rx][t, spans[phase]], loads[phase]) for t in (0, 1)]
+                assert np.array_equal(getattr(first, name), want[0]), (cfg, name)
+                assert np.array_equal(getattr(batched, name), np.stack(want)), (cfg, name)
 
 
 class TestRankCheck:
@@ -353,19 +389,44 @@ class TestRankCheck:
         assert rank_check_campaign(cfg, plan_tdma(cfg, 1), self.ONE) == (1, 1)
 
     def test_missing_third_phase_rejected(self):
+        cfg = SystemConfig(2, 1, 1)
         with pytest.raises(InfeasiblePlan):
-            rank_check_campaign(SystemConfig(2, 1, 1), SchedulePlan(1, 1, 0, 2, 2), self.ONE)
+            rank_check_campaign(cfg, SchedulePlan(1, 1, 0, 2, 2), self.ONE)
+        # the dense stacks check the plan as the campaigns do
+        plan = SchedulePlan(2, 2, 0, 4, 4)
+        with pytest.raises(InfeasiblePlan):
+            build_phase_matrices(gen_channels(cfg, plan.total_slots, 0), plan, cfg)
 
     def test_slot_wider_than_its_channel_rejected(self):
         # 5 streams in one slot: receiver 1 lacks 4 equations there, and
         # receiver 2 overhears only 1 of them
-        plan = SchedulePlan(1, 0, 4, 5, 0)
+        cfg, plan = SystemConfig(5, 1, 1), SchedulePlan(1, 0, 4, 5, 0)
         with pytest.raises(ShapeMismatch):
-            rank_check_campaign(SystemConfig(5, 1, 1), plan, self.ONE)
+            rank_check_campaign(cfg, plan, self.ONE)
+        with pytest.raises(ShapeMismatch, match="^slot blocks of up to 4 x 5 do not fit 1 x 5"):
+            build_phase_matrices(gen_channels(cfg, plan.total_slots, 0), plan, cfg)
         # 2 streams in one slot from a single transmit antenna
         cfg, plan = SystemConfig(1, 1, 1), SchedulePlan(1, 0, 1, 2, 0)
         with pytest.raises(ShapeMismatch):
             build_phase_matrices(gen_channels(cfg, plan.total_slots, 0), plan, cfg)
+
+    def test_trial_count_capped_as_the_rate_fidelity_caps_it(self, monkeypatch):
+        # 16 bytes of rates per (trial, SNR) pair: 2**25 trials at two
+        # points fill MAX_PAIR_BYTES, and one more is refused by both
+        # fidelities before anything is drawn
+        most = simulate.MAX_PAIR_BYTES // 32
+        cfg = SystemConfig(2, 1, 1)
+        plan = plan_schedule(cfg, corner_weight(cfg))
+
+        def drawn(*args):
+            raise RuntimeError("drawn")
+
+        monkeypatch.setattr(simulate, "gen_channels", drawn)
+        with pytest.raises(RuntimeError, match="^drawn$"):
+            rank_check_campaign(cfg, plan, SimParams((20.0, 30.0), trials=most))
+        for campaign in (rank_check_campaign, estimate_rates):
+            with pytest.raises(PlanTooLarge):
+                campaign(cfg, plan, SimParams((20.0, 30.0), trials=most + 1))
 
     def test_campaign_counts(self):
         cfg = SystemConfig(3, 2, 1)
@@ -1090,13 +1151,8 @@ def test_draw_too_large(campaign, monkeypatch):
 
 def test_phase_rows_are_the_payload_deficits():
     """Each symbol phase counts its overheard rows by its own take rule,
-    and they are order2_payload's k_i on every plan of the acceptance grid
-    (M, N1, N2 in 1..6, qualities in quarters)."""
-    qualities = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-    antennas = range(1, 7)
-    for m, n1, n2, a1, a2 in itertools.product(antennas, antennas, antennas, qualities, qualities):
-        cfg = SystemConfig(m, n1, n2, a1, a2)
-        plan = plan_schedule(cfg, corner_weight(cfg)) if n2 < m else plan_tdma(cfg, F(1, 2))
+    and they are order2_payload's k_i on every plan of the acceptance grid."""
+    for cfg, plan in acceptance_grid_plans():
         geom = simulate._PlanGeometry(cfg, plan)
         payload = order2_payload(plan, cfg)
         rows = tuple(len(phase.slot) for phase in geom.phases)
@@ -1105,8 +1161,8 @@ def test_phase_rows_are_the_payload_deficits():
 
 def _block_diagonal(own):
     """Slot blocks (B, slots, rows, width) as one block-diagonal matrix."""
-    b, slots, rows, width = own.shape
-    return simulate._stack(own, [width] * slots)
+    slots, width = own.shape[1], own.shape[3]
+    return np.stack([_ref_stack(blocks, [width] * slots) for blocks in own])
 
 
 class TestSlotRankParity:
