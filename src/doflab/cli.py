@@ -5,10 +5,13 @@ geometry (``region``, ``corners``, ``compare``, ``sweep-alpha``,
 ``sweep-pairs``), scheduling (``plan``), and Monte Carlo simulation
 (``simulate``). Exact quantities are printed as ``p/q`` strings; output
 goes to stdout or ``--out``. Exit codes: 0 success, 2 usage, 3 domain
-error. A domain error is a ``doflab.errors.DoflabError``, raised where its
-check lives (here for the parse checks of the flags, else in the library),
-and printed as ``E:<CODE>:<message>`` on stderr with the ``code`` of its
-type. Any other exception is a programming error and propagates.
+error. A domain error is a ``doflab.errors.DoflabError``, raised by the one
+owner of its rule: here for the rules only the command line has (the
+antenna cap, the seed text, the SNR grid's size and step, ``--out``), else
+in the library, which checks antennas, qualities, weights and simulation
+parameters. It is printed as ``E:<CODE>:<message>`` on stderr with the
+``code`` of its type. Any other exception is a programming error and
+propagates.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .errors import (DoflabError, InvalidAlpha, InvalidConfig, InvalidSeed, InvalidSnrGrid,
-                     InvalidWeight, OutputError, TooManyAntennas)
+                     OutputError, TooManyAntennas)
 from .rational import DIGIT_LIMIT, as_ratio
 from .region import (
     SystemConfig,
@@ -92,22 +95,6 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _ratio(value: str, name: str, error):
-    """``value`` as ``as_ratio`` parses it; a value it refuses raises
-    ``error``, naming ``name``."""
-    try:
-        return as_ratio(value)
-    except InvalidConfig as exc:
-        raise error(f"{name} is {exc}")
-
-
-def _alpha(value: str, name: str):
-    ratio = _ratio(value, name, InvalidAlpha)
-    if not 0 <= ratio <= 1:
-        raise InvalidAlpha(f"{name} must lie in [0, 1], got {value}")
-    return ratio
-
-
 def _antennas(args) -> tuple[int, int, int]:
     """--M, --N1 and --N2, refused above MAX_ANTENNAS before any geometry
     runs."""
@@ -118,9 +105,7 @@ def _antennas(args) -> tuple[int, int, int]:
 
 
 def _config(args) -> SystemConfig:
-    antennas = _antennas(args)
-    a1, a2 = _alpha(args.alpha1, "alpha1"), _alpha(args.alpha2, "alpha2")
-    return SystemConfig(*antennas, a1, a2)
+    return SystemConfig(*_antennas(args), args.alpha1, args.alpha2)
 
 
 def _out_path(out) -> Path | None:
@@ -186,14 +171,14 @@ def _emit_table(args, header, rows, payload) -> None:
         _emit(_json_text(payload), args.out)
 
 
-def _plan_for(cfg: SystemConfig, weight, at_corner: bool):
+def _plan_for(cfg: SystemConfig, weight: str, at_corner: bool):
+    """The plan of ``weight``, or of the corner's weight for ``at_corner``,
+    and that weight as a Fraction. The planner parses and checks it."""
+    three_phase = cfg.n2 < cfg.m
     if at_corner:
-        weight = corner_weight(cfg) if cfg.n2 < cfg.m else as_ratio("1/2")
-    else:
-        weight = _ratio(weight, "weight", InvalidWeight)
-    if cfg.n2 < cfg.m:
-        return plan_schedule(cfg, weight), weight
-    return plan_tdma(cfg, weight), weight
+        weight = corner_weight(cfg) if three_phase else "1/2"
+    plan = (plan_schedule if three_phase else plan_tdma)(cfg, weight)
+    return plan, as_ratio(weight)
 
 
 def cmd_region(args) -> int:
@@ -271,6 +256,8 @@ def _snr_grid(snr_min: float, snr_max: float, step: float) -> tuple[float, ...]:
 
 
 def cmd_simulate(args) -> int:
+    if args.fidelity == "rank" and args.format == "csv":
+        raise InvalidConfig("--format csv writes rates, and --fidelity rank computes none")
     # only this command loads the simulator, and numpy with it
     from .simulate import SimParams, estimate_rates, rank_check_campaign
 
@@ -304,24 +291,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_alpha_list(text: str) -> list:
+def _items(text: str, what: str) -> list[str]:
+    """The comma-separated items of ``text``, stripped, without the empty
+    ones; none at all raises ``InvalidAlpha`` (``empty <what> list``)."""
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
-        raise InvalidAlpha("empty alpha list")
-    return [_alpha(piece, "alpha") for piece in items]
+        raise InvalidAlpha(f"empty {what} list")
+    return items
 
 
 def cmd_sweep_alpha(args) -> int:
     antennas = _antennas(args)
-    alphas = _parse_alpha_list(args.alphas)
+    cfgs = [SystemConfig(*antennas, alpha, alpha) for alpha in _items(args.alphas, "alpha")]
     entries = []
-    for alpha in alphas:
-        cfg = SystemConfig(*antennas, alpha, alpha)
+    for cfg in cfgs:
         region = dof_region(cfg)
         corner = representative_corner(cfg)
         entries.append(
             {
-                "alpha": str(alpha),
+                "alpha": str(cfg.alpha1),
                 "vertices": [[str(v.d1), str(v.d2)] for v in region.vertices()],
                 "corner": [str(corner.d1), str(corner.d2)],
             }
@@ -334,25 +322,18 @@ def cmd_sweep_alpha(args) -> int:
 
 def cmd_sweep_pairs(args) -> int:
     antennas = _antennas(args)
-    pairs = []
-    for piece in args.pairs.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    cfgs = []
+    for piece in _items(args.pairs, "pair"):
         if ":" not in piece:
             raise InvalidAlpha(f"pair {piece!r} is not alpha1:alpha2")
-        left, right = piece.split(":", 1)
-        pairs.append((_alpha(left, "alpha1"), _alpha(right, "alpha2")))
-    if not pairs:
-        raise InvalidAlpha("empty pair list")
+        cfgs.append(SystemConfig(*antennas, *piece.split(":", 1)))
     entries = []
-    for a1, a2 in pairs:
-        cfg = SystemConfig(*antennas, a1, a2)
+    for cfg in cfgs:
         corner = representative_corner(cfg)
         entries.append(
             {
-                "alpha1": str(a1),
-                "alpha2": str(a2),
+                "alpha1": str(cfg.alpha1),
+                "alpha2": str(cfg.alpha2),
                 "corner": [str(corner.d1), str(corner.d2)],
             }
         )

@@ -54,7 +54,12 @@ class SystemConfig:
     """Antenna counts and CSIT qualities of one channel instance.
 
     m, n1, n2   -- transmit / receive antenna counts (positive integers)
-    alpha1, alpha2 -- CSIT quality exponents, exact rationals in [0, 1]
+    alpha1, alpha2 -- CSIT quality exponents, exact rationals in [0, 1];
+                      given as anything ``as_ratio`` parses, kept as Fraction
+
+    These are the only checks of the antenna counts and the qualities: a
+    bad count raises ``InvalidConfig`` and a bad quality ``InvalidAlpha``,
+    whose message shows the quality as it was given.
     """
 
     m: int
@@ -69,12 +74,13 @@ class SystemConfig:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
         for name in ("alpha1", "alpha2"):
+            given = getattr(self, name)
             try:
-                value = as_ratio(getattr(self, name))
+                value = as_ratio(given)
             except InvalidConfig as exc:
                 raise InvalidAlpha(f"{name} is {exc}")
             if not 0 <= value <= 1:
-                raise InvalidAlpha(f"{name} must lie in [0, 1], got {value}")
+                raise InvalidAlpha(f"{name} must lie in [0, 1], got {given}")
             object.__setattr__(self, name, value)
 
     def spatial_dim(self, rx: int) -> Fraction:
@@ -100,7 +106,7 @@ class SystemConfig:
         return min(own * den + alpha.numerator * other, self.m * den), den
 
     def with_quality(self, alpha1: RatioLike, alpha2: RatioLike) -> "SystemConfig":
-        return SystemConfig(self.m, self.n1, self.n2, as_ratio(alpha1), as_ratio(alpha2))
+        return SystemConfig(self.m, self.n1, self.n2, alpha1, alpha2)
 
 
 @dataclass(frozen=True)

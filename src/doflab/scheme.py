@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AntennaOverflow, InfeasiblePlan, InvalidWeight, WrongCase
+from .errors import AntennaOverflow, InfeasiblePlan, InvalidConfig, InvalidWeight, WrongCase
 from .rational import RatioLike, as_ratio
 from .region import DofPoint, DofRegion, HalfPlane, SystemConfig
 
@@ -123,7 +123,10 @@ def _integerize(values: list[Fraction]) -> tuple[list[int], int]:
 
 
 def _check_weight(weight: RatioLike) -> Fraction:
-    w = as_ratio(weight)
+    try:
+        w = as_ratio(weight)
+    except InvalidConfig as exc:
+        raise InvalidWeight(f"weight is {exc}")
     if not 0 <= w <= 1:
         raise InvalidWeight(f"weight must lie in [0, 1], got {w}")
     return w

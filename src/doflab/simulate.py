@@ -78,9 +78,11 @@ RANK_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SimParams:
-    """Monte Carlo controls for one campaign, and the one check on grid
-    points: at least two, each with a positive finite ``rho = 10**(snr/10)``,
-    strictly increasing; else ``InvalidSnrGrid``."""
+    """Monte Carlo controls for one campaign, and the one check of each: grid
+    points at least two, each with a positive finite ``rho = 10**(snr/10)``,
+    strictly increasing, else ``InvalidSnrGrid``; ``trials`` a positive
+    integer, else ``InvalidConfig``; ``seed`` a non-negative integer, else
+    ``InvalidSeed``. A bool is neither; numpy integers are integers."""
 
     snr_grid_db: tuple[float, ...]
     trials: int = 200
@@ -103,8 +105,16 @@ class SimParams:
             if low >= high:
                 raise InvalidSnrGrid(f"SNR grid repeats {low} dB" if low == high
                                      else "SNR grid must be increasing")
+        if not _is_integer(self.trials):
+            raise InvalidConfig(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise InvalidConfig("trials must be positive")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidSeed(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -696,13 +706,14 @@ def _phase3_systems(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarr
     at_rho = rho[:, None, None, None]
     # per phase i: its order-2 payload rows of receiver 1 - i's channel
     # (estimates) on the phase-three grid, their residuals, and the
-    # reconstruction noise variance of each row
+    # reconstruction noise variance of each row; only the rows the payload
+    # carries are quantized, and a dealt zero quantizes to zero
     est, res, evar = [], [], []
     for i, phase in enumerate(geom.phases):
-        heard = phase.symbols(h[1 - i])
+        heard = phase.rows(phase.symbols(h[1 - i]))
         hat = quantize_csit(heard, alpha[1 - i], at_rho)
-        est.append(phase.rows(hat))
-        res.append(phase.rows(heard - hat))
+        est.append(hat)
+        res.append(heard - hat)
         evar.append(phase.deal(phase.row_loads[None, :] / rho[:, None]))
 
     # each order-2 symbol gets an equal share of the slot's power

@@ -208,6 +208,24 @@ class TestSimulate:
         _, second, _ = run(*self.BASE, "--fidelity", "rate")
         assert first == second
 
+    @pytest.mark.parametrize("out", [None, "report.csv"])
+    def test_rank_fidelity_refuses_csv(self, run, tmp_path, out):
+        """A rank-only run has no rate table: ``--format csv`` is refused
+        before anything is computed or written."""
+        argv = [*self.BASE, "--fidelity", "rank", "--format", "csv"]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        assert run(*argv) == (3, "", "E:INVALID_CONFIG:--format csv writes rates, "
+                                     "and --fidelity rank computes none\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rank_fidelity_out_writes_one_json_file(self, run, tmp_path):
+        target = tmp_path / "rank.json"
+        code, out, _ = run(*self.BASE, "--fidelity", "rank", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert [path.name for path in tmp_path.iterdir()] == ["rank.json"]
+        assert json.loads(target.read_text())["rank_check"]["trials"] == 3
+
     def test_out_writes_csv_and_json(self, run, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(*self.BASE, "--fidelity", "rate", "--out", str(target))
@@ -574,6 +592,18 @@ class TestSweepAlpha:
         )
 
 
+    @pytest.mark.parametrize("alphas, message", [
+        ("0,abc", "alpha1 is not a rational: 'abc'"),
+        ("0,1.5", "alpha1 must lie in [0, 1], got 1.5"),
+        (" , ,", "empty alpha list"),
+    ])
+    def test_bad_alpha_list(self, run, alphas, message):
+        """Each quality is checked by SystemConfig, which names it alpha1;
+        nothing is printed before the whole list is checked."""
+        assert run("sweep-alpha", "--M", "2", "--N1", "1", "--N2", "1",
+                   "--alphas", alphas) == (3, "", f"E:INVALID_ALPHA:{message}\n")
+
+
 class TestSweepPairs:
     def test_increasing_second_user_quality(self, run):
         code, out, _ = run(
@@ -604,6 +634,15 @@ class TestSweepPairs:
         )
         assert code == 3
         assert err.startswith("E:INVALID_ALPHA:")
+
+    @pytest.mark.parametrize("pairs, message", [
+        ("1:0,1:abc", "alpha2 is not a rational: 'abc'"),
+        ("1:0,3/2:1", "alpha1 must lie in [0, 1], got 3/2"),
+        (",,", "empty pair list"),
+    ])
+    def test_bad_pair_list(self, run, pairs, message):
+        assert run("sweep-pairs", "--M", "2", "--N1", "1", "--N2", "1",
+                   "--pairs", pairs) == (3, "", f"E:INVALID_ALPHA:{message}\n")
 
 
 def eval_fraction(text):
@@ -638,6 +677,14 @@ class TestErrors:
         )
         assert code == 3
         assert err.startswith("E:INVALID_WEIGHT:")
+
+    @pytest.mark.parametrize("n", ["1", "2"], ids=["three-phase", "tdma"])
+    def test_weight_is_parsed_by_the_planner(self, run, n):
+        argv = ("plan", "--M", "2", "--N1", n, "--N2", n)
+        assert run(*argv, "--weight", "huh") == (
+            3, "", "E:INVALID_WEIGHT:weight is not a rational: 'huh'\n")
+        assert run(*argv, "--weight", " 1.5 ") == (
+            3, "", "E:INVALID_WEIGHT:weight must lie in [0, 1], got 3/2\n")
         code, _, err = run(
             "plan", "--M", "2", "--N1", "1", "--N2", "1", "--weight", "huh"
         )
@@ -750,23 +797,40 @@ class TestErrors:
         )
 
     @pytest.mark.parametrize(
-        "build, error",
+        "build, error, message",
         [
-            (lambda: doflab.SystemConfig(0, 1, 1), errors.InvalidConfig),
-            (lambda: doflab.SimParams((30.0,)), errors.InvalidSnrGrid),
-            (lambda: doflab.SimParams((30.0, 40.0), trials=0), errors.InvalidConfig),
-            (lambda: doflab.SystemConfig(2, 1, 1, "abc"), errors.InvalidAlpha),
-            (lambda: doflab.SystemConfig(2, 1, 1, "3/2"), errors.InvalidAlpha),
+            (lambda: doflab.SystemConfig(0, 1, 1), errors.InvalidConfig,
+             "m must be a positive integer, got 0"),
+            (lambda: doflab.SimParams((30.0,)), errors.InvalidSnrGrid,
+             "need at least two SNR points"),
+            (lambda: doflab.SimParams((30.0, 40.0), trials=0), errors.InvalidConfig,
+             "trials must be positive"),
+            (lambda: doflab.SystemConfig(2, 1, 1, "abc"), errors.InvalidAlpha,
+             "alpha1 is not a rational: 'abc'"),
+            (lambda: doflab.SystemConfig(2, 1, 1, "3/2"), errors.InvalidAlpha,
+             "alpha1 must lie in [0, 1], got 3/2"),
+            # the range message shows the quality as it was given
+            (lambda: doflab.SystemConfig(2, 1, 1, "1.5"), errors.InvalidAlpha,
+             "alpha1 must lie in [0, 1], got 1.5"),
+            (lambda: doflab.SystemConfig(2, 1, 1).with_quality("abc", 1), errors.InvalidAlpha,
+             "alpha1 is not a rational: 'abc'"),
+            (lambda: doflab.plan_schedule(doflab.SystemConfig(2, 1, 1), "huh"),
+             errors.InvalidWeight, "weight is not a rational: 'huh'"),
+            (lambda: doflab.plan_tdma(doflab.SystemConfig(2, 1, 1), "huh"),
+             errors.InvalidWeight, "weight is not a rational: 'huh'"),
+            (lambda: doflab.plan_schedule(doflab.SystemConfig(2, 1, 1), "3/2"),
+             errors.InvalidWeight, "weight must lie in [0, 1], got 3/2"),
         ],
         ids=["no-antennas", "one-snr-point", "no-trials", "alpha-not-rational",
-             "alpha-above-one"],
+             "alpha-above-one", "alpha-above-one-as-given", "with-quality-not-rational",
+             "schedule-weight-not-rational", "tdma-weight-not-rational",
+             "weight-above-one"],
     )
-    def test_invalid_input_is_typed_and_a_value_error(self, build, error):
+    def test_invalid_input_is_typed_and_a_value_error(self, build, error, message):
         with pytest.raises(ValueError) as info:
             build()
         assert type(info.value) is error and isinstance(info.value, errors.DoflabError)
-        if error is errors.InvalidAlpha:
-            assert str(info.value).startswith("alpha1 ")
+        assert str(info.value) == message
 
     def test_stray_value_error_propagates(self, run, monkeypatch, capsys):
         """A ValueError that is not a DoflabError is a programming error:
@@ -900,17 +964,19 @@ def test_readme_library_quick_start():
 
 def test_geometry_commands_leave_numpy_unloaded():
     """Only ``simulate`` loads the simulator and numpy: the geometry and
-    planning commands run without them, and simulate still runs after."""
+    planning commands, and simulate's refusal of a rank-only CSV, run
+    without them, and simulate still runs after."""
     src = Path(cli.__file__).resolve().parents[1]
     script = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from doflab import cli
 config = ["--M", "3", "--N1", "2", "--N2", "1"]
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [cli.main(argv) for argv in (
         ["region", *config], ["corners", *config], ["compare", *config],
-        ["plan", *config, "--weight", "4/5"], ["sweep-alpha", *config], ["sweep-pairs", *config])]
+        ["plan", *config, "--weight", "4/5"], ["sweep-alpha", *config], ["sweep-pairs", *config],
+        ["simulate", *config, "--fidelity", "rank", "--format", "csv"])]
 print(codes, sorted({"numpy", "doflab.simulate", "doflab.kernels"} & set(sys.modules)))
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["simulate", "--M", "2", "--N1", "1", "--N2", "1", "--trials", "3"])
@@ -919,7 +985,7 @@ print(code, "numpy" in sys.modules, out.getvalue().count("rx1_passes"))
     done = subprocess.run([sys.executable, "-c", script, str(src)],
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[0, 0, 0, 0, 0, 0] []\n0 True 1\n"
+    assert done.stdout == "[0, 0, 0, 0, 0, 0, 3] []\n0 True 1\n"
 
 
 def mostly(good, bad):

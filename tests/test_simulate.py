@@ -20,6 +20,8 @@ from doflab import (
     DoflabError,
     GramOverflow,
     InfeasiblePlan,
+    InvalidConfig,
+    InvalidSeed,
     InvalidSnrGrid,
     PlanTooLarge,
     SchedulePlan,
@@ -78,6 +80,28 @@ class TestSimParams:
         with pytest.raises(InvalidSnrGrid) as info:
             SimParams(grid)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("seed", True, InvalidSeed, "seed must be a non-negative integer, got True"),
+        ("seed", 1.5, InvalidSeed, "seed must be a non-negative integer, got 1.5"),
+        ("seed", "7", InvalidSeed, "seed must be a non-negative integer, got '7'"),
+        ("seed", -1, InvalidSeed, "seed must be a non-negative integer, got -1"),
+        ("seed", np.int64(-1), InvalidSeed,
+         f"seed must be a non-negative integer, got {np.int64(-1)!r}"),
+        ("trials", True, InvalidConfig, "trials must be an integer, got True"),
+        ("trials", 2.0, InvalidConfig, "trials must be an integer, got 2.0"),
+        ("trials", -3, InvalidConfig, "trials must be positive"),
+    ], ids=["seed-bool", "seed-float", "seed-text", "seed-negative", "seed-numpy-negative",
+            "trials-bool", "trials-float", "trials-negative"])
+    def test_seed_and_trial_rules(self, field, value, error, message):
+        """Refused at construction, before any channel is drawn."""
+        with pytest.raises(error) as info:
+            SimParams((30.0, 40.0), **{field: value})
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        params = SimParams((30.0, 40.0), trials=np.int32(2), seed=np.uint64(2**63))
+        assert (params.trials, params.seed) == (2, 2**63)
 
     def test_extreme_finite_rho_is_accepted(self):
         assert SimParams((-3230.0, 3080.0)).snr_grid_db == (-3230.0, 3080.0)
