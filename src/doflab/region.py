@@ -20,14 +20,16 @@ numerators over the alpha's denominator, ``HalfPlane`` keeps its
 constraint scaled to integers for vertex enumeration and containment, and
 the corner is solved over the common denominator of the enhanced
 dimensions. Each of these builds a ``Fraction`` only for the value it
-returns.
+returns. A ``DofRegion`` enumerates its vertices at most once, and
+``vertices``, ``area``, ``is_subset``, ``region_equal`` and the JSON form
+share that one set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -48,6 +50,21 @@ __all__ = [
     "region_equal",
 ]
 
+_ONE = Fraction(1)
+
+
+def _check_quality(name: str, given: RatioLike) -> Fraction:
+    """The one rule for a CSIT quality: ``given`` parsed by ``as_ratio``
+    and in [0, 1], else ``InvalidAlpha`` naming ``name`` and showing the
+    quality as it was given."""
+    try:
+        value = as_ratio(given)
+    except InvalidConfig as exc:
+        raise InvalidAlpha(f"{name} is {exc}")
+    if not 0 <= value <= 1:
+        raise InvalidAlpha(f"{name} must lie in [0, 1], got {given}")
+    return value
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -57,9 +74,8 @@ class SystemConfig:
     alpha1, alpha2 -- CSIT quality exponents, exact rationals in [0, 1];
                       given as anything ``as_ratio`` parses, kept as Fraction
 
-    These are the only checks of the antenna counts and the qualities: a
-    bad count raises ``InvalidConfig`` and a bad quality ``InvalidAlpha``,
-    whose message shows the quality as it was given.
+    These are the only checks of the antenna counts: a bad count raises
+    ``InvalidConfig``. Each quality goes through ``_check_quality``.
     """
 
     m: int
@@ -73,15 +89,8 @@ class SystemConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
-        for name in ("alpha1", "alpha2"):
-            given = getattr(self, name)
-            try:
-                value = as_ratio(given)
-            except InvalidConfig as exc:
-                raise InvalidAlpha(f"{name} is {exc}")
-            if not 0 <= value <= 1:
-                raise InvalidAlpha(f"{name} must lie in [0, 1], got {given}")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "alpha1", _check_quality("alpha1", self.alpha1))
+        object.__setattr__(self, "alpha2", _check_quality("alpha2", self.alpha2))
 
     def spatial_dim(self, rx: int) -> Fraction:
         """min(N_rx, M): receive dimension actually usable by receiver rx."""
@@ -134,6 +143,9 @@ class HalfPlane:
             raise ValueError("half-plane coefficients must be nonnegative")
         if scaled[0] == 0 and scaled[1] == 0:
             raise ValueError("half-plane needs a nonzero normal")
+        self._set(p, q, r, scaled)
+
+    def _set(self, p: Fraction, q: Fraction, r: Fraction, scaled: tuple[int, int, int]):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
@@ -141,13 +153,23 @@ class HalfPlane:
 
     @classmethod
     def from_intercepts(cls, d1_max: RatioLike, d2_max: RatioLike) -> "HalfPlane":
-        """Build ``d1/d1_max + d2/d2_max <= 1`` from positive axis intercepts."""
+        """Build ``d1/d1_max + d2/d2_max <= 1`` from positive axis intercepts.
+
+        With ``d1_max = xn/xd`` and ``d2_max = yn/yd`` in lowest terms, the
+        coefficients are ``xd/xn``, ``yd/yn`` and 1, already in lowest terms,
+        and ``scaled`` is ``(xd*(L//xn), yd*(L//yn), L)`` with
+        ``L = lcm(xn, yn)``: the plane ``__init__`` would build, without
+        parsing its coefficients again.
+        """
         x, y = as_ratio(d1_max), as_ratio(d2_max)
-        if x.numerator <= 0 or y.numerator <= 0:
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        if xn <= 0 or yn <= 0:
             raise ValueError("intercepts must be positive")
-        return cls(
-            Fraction(x.denominator, x.numerator), Fraction(y.denominator, y.numerator), Fraction(1)
-        )
+        scale = lcm(xn, yn)
+        plane = object.__new__(cls)
+        plane._set(Fraction(xd, xn), Fraction(yd, yn), _ONE,
+                   (xd * (scale // xn), yd * (scale // yn), scale))
+        return plane
 
     def evaluate(self, d1: Fraction, d2: Fraction) -> Fraction:
         return self.p * d1 + self.q * d2
@@ -205,11 +227,23 @@ class DofRegion:
         if d1 < 0 or d2 < 0:
             return False
         # P*d1 + Q*d2 <= R multiplied through by den(d1)*den(d2) > 0
-        x = d1.numerator * d2.denominator
-        y = d2.numerator * d1.denominator
-        den = d1.denominator * d2.denominator
+        return self._holds(
+            d1.numerator * d2.denominator,
+            d2.numerator * d1.denominator,
+            d1.denominator * d2.denominator,
+        )
+
+    def _holds(self, x: int, y: int, den: int) -> bool:
+        """Whether every constraint holds at ``(x/den, y/den)``, ``den > 0``."""
         scaled = (hp.scaled for hp in self.constraints)
         return all(p * x + q * y <= r * den for p, q, r in scaled)
+
+    @cached_property
+    def _vertex_triples(self) -> frozenset[tuple[int, int, int]]:
+        """The vertex set, enumerated on first use and kept with the
+        instance. Like ``HalfPlane.scaled`` it is not a field, so equality,
+        hashing and repr see only the constraints."""
+        return _enumerate_vertices([hp.scaled for hp in self.constraints])
 
     def vertices(self) -> list[DofPoint]:
         """Corner points of the polygon, counterclockwise starting at (0, 0).
@@ -230,37 +264,8 @@ class DofRegion:
 
         return [
             DofPoint(Fraction(x, det), Fraction(y, det))
-            for x, y, det in sorted(self._vertex_triples(), key=cmp_to_key(by_angle))
+            for x, y, det in sorted(self._vertex_triples, key=cmp_to_key(by_angle))
         ]
-
-    def _vertex_triples(self) -> set[tuple[int, int, int]]:
-        """The vertices as integer triples ``(x*det, y*det, det)`` with
-        ``det > 0``, in lowest terms, so equal points give equal triples."""
-        scaled = [hp.scaled for hp in self.constraints]
-        if not any(p > 0 for p, _, _ in scaled) or not any(q > 0 for _, q, _ in scaled):
-            raise UnboundedRegion("region is unbounded in the quadrant")
-        lines = scaled + [(1, 0, 0), (0, 1, 0)]  # the axes d1 = 0 and d2 = 0
-        found: set[tuple[int, int, int]] = set()
-        for i in range(len(lines)):
-            p1, q1, r1 = lines[i]
-            for j in range(i + 1, len(lines)):
-                p2, q2, r2 = lines[j]
-                det = p1 * q2 - p2 * q1
-                if det == 0:
-                    continue
-                x = r1 * q2 - r2 * q1
-                y = p1 * r2 - p2 * r1
-                if det < 0:
-                    det, x, y = -det, -x, -y
-                if x < 0 or y < 0:
-                    continue
-                for p, q, r in scaled:
-                    if p * x + q * y > r * det:
-                        break
-                else:
-                    g = gcd(x, y, det)
-                    found.add((x // g, y // g, det // g))
-        return found
 
     def area(self) -> Fraction:
         """Exact area via the shoelace sum over the ordered vertices."""
@@ -284,6 +289,36 @@ class DofRegion:
     def from_json_dict(cls, data: dict) -> "DofRegion":
         """Rebuild from the serialized constraints (vertices are recomputed)."""
         return cls(HalfPlane.from_json_dict(hp) for hp in data["constraints"])
+
+
+def _enumerate_vertices(scaled: list[tuple[int, int, int]]) -> frozenset[tuple[int, int, int]]:
+    """The vertices of the region of the integer constraints ``scaled`` as
+    triples ``(x*det, y*det, det)`` with ``det > 0``, in lowest terms, so
+    equal points give equal triples."""
+    if not any(p > 0 for p, _, _ in scaled) or not any(q > 0 for _, q, _ in scaled):
+        raise UnboundedRegion("region is unbounded in the quadrant")
+    lines = scaled + [(1, 0, 0), (0, 1, 0)]  # the axes d1 = 0 and d2 = 0
+    found: set[tuple[int, int, int]] = set()
+    for i in range(len(lines)):
+        p1, q1, r1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            p2, q2, r2 = lines[j]
+            det = p1 * q2 - p2 * q1
+            if det == 0:
+                continue
+            x = r1 * q2 - r2 * q1
+            y = p1 * r2 - p2 * r1
+            if det < 0:
+                det, x, y = -det, -x, -y
+            if x < 0 or y < 0:
+                continue
+            for p, q, r in scaled:
+                if p * x + q * y > r * det:
+                    break
+            else:
+                g = gcd(x, y, det)
+                found.add((x // g, y // g, det // g))
+    return frozenset(found)
 
 
 def dof_region(cfg: SystemConfig) -> DofRegion:
@@ -370,7 +405,7 @@ def representative_corner(cfg: SystemConfig) -> DofPoint:
 
 def is_subset(inner: DofRegion, outer: DofRegion) -> bool:
     """Exact containment test for bounded convex regions (vertex check)."""
-    return all(outer.contains(v) for v in inner.vertices())
+    return all(outer._holds(*vertex) for vertex in inner._vertex_triples)
 
 
 def region_equal(a: DofRegion, b: DofRegion) -> bool:
@@ -379,4 +414,4 @@ def region_equal(a: DofRegion, b: DofRegion) -> bool:
     Two bounded convex polygons are equal exactly when their vertices are,
     so this compares the vertex sets as reduced integer triples.
     """
-    return a._vertex_triples() == b._vertex_triples()
+    return a._vertex_triples == b._vertex_triples

@@ -11,7 +11,10 @@ receiver ends up with as many independent equations as it has symbols:
 
 Durations are planned as exact rationals from a time-sharing weight and then
 scaled by the smallest integer that makes all durations and stream counts
-whole, so every plan is directly realizable slot by slot.
+whole, so every plan is directly realizable slot by slot. The planner works
+on integer numerators over one common denominator and reduces them by their
+gcd with it once; the only ``Fraction`` it builds is ``corner_weight``'s
+return value.
 
 For M <= N2 plain time sharing is already optimal; ``plan_tdma`` covers that
 regime (and degenerate single-user baselines in general).
@@ -19,9 +22,9 @@ regime (and degenerate single-user baselines in general).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import AntennaOverflow, InfeasiblePlan, InvalidConfig, InvalidWeight, WrongCase
 from .rational import RatioLike, as_ratio
@@ -74,13 +77,14 @@ class SchedulePlan:
         """Three-phase plan with the standard stream loading for given
         integer durations: s_i = m_i * tau_i. The loads must come out whole.
         """
-        s1 = cfg.enhanced_dim(1) * tau1
-        s2 = cfg.enhanced_dim(2) * tau2
-        if s1.denominator != 1 or s2.denominator != 1:
+        (num1, den1), (num2, den2) = cfg._enhanced(1), cfg._enhanced(2)
+        s1, rest1 = divmod(num1 * tau1, den1)
+        s2, rest2 = divmod(num2 * tau2, den2)
+        if rest1 or rest2:
             raise ValueError(
                 "fractional stream totals; scale the durations first"
             )
-        return cls(tau1, tau2, tau3, int(s1), int(s2))
+        return cls(tau1, tau2, tau3, s1, s2)
 
 
 @dataclass(frozen=True)
@@ -107,19 +111,18 @@ class Order2Payload:
     per_slot_streams: int
 
 
-def _overhead_ratios(cfg: SystemConfig) -> tuple[Fraction, Fraction]:
-    # r_i = max(0, m_i - N_i) / N_i: phase-three slots needed per slot of
-    # phase i to finish user i, with m_i = num/den kept in integers
-    def ratio(rx: int, n: int) -> Fraction:
-        num, den = cfg._enhanced(rx)
-        return Fraction(max(0, num - n * den), n * den)
-
-    return ratio(1, cfg.n1), ratio(2, cfg.n2)
-
-
-def _integerize(values: list[Fraction]) -> tuple[list[int], int]:
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+def _loads(cfg: SystemConfig) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """``(den, (m1, r1), (m2, r2))``: per symbol phase i, its streams per
+    slot ``m_i = min(N_i + alpha_j*N_j, M)`` and its phase-three slots per
+    slot ``r_i = max(0, m_i - N_i) / N_i``, as integer numerators over the
+    one denominator ``den``."""
+    (num1, den1), (num2, den2) = cfg._enhanced(1), cfg._enhanced(2)
+    a, b = cfg.n1 * den1, cfg.n2 * den2  # N1 over den1, N2 over den2
+    return (
+        a * b,
+        (num1 * cfg.n1 * b, max(0, num1 - a) * b),
+        (num2 * cfg.n2 * a, max(0, num2 - b) * a),
+    )
 
 
 def _check_weight(weight: RatioLike) -> Fraction:
@@ -149,13 +152,13 @@ def plan_schedule(cfg: SystemConfig, weight: RatioLike) -> SchedulePlan:
     """
     w = _check_weight(weight)
     _check_three_phase(cfg)
-    r1, r2 = _overhead_ratios(cfg)
-    t1, t2 = w, 1 - w
-    t3 = max(r1 * t1, r2 * t2)
-    s1 = cfg.enhanced_dim(1) * t1
-    s2 = cfg.enhanced_dim(2) * t2
-    (t1i, t2i, t3i, s1i, s2i), scale = _integerize([t1, t2, t3, s1, s2])
-    return SchedulePlan(t1i, t2i, t3i, s1i, s2i, scale)
+    den, (m1, r1), (m2, r2) = _loads(cfg)
+    # tau1 = u1/wd and tau2 = u2/wd; every value is a numerator over wd*den
+    u1, u2 = w.numerator, w.denominator - w.numerator
+    values = (u1 * den, u2 * den, max(r1 * u1, r2 * u2), m1 * u1, m2 * u2)
+    scale = w.denominator * den
+    g = gcd(scale, *values)
+    return SchedulePlan(*(v // g for v in values), scale // g)
 
 
 def plan_tdma(cfg: SystemConfig, weight: RatioLike) -> SchedulePlan:
@@ -166,11 +169,11 @@ def plan_tdma(cfg: SystemConfig, weight: RatioLike) -> SchedulePlan:
     point-to-point schedule for user 1, weight 0 to one for user 2.
     """
     w = _check_weight(weight)
-    t1, t2 = w, 1 - w
-    s1 = cfg.spatial_dim(1) * t1
-    s2 = cfg.spatial_dim(2) * t2
-    (t1i, t2i, s1i, s2i), scale = _integerize([t1, t2, s1, s2])
-    return SchedulePlan(t1i, t2i, 0, s1i, s2i, scale)
+    # every value is a numerator over the weight's denominator, and the
+    # weight is in lowest terms, so that denominator is already the scale
+    u1, u2 = w.numerator, w.denominator - w.numerator
+    a, d = min(cfg.n1, cfg.m), min(cfg.n2, cfg.m)
+    return SchedulePlan(u1, u2, 0, a * u1, d * u2, w.denominator)
 
 
 def corner_weight(cfg: SystemConfig) -> Fraction:
@@ -183,10 +186,10 @@ def corner_weight(cfg: SystemConfig) -> Fraction:
     off-axis edge). Requires N2 < M, like ``plan_schedule``.
     """
     _check_three_phase(cfg)
-    r1, r2 = _overhead_ratios(cfg)
+    _, (_, r1), (_, r2) = _loads(cfg)
     if r1 + r2 == 0:
         return Fraction(1, 2)
-    return r2 / (r1 + r2)
+    return Fraction(r2, r1 + r2)
 
 
 def check_decoding_conditions(plan: SchedulePlan, cfg: SystemConfig) -> DecodingCheck:

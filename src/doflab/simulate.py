@@ -37,8 +37,8 @@ import numpy as np
 from . import kernels
 from .errors import (GramOverflow, InvalidConfig, InvalidSeed, InvalidSnrGrid, PlanTooLarge,
                      ShapeMismatch, SingularCovariance)
-from .rational import RatioLike, as_ratio
-from .region import SystemConfig
+from .rational import RatioLike
+from .region import SystemConfig, _check_quality
 from .scheme import SchedulePlan, order2_payload
 
 __all__ = [
@@ -246,7 +246,10 @@ def _seed_state_words(entropy: np.ndarray) -> list[list[int]]:
 
 def _entropy_words(seed) -> list[int]:
     """SeedSequence's entropy words of ``seed``: an int's uint32 words, least
-    significant first, or the words of a sequence's items in order."""
+    significant first, or the words of a sequence's items in order. A bool
+    is not an integer here, as in ``SimParams``."""
+    if isinstance(seed, (bool, np.bool_)):
+        raise InvalidSeed(f"seed must be a non-negative integer, got {seed!r}")
     if isinstance(seed, (int, np.integer)):
         value = int(seed)
         if value < 0:
@@ -299,7 +302,7 @@ def gen_channels(cfg: SystemConfig, total_slots: int, seed, trials=None) -> Chan
     if total_slots < 1:
         raise ValueError("total_slots must be positive")
     head = _entropy_words(seed)
-    entropies = [head] if trials is None else [head + _entropy_words(int(t)) for t in trials]
+    entropies = [head] if trials is None else [head + _entropy_words(t) for t in trials]
     shape1 = (len(entropies), total_slots, cfg.n1, cfg.m)
     shape2 = (len(entropies), total_slots, cfg.n2, cfg.m)
     size1, size2 = math.prod(shape1[1:]), math.prod(shape2[1:])
@@ -328,12 +331,14 @@ def quantize_csit(h: np.ndarray, alpha: RatioLike, rho) -> np.ndarray:
 
     ``rho`` is a scalar or an array broadcast against ``h``, so one call
     quantizes a whole stack of draws at their own SNR points.
+
+    A quality ``SystemConfig`` would refuse raises ``InvalidAlpha``; a
+    ``rho`` that is not positive and finite raises ``InvalidSnrGrid``.
     """
-    a = float(as_ratio(alpha))
-    if not 0 <= a <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {a}")
-    if np.any(np.asarray(rho) <= 0):
-        raise ValueError("rho must be positive")
+    a = float(_check_quality("alpha", alpha))
+    at = np.asarray(rho, dtype=float)
+    if not np.all((0 < at) & (at < math.inf)):  # NaN fails both
+        raise InvalidSnrGrid("rho must be positive and finite")
     if a == 0:
         return np.zeros_like(h)
     # Python's pow, element by element: numpy's vectorized power can differ

@@ -1,11 +1,13 @@
-"""The exact geometry against an oracle typed here in plain Fraction arithmetic.
+"""The exact geometry and planning against an oracle typed here in plain
+Fraction arithmetic.
 
-The package computes dimensions, constraints and corners on integers and
-builds a Fraction only for each value it returns. Over the whole acceptance
-grid, every such value must equal the one this file derives from the
-definitions, with no package helper: the dimensions from their min
-formulas, each constraint from its axis intercepts, and the corner by
-Cramer's rule on the two boundary lines.
+The package computes dimensions, constraints, corners and plans on integers
+and builds a Fraction only for each value it returns. Over the whole
+acceptance grid, every such value must equal the one this file derives from
+the definitions, with no package helper: the dimensions from their min
+formulas, each constraint from its axis intercepts, the corner by Cramer's
+rule on the two boundary lines, and each plan's durations and symbol counts
+as Fractions scaled by the lcm of their reduced denominators.
 """
 
 import math
@@ -23,12 +25,21 @@ from doflab import (
     achievable_region,
     converse_region,
     corner_point,
+    corner_weight,
     dof_region,
+    plan_schedule,
+    plan_tdma,
     representative_corner,
 )
 
 ALPHAS = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 ANTENNAS = range(1, 7)
+WEIGHTS = (F(0), F(1, 5), F(1, 3), F(1, 2), F(4, 5), F(1))
+
+
+def grid():
+    for m, n1, n2, a1, a2 in product(ANTENNAS, ANTENNAS, ANTENNAS, ALPHAS, ALPHAS):
+        yield SystemConfig(m, n1, n2, a1, a2), m, n1, n2, a1, a2
 
 
 def oracle_line(d1_max, d2_max):
@@ -46,8 +57,7 @@ def assert_constraints(region, lines):
 
 def test_geometry_matches_fraction_oracle_on_acceptance_grid():
     degenerate = 0
-    for m, n1, n2, a1, a2 in product(ANTENNAS, ANTENNAS, ANTENNAS, ALPHAS, ALPHAS):
-        cfg = SystemConfig(m, n1, n2, a1, a2)
+    for cfg, m, n1, n2, a1, a2 in grid():
         a, d = F(min(n1, m)), F(min(n2, m))
         c = min(n1 + a2 * n2, F(m))
         b = min(n2 + a1 * n1, F(m))
@@ -77,6 +87,43 @@ def test_geometry_matches_fraction_oracle_on_acceptance_grid():
             assert tuple(corner_point(cfg)) == want
         assert tuple(representative_corner(cfg)) == want
     assert degenerate == 2680
+
+
+def oracle_plan(values):
+    """(integers, scale): Fraction values times the lcm of their reduced
+    denominators, the plan's integer_scale."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [int(v * scale) for v in values], scale
+
+
+def plan_fields(plan):
+    return (plan.tau1, plan.tau2, plan.tau3, plan.s1_count, plan.s2_count, plan.integer_scale)
+
+
+def test_plans_match_fraction_oracle_on_acceptance_grid():
+    """plan_schedule over every three-phase config (N2 < M) and weight, the
+    corner weight among them; plan_tdma over every config and weight."""
+    schedules = tdmas = 0
+    for cfg, m, n1, n2, a1, a2 in grid():
+        for w in WEIGHTS:
+            t1, t2 = w, 1 - w
+            (u1, u2, v1, v2), scale = oracle_plan([t1, t2, min(n1, m) * t1, min(n2, m) * t2])
+            assert plan_fields(plan_tdma(cfg, w)) == (u1, u2, 0, v1, v2, scale)
+            tdmas += 1
+        if n2 >= m:
+            continue
+        m1, m2 = min(n1 + a2 * n2, F(m)), min(n2 + a1 * n1, F(m))
+        r1, r2 = max(F(0), m1 - n1) / n1, max(F(0), m2 - n2) / n2
+        corner = F(1, 2) if r1 + r2 == 0 else r2 / (r1 + r2)
+        got = corner_weight(cfg)
+        assert (got, type(got)) == (corner, F)
+        for w in (*WEIGHTS, corner):
+            t1, t2 = w, 1 - w
+            t3 = max(r1 * t1, r2 * t2)
+            (u1, u2, u3, v1, v2), scale = oracle_plan([t1, t2, t3, m1 * t1, m2 * t2])
+            assert plan_fields(plan_schedule(cfg, w)) == (u1, u2, u3, v1, v2, scale)
+            schedules += 1
+    assert (schedules, tdmas) == (15750, 32400)
 
 
 def test_geometry_import_leaves_numpy_unloaded():

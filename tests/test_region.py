@@ -1,5 +1,6 @@
 """Exact-geometry tests: frozen oracles plus property checks."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from doflab import (
     is_subset,
     no_csit_region,
     rational,
+    region,
     region_equal,
     representative_corner,
 )
@@ -70,6 +72,24 @@ class TestHalfPlane:
         assert hp.contains(F(3), F(0))
         assert hp.is_tight_at(F(3), F(0))
         assert not hp.contains(F(3), F(1, 100))
+
+    @given(x=st.fractions(min_value=F(1, 10**6), max_value=10**6),
+           y=st.fractions(min_value=F(1, 10**6), max_value=10**6))
+    @example(x=F(3), y=F(3, 2))
+    @example(x=F(4, 6), y=F(6, 4))
+    def test_from_intercepts_equals_the_constructor(self, x, y):
+        # built from the intercepts' integers, the plane is the one the
+        # constructor builds from its coefficients, scaled form and all
+        built = HalfPlane.from_intercepts(x, y)
+        typed = HalfPlane(1 / x, 1 / y, F(1))
+        assert built == typed and hash(built) == hash(typed) and repr(built) == repr(typed)
+        assert built.scaled == typed.scaled
+        assert all(type(c) is F for c in (built.p, built.q, built.r))
+
+    def test_from_intercepts_rejects_nonpositive(self):
+        for x, y in ((0, 1), (1, 0), (F(-1, 2), 1), (1, -3)):
+            with pytest.raises(ValueError, match="^intercepts must be positive$"):
+                HalfPlane.from_intercepts(x, y)
 
     def test_json_round_trip(self):
         hp = HalfPlane(F(1, 3), F(2, 7), F(1))
@@ -270,6 +290,42 @@ class TestPredicates:
         ):
             corner = corner_point(cfg)
             assert tuple(corner) in {tuple(v) for v in dof_region(cfg).vertices()}
+
+
+def test_vertex_set_is_enumerated_once(monkeypatch):
+    """vertices, region_equal, is_subset, area and to_json_dict share one
+    enumeration per region, which stays out of the dataclass's view."""
+    calls = []
+    enumerate_vertices = region._enumerate_vertices
+
+    def counted(scaled):
+        calls.append(scaled)
+        return enumerate_vertices(scaled)
+
+    monkeypatch.setattr(region, "_enumerate_vertices", counted)
+    cfg = SystemConfig(4, 3, 2, F(2, 7), F(5, 6))
+    shape, other = dof_region(cfg), delayed_csit_region(cfg)
+    fresh = DofRegion(shape.constraints)
+    other.vertices()
+    calls.clear()
+    for _ in range(2):
+        verts = shape.vertices()
+        assert region_equal(shape, other) is False and region_equal(other, shape) is False
+        assert is_subset(shape, other) and not is_subset(other, shape)
+        assert shape.area() > 0
+        data = shape.to_json_dict()
+    assert calls == [[hp.scaled for hp in shape.constraints]]
+
+    # the stored set is no field: equality, hashing, repr, the fields and
+    # the JSON form are those of a region that never enumerated
+    assert [f.name for f in dataclasses.fields(shape)] == ["constraints"]
+    assert shape == fresh and hash(shape) == hash(fresh) and repr(shape) == repr(fresh)
+    assert "frozenset" not in repr(shape)
+    assert data == {"constraints": [hp.to_json_dict() for hp in shape.constraints],
+                    "vertices": [[str(v.d1), str(v.d2)] for v in verts]}
+    back = DofRegion.from_json_dict(data)
+    assert back == shape and back.to_json_dict() == data
+    assert len(calls) == 2  # back's own set; ==, hash and repr enumerate none
 
 
 class TestSerialization:

@@ -20,6 +20,7 @@ from doflab import (
     DoflabError,
     GramOverflow,
     InfeasiblePlan,
+    InvalidAlpha,
     InvalidConfig,
     InvalidSeed,
     InvalidSnrGrid,
@@ -183,6 +184,15 @@ class TestGenChannels:
         with pytest.raises(error):
             gen_channels(SystemConfig(2, 1, 1), 3, seed)
 
+    @pytest.mark.parametrize(("seed", "trials"), [
+        (True, None), (False, None), (np.True_, None), ([3, True], None),
+        (1, [True]), (1, np.array([False, True])),
+    ])
+    def test_bool_seed_or_trial_is_refused(self, seed, trials):
+        # as SimParams refuses a bool seed: True is not the seed 1
+        with pytest.raises(InvalidSeed, match="^seed must be a non-negative integer, got "):
+            gen_channels(SystemConfig(2, 1, 1), 2, seed, trials)
+
     @settings(max_examples=60, deadline=None)
     @given(
         m=st.integers(1, 5),
@@ -302,6 +312,28 @@ class TestQuantizer:
             quantize_csit(h, F(1, 2), 0.0)
         with pytest.raises(ValueError):
             quantize_csit(h, F(1, 2), np.array([100.0, -1.0, 100.0]))
+
+    @pytest.mark.parametrize(("alpha", "rho", "error", "message"), [
+        ("abc", 10.0, InvalidAlpha, "alpha is not a rational: 'abc'"),
+        ("3/2", 10.0, InvalidAlpha, "alpha must lie in [0, 1], got 3/2"),
+        (F(3, 2), 10.0, InvalidAlpha, "alpha must lie in [0, 1], got 3/2"),
+        (-0.5, 10.0, InvalidAlpha, "alpha must lie in [0, 1], got -0.5"),
+        (F(1, 2), 0.0, InvalidSnrGrid, "rho must be positive and finite"),
+        (F(1, 2), -1.0, InvalidSnrGrid, "rho must be positive and finite"),
+        (F(1, 2), math.nan, InvalidSnrGrid, "rho must be positive and finite"),
+        (F(1, 2), math.inf, InvalidSnrGrid, "rho must be positive and finite"),
+        (0, math.nan, InvalidSnrGrid, "rho must be positive and finite"),
+        (F(1, 2), np.array([100.0, math.nan]), InvalidSnrGrid, "rho must be positive and finite"),
+    ])
+    def test_input_rules(self, alpha, rho, error, message):
+        # the quality by SystemConfig's rule, rho by one check of every point
+        with pytest.raises(error) as info:
+            quantize_csit(np.zeros(2, dtype=complex), alpha, rho)
+        assert str(info.value) == message
+        if error is InvalidAlpha:
+            with pytest.raises(error) as info:
+                SystemConfig(2, 1, 1, alpha)
+            assert str(info.value) == message.replace("alpha", "alpha1", 1)
 
     def test_broadcast_rho_matches_scalar(self):
         h = gen_channels(SystemConfig(3, 2, 1), 4, 9).h1
