@@ -27,7 +27,7 @@ def outer_bound_rx1_enhanced(cfg: SystemConfig) -> DofRegion:
         d1 / min(N1 + alpha2*N2, M) + d2 / min(N2, M) <= 1.
     """
     return DofRegion(
-        [HalfPlane.from_intercepts(cfg.enhanced_dim(1), cfg.spatial_dim(2))]
+        [HalfPlane._from_ratios(cfg._enhanced(1), cfg._spatial(2))]
     )
 
 
@@ -37,7 +37,7 @@ def outer_bound_rx2_enhanced(cfg: SystemConfig) -> DofRegion:
         d1 / min(N1, M) + d2 / min(N2 + alpha1*N1, M) <= 1.
     """
     return DofRegion(
-        [HalfPlane.from_intercepts(cfg.spatial_dim(1), cfg.enhanced_dim(2))]
+        [HalfPlane._from_ratios(cfg._spatial(1), cfg._enhanced(2))]
     )
 
 

@@ -12,22 +12,25 @@ the nonnegative quadrant. All coefficients and all derived quantities
 (vertices, areas, corner points) are exact rationals; nothing in this module
 touches floating point.
 
-``Fraction`` is the type at the API: the fields of ``SystemConfig``,
-``HalfPlane`` and ``DofPoint``, and every value a function returns. The
-arithmetic behind them runs on plain integers, which is just as exact and
-avoids a gcd per step: the enhanced dimensions are summed and capped on
-numerators over the alpha's denominator, ``HalfPlane`` keeps its
-constraint scaled to integers for vertex enumeration and containment, and
-the corner is solved over the common denominator of the enhanced
-dimensions. Each of these builds a ``Fraction`` only for the value it
-returns. A ``DofRegion`` enumerates its vertices at most once, and
-``vertices``, ``area``, ``is_subset``, ``region_equal`` and the JSON form
-share that one set.
+``Fraction`` is the type at the API: the fields of ``SystemConfig`` and
+``DofPoint``, the coefficients ``p``, ``q``, ``r`` of a ``HalfPlane``, and
+every value a function returns. The arithmetic behind them runs on plain
+integers, which is just as exact and avoids a gcd per step: the enhanced
+dimensions are summed and capped on numerators over the alpha's
+denominator, and the corner is solved over the common denominator of the
+enhanced dimensions. A ``HalfPlane`` is stored as integers, its
+constraint scaled by the common denominator of its coefficients, and
+builds ``p``, ``q`` and ``r`` only when they are read; the region builders
+hand it the integer intercepts of ``SystemConfig`` directly, so building,
+comparing and testing points against regions construct no ``Fraction``.
+A ``DofRegion`` enumerates its vertices at most once, and ``vertices``,
+``area``, ``is_subset``, ``region_equal`` and the JSON form share that
+one set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd, lcm
@@ -49,8 +52,6 @@ __all__ = [
     "is_subset",
     "region_equal",
 ]
-
-_ONE = Fraction(1)
 
 
 def _check_quality(name: str, given: RatioLike) -> Fraction:
@@ -94,8 +95,11 @@ class SystemConfig:
 
     def spatial_dim(self, rx: int) -> Fraction:
         """min(N_rx, M): receive dimension actually usable by receiver rx."""
-        n = self.n1 if rx == 1 else self.n2
-        return Fraction(min(n, self.m))
+        return Fraction(*self._spatial(rx))
+
+    def _spatial(self, rx: int) -> tuple[int, int]:
+        """``spatial_dim(rx)`` as integers ``(num, 1)``."""
+        return min(self.n1 if rx == 1 else self.n2, self.m), 1
 
     def enhanced_dim(self, rx: int) -> Fraction:
         """Receive dimension of receiver rx once the other user's overheard
@@ -118,67 +122,110 @@ class SystemConfig:
         return SystemConfig(self.m, self.n1, self.n2, alpha1, alpha2)
 
 
-@dataclass(frozen=True)
 class HalfPlane:
     """Constraint ``p*d1 + q*d2 <= r`` with exact nonnegative coefficients.
 
-    ``scaled`` is the same constraint as integers ``(P, Q, R)``: p, q, r
-    times the lcm of their denominators. It is not a field, so equality,
-    hashing and repr see only p, q, r.
+    The constraint is stored as integers: ``scaled`` is ``(P, Q, R)``, that
+    is p, q and r times their common denominator, the lcm of their
+    denominators, which is stored too. ``p``, ``q`` and ``r`` are
+    ``Fraction``s built from these integers when read. As a value a plane
+    is its ``(p, q, r)``, as for a frozen dataclass of those three fields:
+    equality, hashing, repr, the JSON form and pickling see only them, and
+    assigning to a plane raises ``FrozenInstanceError``.
     """
 
-    p: Fraction
-    q: Fraction
-    r: Fraction
+    __slots__ = ("scaled", "_den")
+    __match_args__ = ("p", "q", "r")
 
-    def __post_init__(self):
-        p, q, r = as_ratio(self.p), as_ratio(self.q), as_ratio(self.r)
-        scale = lcm(p.denominator, q.denominator, r.denominator)
+    def __init__(self, p: RatioLike, q: RatioLike, r: RatioLike):
+        p, q, r = as_ratio(p), as_ratio(q), as_ratio(r)
+        den = lcm(p.denominator, q.denominator, r.denominator)
         scaled = (
-            p.numerator * (scale // p.denominator),
-            q.numerator * (scale // q.denominator),
-            r.numerator * (scale // r.denominator),
+            p.numerator * (den // p.denominator),
+            q.numerator * (den // q.denominator),
+            r.numerator * (den // r.denominator),
         )
         if scaled[0] < 0 or scaled[1] < 0 or scaled[2] < 0:
             raise ValueError("half-plane coefficients must be nonnegative")
         if scaled[0] == 0 and scaled[1] == 0:
             raise ValueError("half-plane needs a nonzero normal")
-        self._set(p, q, r, scaled)
-
-    def _set(self, p: Fraction, q: Fraction, r: Fraction, scaled: tuple[int, int, int]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "scaled", scaled)
+        _set_scaled(self, scaled)
+        _set_den(self, den)
 
     @classmethod
     def from_intercepts(cls, d1_max: RatioLike, d2_max: RatioLike) -> "HalfPlane":
-        """Build ``d1/d1_max + d2/d2_max <= 1`` from positive axis intercepts.
+        """Build ``d1/d1_max + d2/d2_max <= 1`` from positive axis intercepts."""
+        x, y = as_ratio(d1_max), as_ratio(d2_max)
+        return cls._from_ratios((x.numerator, x.denominator), (y.numerator, y.denominator))
+
+    @classmethod
+    def _from_ratios(cls, d1_max: tuple[int, int], d2_max: tuple[int, int]) -> "HalfPlane":
+        """``from_intercepts`` for intercepts given as integer pairs
+        ``(num, den)`` with ``den > 0``, not necessarily in lowest terms.
 
         With ``d1_max = xn/xd`` and ``d2_max = yn/yd`` in lowest terms, the
         coefficients are ``xd/xn``, ``yd/yn`` and 1, already in lowest terms,
-        and ``scaled`` is ``(xd*(L//xn), yd*(L//yn), L)`` with
-        ``L = lcm(xn, yn)``: the plane ``__init__`` would build, without
-        parsing its coefficients again.
+        so their common denominator is ``L = lcm(xn, yn)`` and ``scaled`` is
+        ``(xd*(L//xn), yd*(L//yn), L)``: the plane ``__init__`` would build.
         """
-        x, y = as_ratio(d1_max), as_ratio(d2_max)
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        (xn, xd), (yn, yd) = d1_max, d2_max
         if xn <= 0 or yn <= 0:
             raise ValueError("intercepts must be positive")
-        scale = lcm(xn, yn)
+        g, h = gcd(xn, xd), gcd(yn, yd)
+        xn, xd, yn, yd = xn // g, xd // g, yn // h, yd // h
+        den = lcm(xn, yn)
         plane = object.__new__(cls)
-        plane._set(Fraction(xd, xn), Fraction(yd, yn), _ONE,
-                   (xd * (scale // xn), yd * (scale // yn), scale))
+        _set_scaled(plane, (xd * (den // xn), yd * (den // yn), den))
+        _set_den(plane, den)
         return plane
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self.scaled[0], self._den)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.scaled[1], self._den)
+
+    @property
+    def r(self) -> Fraction:
+        return Fraction(self.scaled[2], self._den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._den == other._den and self.scaled == other.scaled
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.r))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(p={self.p!r}, q={self.q!r}, r={self.r!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.p, self.q, self.r)
 
     def evaluate(self, d1: Fraction, d2: Fraction) -> Fraction:
         return self.p * d1 + self.q * d2
 
     def contains(self, d1: Fraction, d2: Fraction) -> bool:
-        return self.evaluate(d1, d2) <= self.r
+        return self._excess(d1, d2) <= 0
 
     def is_tight_at(self, d1: Fraction, d2: Fraction) -> bool:
-        return self.evaluate(d1, d2) == self.r
+        return self._excess(d1, d2) == 0
+
+    def _excess(self, d1: RatioLike, d2: RatioLike) -> int:
+        """``P*d1 + Q*d2 - R`` times ``den(d1)*den(d2) > 0``: an integer of
+        the sign of ``evaluate(d1, d2) - r``."""
+        p, q, r = self.scaled
+        x, y, den = _homogeneous(as_ratio(d1), as_ratio(d2))
+        return p * x + q * y - r * den
 
     def to_json_dict(self) -> dict:
         return {"p": str(self.p), "q": str(self.q), "r": str(self.r)}
@@ -186,6 +233,11 @@ class HalfPlane:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HalfPlane":
         return cls(as_ratio(data["p"]), as_ratio(data["q"]), as_ratio(data["r"]))
+
+
+# the slots' own setters, which get past the frozen __setattr__
+_set_scaled = HalfPlane.scaled.__set__
+_set_den = HalfPlane._den.__set__
 
 
 @dataclass(frozen=True)
@@ -209,6 +261,16 @@ def _coerce_point(point) -> tuple[Fraction, Fraction]:
     return as_ratio(d1), as_ratio(d2)
 
 
+def _homogeneous(d1: Fraction, d2: Fraction) -> tuple[int, int, int]:
+    """The point as integers ``(x, y, den)`` with ``(d1, d2) = (x, y)/den``
+    and ``den = den(d1)*den(d2) > 0``."""
+    return (
+        d1.numerator * d2.denominator,
+        d2.numerator * d1.denominator,
+        d1.denominator * d2.denominator,
+    )
+
+
 def _sign(value: int) -> int:
     return (value > 0) - (value < 0)
 
@@ -226,12 +288,7 @@ class DofRegion:
         d1, d2 = _coerce_point(point)
         if d1 < 0 or d2 < 0:
             return False
-        # P*d1 + Q*d2 <= R multiplied through by den(d1)*den(d2) > 0
-        return self._holds(
-            d1.numerator * d2.denominator,
-            d2.numerator * d1.denominator,
-            d1.denominator * d2.denominator,
-        )
+        return self._holds(*_homogeneous(d1, d2))
 
     def _holds(self, x: int, y: int, den: int) -> bool:
         """Whether every constraint holds at ``(x/den, y/den)``, ``den > 0``."""
@@ -241,8 +298,8 @@ class DofRegion:
     @cached_property
     def _vertex_triples(self) -> frozenset[tuple[int, int, int]]:
         """The vertex set, enumerated on first use and kept with the
-        instance. Like ``HalfPlane.scaled`` it is not a field, so equality,
-        hashing and repr see only the constraints."""
+        instance. It is not a field, so equality, hashing and repr see only
+        the constraints."""
         return _enumerate_vertices([hp.scaled for hp in self.constraints])
 
     def vertices(self) -> list[DofPoint]:
@@ -332,8 +389,8 @@ def dof_region(cfg: SystemConfig) -> DofRegion:
     """
     return DofRegion(
         [
-            HalfPlane.from_intercepts(cfg.enhanced_dim(1), cfg.spatial_dim(2)),
-            HalfPlane.from_intercepts(cfg.spatial_dim(1), cfg.enhanced_dim(2)),
+            HalfPlane._from_ratios(cfg._enhanced(1), cfg._spatial(2)),
+            HalfPlane._from_ratios(cfg._spatial(1), cfg._enhanced(2)),
         ]
     )
 

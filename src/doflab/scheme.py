@@ -249,8 +249,8 @@ def scheme_region(cfg: SystemConfig) -> DofRegion:
     _check_three_phase(cfg)
     return DofRegion(
         [
-            HalfPlane.from_intercepts(cfg.enhanced_dim(1), cfg.n2),
-            HalfPlane.from_intercepts(cfg.n1, cfg.enhanced_dim(2)),
+            HalfPlane._from_ratios(cfg._enhanced(1), (cfg.n2, 1)),
+            HalfPlane._from_ratios((cfg.n1, 1), cfg._enhanced(2)),
         ]
     )
 
@@ -267,8 +267,8 @@ def tdma_region(cfg: SystemConfig) -> DofRegion:
         )
     return DofRegion(
         [
-            HalfPlane.from_intercepts(cfg.m, cfg.m),
-            HalfPlane.from_intercepts(cfg.spatial_dim(1), cfg.m),
+            HalfPlane._from_ratios((cfg.m, 1), (cfg.m, 1)),
+            HalfPlane._from_ratios(cfg._spatial(1), (cfg.m, 1)),
         ]
     )
 

@@ -1,7 +1,10 @@
 """Exact-geometry tests: frozen oracles plus property checks."""
 
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction as F
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,8 @@ from doflab import (
     HalfPlane,
     SystemConfig,
     UnboundedRegion,
+    achievable_region,
+    converse_region,
     corner_point,
     delayed_csit_region,
     dof_region,
@@ -94,6 +99,60 @@ class TestHalfPlane:
     def test_json_round_trip(self):
         hp = HalfPlane(F(1, 3), F(2, 7), F(1))
         assert HalfPlane.from_json_dict(hp.to_json_dict()) == hp
+
+
+class TestValueSemantics:
+    """A constraint and a region as values: what ==, hash, repr, pickling,
+    copying and assignment do, whatever a HalfPlane stores."""
+
+    cfg = SystemConfig(3, 2, 1, "1/2", "1/3")
+    # min(N1 + alpha2*N2, M) = 7/3 and min(N2, M) = 1; min(N1, M) = 2 and
+    # min(N2 + alpha1*N1, M) = 2
+    typed = (HalfPlane(F(3, 7), F(1), F(1)), HalfPlane(F(1, 2), F(1, 2), F(1)))
+
+    def test_repr(self):
+        assert repr(dof_region(self.cfg).constraints[0]) == (
+            "HalfPlane(p=Fraction(3, 7), q=Fraction(1, 1), r=Fraction(1, 1))"
+        )
+
+    def test_equality_and_hash(self):
+        built = dof_region(self.cfg).constraints
+        assert built == self.typed
+        assert [hash(hp) for hp in built] == [hash(hp) for hp in self.typed]
+        assert HalfPlane.from_intercepts(F(7, 3), 1) == self.typed[0]
+        assert HalfPlane(2, 2, 2) != HalfPlane(1, 1, 1)
+        assert HalfPlane(F(1, 2), F(1, 2), F(1, 2)) != HalfPlane(1, 1, 1)
+        assert self.typed[0] != (F(3, 7), F(1), F(1))
+
+    def test_frozen(self):
+        hp = dof_region(self.cfg).constraints[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hp.p = F(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hp.scaled = (1, 1, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del hp.p
+        assert hp == self.typed[0]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_deepcopy(self, protocol):
+        def copies(value):
+            yield pickle.loads(pickle.dumps(value, protocol))
+            yield copy.deepcopy(value)
+
+        for hp in dof_region(self.cfg).constraints + self.typed:
+            for back in copies(hp):
+                assert back == hp and hash(back) == hash(hp) and repr(back) == repr(hp)
+                assert back.scaled == hp.scaled
+
+        shape = dof_region(self.cfg)
+        for enumerate_first in (False, True):
+            if enumerate_first:
+                shape.vertices()
+            for back in copies(shape):
+                assert back == shape and hash(back) == hash(shape) and repr(back) == repr(shape)
+                assert back.vertices() == shape.vertices()
+                assert back.to_json_dict() == shape.to_json_dict()
 
 
 class TestAsRatio:
@@ -326,6 +385,48 @@ def test_vertex_set_is_enumerated_once(monkeypatch):
     back = DofRegion.from_json_dict(data)
     assert back == shape and back.to_json_dict() == data
     assert len(calls) == 2  # back's own set; ==, hash and repr enumerate none
+
+
+def test_builders_construct_no_fraction(monkeypatch):
+    """The region builders, and the checks that compare regions or test a
+    point, work on SystemConfig's integers and construct no Fraction; p, q
+    and r read afterwards are the coefficients computed in Fractions."""
+    quality = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    grid = product(range(1, 7), range(1, 7), range(1, 7), quality, quality)
+    configs = [SystemConfig(*c) for c in islice(grid, 0, None, 27)]  # 200 of 5400
+    points = [representative_corner(cfg) for cfg in configs]
+
+    made = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    built = []
+    for cfg, point in zip(configs, points):
+        regions = dof_region(cfg), converse_region(cfg), achievable_region(cfg)
+        assert region_equal(regions[1], regions[0]) and region_equal(regions[2], regions[0])
+        assert is_subset(regions[0], regions[1]) and is_subset(regions[2], regions[0])
+        assert all(shape.contains(point) for shape in regions)
+        built.append(regions)
+    assert made == []
+    monkeypatch.undo()
+
+    for cfg, (shape, converse, achievable) in zip(configs, built):
+        a, d = F(min(cfg.n1, cfg.m)), F(min(cfg.n2, cfg.m))
+        c = min(cfg.n1 + cfg.alpha2 * cfg.n2, F(cfg.m))
+        b = min(cfg.n2 + cfg.alpha1 * cfg.n1, F(cfg.m))
+        bounds = [(1 / c, 1 / d, F(1)), (1 / a, 1 / b, F(1))]
+        if cfg.n2 < cfg.m:
+            scheme = [(1 / c, F(1, cfg.n2), F(1)), (F(1, cfg.n1), 1 / b, F(1))]
+        else:
+            scheme = [(F(1, cfg.m), F(1, cfg.m), F(1)), (1 / a, F(1, cfg.m), F(1))]
+        for regions, want in ((shape, bounds), (converse, bounds), (achievable, scheme)):
+            got = [(hp.p, hp.q, hp.r) for hp in regions.constraints]
+            assert got == want
+            assert all(type(value) is F for coefficients in got for value in coefficients)
 
 
 class TestSerialization:
