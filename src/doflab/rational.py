@@ -16,6 +16,7 @@ counts.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -54,14 +55,14 @@ def _literal_digits(match: re.Match) -> int:
     return max(numerator, 1 + max(-shift, 0))
 
 
-def as_ratio(value: RatioLike, limit: int = DENOMINATOR_LIMIT) -> Fraction:
+def as_ratio(value: RatioLike) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
 
     Strings may be ``"p/q"``, an integer, or a decimal literal, whose
     numerator and denominator have at most ``DIGIT_LIMIT`` digits each.
-    Floats are converted via ``limit_denominator(limit)``. A bool is not a
-    rational. A string that is not such a value raises ``InvalidConfig``,
-    which is a ``ValueError``.
+    Floats are converted via ``limit_denominator(DENOMINATOR_LIMIT)``. A
+    bool is not a rational. A string that is not such a value, or a float
+    that is not finite, raises ``InvalidConfig``, which is a ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
@@ -70,7 +71,9 @@ def as_ratio(value: RatioLike, limit: int = DENOMINATOR_LIMIT) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(limit)
+        if not math.isfinite(value):
+            raise InvalidConfig(f"not a rational: {value!r}")
+        return Fraction(value).limit_denominator(DENOMINATOR_LIMIT)
     if isinstance(value, str):
         text = value.strip()
         match = _LITERAL.fullmatch(text)

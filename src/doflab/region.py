@@ -93,24 +93,17 @@ class SystemConfig:
         object.__setattr__(self, "alpha1", _check_quality("alpha1", self.alpha1))
         object.__setattr__(self, "alpha2", _check_quality("alpha2", self.alpha2))
 
-    def spatial_dim(self, rx: int) -> Fraction:
-        """min(N_rx, M): receive dimension actually usable by receiver rx."""
-        return Fraction(*self._spatial(rx))
-
     def _spatial(self, rx: int) -> tuple[int, int]:
-        """``spatial_dim(rx)`` as integers ``(num, 1)``."""
+        """min(N_rx, M): receive dimension actually usable by receiver rx,
+        as integers ``(num, 1)``."""
         return min(self.n1 if rx == 1 else self.n2, self.m), 1
 
-    def enhanced_dim(self, rx: int) -> Fraction:
+    def _enhanced(self, rx: int) -> tuple[int, int]:
         """Receive dimension of receiver rx once the other user's overheard
         equations are credited at that user's CSIT quality:
-        min(N_rx + alpha_other * N_other, M). Fractional in general.
-        """
-        return Fraction(*self._enhanced(rx))
-
-    def _enhanced(self, rx: int) -> tuple[int, int]:
-        """``enhanced_dim(rx)`` as integers ``(num, den)``, not in lowest
-        terms: ``den`` is the other user's alpha denominator."""
+        min(N_rx + alpha_other * N_other, M), fractional in general. As
+        integers ``(num, den)``, not in lowest terms: ``den`` is the other
+        user's alpha denominator."""
         if rx == 1:
             own, other, alpha = self.n1, self.n2, self.alpha2
         else:
@@ -149,8 +142,8 @@ class HalfPlane:
             raise ValueError("half-plane coefficients must be nonnegative")
         if scaled[0] == 0 and scaled[1] == 0:
             raise ValueError("half-plane needs a nonzero normal")
-        _set_scaled(self, scaled)
-        _set_den(self, den)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def from_intercepts(cls, d1_max: RatioLike, d2_max: RatioLike) -> "HalfPlane":
@@ -175,8 +168,8 @@ class HalfPlane:
         xn, xd, yn, yd = xn // g, xd // g, yn // h, yd // h
         den = lcm(xn, yn)
         plane = object.__new__(cls)
-        _set_scaled(plane, (xd * (den // xn), yd * (den // yn), den))
-        _set_den(plane, den)
+        object.__setattr__(plane, "scaled", (xd * (den // xn), yd * (den // yn), den))
+        object.__setattr__(plane, "_den", den)
         return plane
 
     @property
@@ -211,9 +204,6 @@ class HalfPlane:
     def __reduce__(self):
         return self.__class__, (self.p, self.q, self.r)
 
-    def evaluate(self, d1: Fraction, d2: Fraction) -> Fraction:
-        return self.p * d1 + self.q * d2
-
     def contains(self, d1: Fraction, d2: Fraction) -> bool:
         return self._excess(d1, d2) <= 0
 
@@ -222,7 +212,7 @@ class HalfPlane:
 
     def _excess(self, d1: RatioLike, d2: RatioLike) -> int:
         """``P*d1 + Q*d2 - R`` times ``den(d1)*den(d2) > 0``: an integer of
-        the sign of ``evaluate(d1, d2) - r``."""
+        the sign of ``p*d1 + q*d2 - r``."""
         p, q, r = self.scaled
         x, y, den = _homogeneous(as_ratio(d1), as_ratio(d2))
         return p * x + q * y - r * den
@@ -233,11 +223,6 @@ class HalfPlane:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HalfPlane":
         return cls(as_ratio(data["p"]), as_ratio(data["q"]), as_ratio(data["r"]))
-
-
-# the slots' own setters, which get past the frozen __setattr__
-_set_scaled = HalfPlane.scaled.__set__
-_set_den = HalfPlane._den.__set__
 
 
 @dataclass(frozen=True)
@@ -254,11 +239,6 @@ class DofPoint:
     def __iter__(self) -> Iterator[Fraction]:
         yield self.d1
         yield self.d2
-
-
-def _coerce_point(point) -> tuple[Fraction, Fraction]:
-    d1, d2 = point
-    return as_ratio(d1), as_ratio(d2)
 
 
 def _homogeneous(d1: Fraction, d2: Fraction) -> tuple[int, int, int]:
@@ -285,7 +265,7 @@ class DofRegion:
         object.__setattr__(self, "constraints", tuple(constraints))
 
     def contains(self, point) -> bool:
-        d1, d2 = _coerce_point(point)
+        d1, d2 = map(as_ratio, point)
         if d1 < 0 or d2 < 0:
             return False
         return self._holds(*_homogeneous(d1, d2))

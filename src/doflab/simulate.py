@@ -395,10 +395,6 @@ def _spread(total: int, slots: int) -> list[int]:
     return [base + 1 if t < extra else base for t in range(slots)]
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a.conj(), -1, -2)
-
-
 class _Phase:
     """Symbol phase i: the slots that carry user i's symbols, and how the
     rows receiver i overhears there reach phase three.
@@ -415,8 +411,9 @@ class _Phase:
     max(0, s_i - N_i * tau_i) = k_i. Phase three deals them round-robin:
     row j goes to slot j % tau3 as its stream j // tau3, which caps each
     slot's count of this receiver's rows at ceil(k_i / tau3) <= N_i. On the
-    (phase-three slot, stream) grid ``streams``, stream (a, r) carries row
-    ``pick[a, r]`` where ``live[a, r]``.
+    (phase-three slot, stream) grid ``streams``, where ``live``, stream
+    (a, r) carries the row ``row[a, r]`` of slot ``source[a, r]``, whose
+    load is ``row_loads[a, r]``; elsewhere these read 0.
     """
 
     def __init__(self, span: slice, count: int, n: int, other: int, m: int, streams: np.ndarray):
@@ -434,35 +431,27 @@ class _Phase:
         # own-row power shares divide by the slot loads; a slot without
         # streams has only zero columns, so its share is never used
         self.loads = np.maximum(loads, 1)
+        slot = np.repeat(np.arange(len(take)), take)  # source slot of each payload row
+        row = np.arange(len(slot)) - np.repeat(np.cumsum(take) - take, take)  # its row there
+        self.live = streams < len(slot)
+        pick = np.where(self.live, streams, len(slot))  # past the rows: a padded 0
+        self.source = np.append(slot, 0)[pick]
+        self.row = np.append(row, 0)[pick]
         # load of the slot each payload row comes from, for its power
-        self.row_loads = np.repeat(loads, take).astype(float)
-        self.slot = np.repeat(np.arange(len(take)), take)  # source slot of each row
-        self.k = k = len(self.slot)
-        self.row = np.arange(k) - np.repeat(np.cumsum(take) - take, take)  # its row there
-        self.live = streams < k
-        self.pick = np.where(self.live, streams, 0)
-        # source slot of each grid stream; any slot where no row is dealt
-        self.source = self.slot[self.pick] if k else np.zeros_like(streams)
+        self.row_loads = np.append(np.repeat(loads, take), 0.0)[pick]
 
     def symbols(self, h: np.ndarray) -> np.ndarray:
         """The phase's slots of channels ``h`` (B, slots, N, M) in its
         layout (B, tau_i, N, width)."""
         return h[:, self.span, :, : self.width] * self.mask[:, None, :]
 
-    def deal(self, values: np.ndarray) -> np.ndarray:
-        """Per-row ``values`` (B, k, ...) on the grid (B, slots3, streams,
-        ...), zeros where no row is dealt."""
-        if not self.k:
-            return np.zeros((values.shape[0], *self.pick.shape, *values.shape[2:]), dtype=values.dtype)
-        dealt = values[:, self.pick]
-        dealt[:, ~self.live] = 0
-        return dealt
-
     def rows(self, h: np.ndarray) -> np.ndarray:
         """The payload rows of the other receiver's channels ``h`` (B,
         slots, N, width) in the phase's layout, dealt onto the grid
-        (B, slots3, streams, width)."""
-        return self.deal(h[:, self.slot, self.row])
+        (B, slots3, streams, width), zeros where no row is dealt."""
+        dealt = np.zeros((h.shape[0], *self.live.shape, h.shape[-1]), dtype=h.dtype)
+        dealt[:, self.live] = h[:, self.source[self.live], self.row[self.live]]
+        return dealt
 
     def lift(self, w: np.ndarray, dealt: np.ndarray) -> np.ndarray:
         """Phase-three rows (B, slots3 * N, slots * width), slot by slot,
@@ -473,7 +462,7 @@ class _Phase:
         b, slots3, n, streams = w.shape
         width = dealt.shape[-1]
         out = np.zeros((b, slots3, n, self.slots, width), dtype=np.complex128)
-        if self.k:
+        if self.live.any():
             # (streams, slots3, B, N, width): term r indexes like the
             # stream's target, out[:, grid, :, source[:, r], :]
             terms = w.transpose(3, 1, 0, 2)[..., None] * dealt.transpose(2, 1, 0, 3)[:, :, :, None, :]
@@ -692,8 +681,8 @@ def _phase3_system(w, own, own_phase: _Phase, cross, cross_phase: _Phase, evar):
     """
     b, slots, n = w.shape[:3]
     mism = cross_phase.lift(w, cross)
-    sig3 = np.eye(slots * n, dtype=np.complex128) + mism @ _herm(mism)
-    extra = (w * evar[:, :, None, :]) @ _herm(w)
+    sig3 = np.eye(slots * n, dtype=np.complex128) + mism @ kernels._herm(mism)
+    extra = (w * evar[:, :, None, :]) @ kernels._herm(w)
     diag = np.arange(slots)
     sig3.reshape(b, slots, n, slots, n)[:, diag, :, diag, :] += np.moveaxis(extra, 1, 0)
     return own_phase.lift(w, own), sig3
@@ -719,7 +708,7 @@ def _phase3_systems(geom: _PlanGeometry, real: ChannelRealization, rho: np.ndarr
         hat = quantize_csit(heard, alpha[1 - i], at_rho)
         est.append(hat)
         res.append(heard - hat)
-        evar.append(phase.deal(phase.row_loads[None, :] / rho[:, None]))
+        evar.append(phase.row_loads / rho[:, None, None])
 
     # each order-2 symbol gets an equal share of the slot's power
     pw = np.sum(np.abs(est[0]) ** 2, axis=-1) + np.sum(np.abs(est[1]) ** 2, axis=-1)
@@ -774,7 +763,7 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
     points = len(grid)
     rho = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
     # a payload row's reconstruction noise variance is its slot load / rho
-    load = max((float(phase.row_loads.max()) for phase in geom.phases if phase.k), default=0.0)
+    load = max(float(phase.row_loads.max(initial=0.0)) for phase in geom.phases)
     if load / float(rho[0]) == math.inf:
         low = 10.0 * math.log10(load / np.finfo(np.float64).max)
         raise InvalidSnrGrid(

@@ -142,8 +142,9 @@ def test_criterion_3_sandwich_and_monotonicity():
 def test_criterion_4_corner_vs_linear_solve():
     degenerate = 0
     for cfg in grid_configs():
-        a, d = cfg.spatial_dim(1), cfg.spatial_dim(2)
-        c, b = cfg.enhanced_dim(1), cfg.enhanced_dim(2)
+        a, d = F(min(cfg.n1, cfg.m)), F(min(cfg.n2, cfg.m))
+        c = min(cfg.n1 + cfg.alpha2 * cfg.n2, F(cfg.m))
+        b = min(cfg.n2 + cfg.alpha1 * cfg.n1, F(cfg.m))
         if a * d - b * c == 0:
             with pytest.raises(DegenerateCorner):
                 corner_point(cfg)

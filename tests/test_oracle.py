@@ -61,7 +61,9 @@ def test_geometry_matches_fraction_oracle_on_acceptance_grid():
         a, d = F(min(n1, m)), F(min(n2, m))
         c = min(n1 + a2 * n2, F(m))
         b = min(n2 + a1 * n1, F(m))
-        dims = (cfg.spatial_dim(1), cfg.spatial_dim(2), cfg.enhanced_dim(1), cfg.enhanced_dim(2))
+        # the intercepts of d1/c + d2/d <= 1 and d1/a + d2/b <= 1
+        first, second = dof_region(cfg).constraints
+        dims = (second.r / second.p, first.r / first.q, first.r / first.p, second.r / second.q)
         assert dims == (a, d, c, b)
         assert all(type(x) is F for x in dims)
 

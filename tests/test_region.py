@@ -54,14 +54,17 @@ class TestSystemConfig:
         assert cfg.alpha2 == F(1, 4)
 
     def test_dims(self):
-        cfg = SystemConfig(3, 2, 1, F(1), F(1))
-        assert cfg.spatial_dim(1) == 2
-        assert cfg.spatial_dim(2) == 1
-        assert cfg.enhanced_dim(1) == 3
-        assert cfg.enhanced_dim(2) == 3
-        quarter = SystemConfig(4, 2, 1, F(1, 4), F(1, 2))
-        assert quarter.enhanced_dim(1) == F(5, 2)
-        assert quarter.enhanced_dim(2) == F(3, 2)
+        """The intercepts of dof_region's constraints d1/c + d2/d <= 1 and
+        d1/a + d2/b <= 1: the spatial dimensions a = min(N1, M) and
+        d = min(N2, M), and the enhanced ones c = min(N1 + alpha2*N2, M)
+        and b = min(N2 + alpha1*N1, M)."""
+
+        def dims(cfg):
+            first, second = dof_region(cfg).constraints
+            return second.r / second.p, first.r / first.q, first.r / first.p, second.r / second.q
+
+        assert dims(SystemConfig(3, 2, 1, F(1), F(1))) == (2, 1, 3, 3)
+        assert dims(SystemConfig(4, 2, 1, F(1, 4), F(1, 2))) == (2, 1, F(5, 2), F(3, 2))
 
 
 class TestHalfPlane:
@@ -471,8 +474,8 @@ def test_sandwich_property(m, n1, n2, a1, a2):
 @given(m=antenna, n1=antenna, n2=antenna, a1=ratio, a2=ratio)
 def test_corner_defined_iff_lines_distinct(m, n1, n2, a1, a2):
     cfg = SystemConfig(m, n1, n2, a1, a2)
-    a, b = cfg.spatial_dim(1), cfg.enhanced_dim(2)
-    c, d = cfg.enhanced_dim(1), cfg.spatial_dim(2)
+    a, b = F(min(n1, m)), min(n2 + cfg.alpha1 * n1, F(m))
+    c, d = min(n1 + cfg.alpha2 * n2, F(m)), F(min(n2, m))
     if a * d - b * c == 0:
         with pytest.raises(DegenerateCorner):
             corner_point(cfg)
@@ -507,7 +510,7 @@ def reference_vertices(region):
             y = (p1 * r2 - p2 * r1) / det
             if x < 0 or y < 0:
                 continue
-            if all(hp.contains(x, y) for hp in constraints):
+            if all(admits(hp, x, y) for hp in constraints):
                 found.add((x, y))
 
     def angle_key(v):
@@ -519,9 +522,14 @@ def reference_vertices(region):
     return sorted(found, key=angle_key)
 
 
+def admits(hp, d1, d2):
+    """``p*d1 + q*d2 <= r`` in Fractions, without the plane's integer test."""
+    return hp.p * d1 + hp.q * d2 <= hp.r
+
+
 def reference_contains(region, point):
     d1, d2 = point
-    return d1 >= 0 and d2 >= 0 and all(hp.contains(d1, d2) for hp in region.constraints)
+    return d1 >= 0 and d2 >= 0 and all(admits(hp, d1, d2) for hp in region.constraints)
 
 
 def reference_is_subset(inner, outer):

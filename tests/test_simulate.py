@@ -1206,13 +1206,31 @@ def test_draw_too_large(campaign, monkeypatch):
 
 
 def test_phase_rows_are_the_payload_deficits():
-    """Each symbol phase counts its overheard rows by its own take rule,
-    and they are order2_payload's k_i on every plan of the acceptance grid."""
+    """On every plan of the acceptance grid, each symbol phase's payload
+    grid is the layout built here: from each slot of ``_ref_spread`` loads,
+    rows 0 .. load - N_i - 1 of the other receiver, numbered in slot order,
+    and row j dealt to phase-three slot j % tau3 as its stream j // tau3.
+    The live streams are order2_payload's k_i."""
     for cfg, plan in acceptance_grid_plans():
         geom = simulate._PlanGeometry(cfg, plan)
         payload = order2_payload(plan, cfg)
-        rows = tuple(len(phase.slot) for phase in geom.phases)
-        assert rows == (payload.k1_needed, payload.k2_needed), cfg
+        grid = (min(payload.length, plan.tau3), payload.per_slot_streams)
+        phases = ((cfg.n1, plan.s1_count, plan.tau1, payload.k1_needed),
+                  (cfg.n2, plan.s2_count, plan.tau2, payload.k2_needed))
+        for phase, (n, symbols, slots, owed) in zip(geom.phases, phases):
+            live = np.zeros(grid, dtype=bool)
+            source, row = np.zeros(grid, dtype=int), np.zeros(grid, dtype=int)
+            row_loads = np.zeros(grid)
+            rows = [(t, r, load) for t, load in enumerate(_ref_spread(symbols, slots))
+                    for r in range(load - n)]
+            for j, (t, r, load) in enumerate(rows):
+                at = (j % plan.tau3, j // plan.tau3)
+                assert not live[at], cfg
+                live[at], source[at], row[at], row_loads[at] = True, t, r, load
+            assert len(rows) == owed and phase.live.sum() == owed, cfg
+            for got, want in ((phase.live, live), (phase.source, source), (phase.row, row),
+                              (phase.row_loads, row_loads)):
+                assert got.shape == grid and np.array_equal(got, want), cfg
 
 
 def _block_diagonal(own):
@@ -1243,9 +1261,13 @@ class TestSlotRankParity:
             w = h[i][:, geom.phase3, :, : geom.streams3]
             symbols = (plan.s1_count, plan.s2_count)[i]
             stacked = _block_diagonal(other)
-            chosen = phase.slot * other.shape[2] + phase.row
-            for rows, first in ((stacked[:, chosen], False), (stacked[:, : len(chosen)], True)):
-                coupled = (w @ phase.deal(rows)).reshape(len(w), -1, rows.shape[-1])
+            # the stacked rows on the phase-three grid: the ones the plan
+            # geometry chooses, or row j of the stack where payload row j goes
+            chosen = phase.source * other.shape[2] + phase.row
+            j = np.arange(geom.streams3) * plan.tau3 + np.arange(geom.slots3)[:, None]
+            for index, first in ((chosen, False), (j, True)):
+                rows = np.where(phase.live[..., None], stacked[:, np.where(phase.live, index, 0)], 0)
+                coupled = (w @ rows).reshape(len(w), -1, rows.shape[-1])
                 if not first:
                     lifted = phase.lift(w, phase.rows(other))
                     assert np.max(np.abs(lifted - coupled)) <= 1e-12 * np.max(np.abs(coupled))
