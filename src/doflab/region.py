@@ -139,9 +139,9 @@ class HalfPlane:
             r.numerator * (den // r.denominator),
         )
         if scaled[0] < 0 or scaled[1] < 0 or scaled[2] < 0:
-            raise ValueError("half-plane coefficients must be nonnegative")
+            raise InvalidConfig("half-plane coefficients must be nonnegative")
         if scaled[0] == 0 and scaled[1] == 0:
-            raise ValueError("half-plane needs a nonzero normal")
+            raise InvalidConfig("half-plane needs a nonzero normal")
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "_den", den)
 
@@ -163,7 +163,7 @@ class HalfPlane:
         """
         (xn, xd), (yn, yd) = d1_max, d2_max
         if xn <= 0 or yn <= 0:
-            raise ValueError("intercepts must be positive")
+            raise InvalidConfig("intercepts must be positive")
         g, h = gcd(xn, xd), gcd(yn, yd)
         xn, xd, yn, yd = xn // g, xd // g, yn // h, yd // h
         den = lcm(xn, yn)

@@ -60,15 +60,23 @@ class SchedulePlan:
     def __post_init__(self):
         for name in ("tau1", "tau2", "tau3", "s1_count", "s2_count"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise InvalidConfig(f"{name} must be nonnegative")
         if self.total_slots == 0:
-            raise ValueError("empty schedule")
+            raise InvalidConfig("empty schedule")
         if self.integer_scale < 1:
-            raise ValueError("integer_scale must be positive")
+            raise InvalidConfig("integer_scale must be positive")
 
     @property
     def total_slots(self) -> int:
         return self.tau1 + self.tau2 + self.tau3
+
+    def loads(self, phase: int) -> list[int]:
+        """Stream loads of the slots of symbol phase ``phase`` (1 or 2): its
+        s_i streams over its tau_i slots, larger loads first, so they differ
+        by at most one and the largest is ceil(s_i / tau_i)."""
+        count, slots = (self.s1_count, self.tau1) if phase == 1 else (self.s2_count, self.tau2)
+        base, extra = divmod(count, slots) if slots else (0, 0)
+        return [base + 1] * extra + [base] * (slots - extra)
 
     @classmethod
     def from_durations(
@@ -81,9 +89,7 @@ class SchedulePlan:
         s1, rest1 = divmod(num1 * tau1, den1)
         s2, rest2 = divmod(num2 * tau2, den2)
         if rest1 or rest2:
-            raise ValueError(
-                "fractional stream totals; scale the durations first"
-            )
+            raise InvalidConfig("fractional stream totals; scale the durations first")
         return cls(tau1, tau2, tau3, s1, s2)
 
 
@@ -219,7 +225,8 @@ def order2_payload(plan: SchedulePlan, cfg: SystemConfig) -> Order2Payload:
 
     k_i = max(0, s_i - N_i*tau_i) equations still owed to receiver i; the
     payload is length K = max(k1, k2); each phase-three slot carries
-    ceil(K / tau3) streams, which must fit the transmit array.
+    ceil(K / tau3) streams, which must fit the transmit array: the sizes
+    of ``_payload_rows``' layout in closed form, with no per-slot list.
     """
     _check_feasible(plan, cfg)
     k1 = max(0, plan.s1_count - cfg.n1 * plan.tau1)
@@ -235,6 +242,18 @@ def order2_payload(plan: SchedulePlan, cfg: SystemConfig) -> Order2Payload:
                 f"phase three needs {streams} streams with only {cfg.m} antennas"
             )
     return Order2Payload(k1, k2, length, streams)
+
+
+def _payload_rows(plan: SchedulePlan, cfg: SystemConfig, phase: int) -> list[tuple[int, ...]]:
+    """The slot layout of symbol phase ``phase``'s (1 or 2) order-2 payload,
+    for a plan ``order2_payload`` accepts: ``(slot3, stream, slot, row,
+    load)`` per row. Slot ``slot``, of load ``load`` in ``plan.loads(phase)``,
+    owes receiver i rows ``0 .. load - N_i - 1`` of the other receiver's
+    channel; numbered in slot order, row j goes to phase-three slot
+    ``j % tau3`` as stream ``j // tau3``: ``order2_payload``'s k_i rows."""
+    n = cfg.n1 if phase == 1 else cfg.n2
+    owed = [(slot, row, load) for slot, load in enumerate(plan.loads(phase)) for row in range(load - n)]
+    return [(j % plan.tau3, j // plan.tau3, *at) for j, at in enumerate(owed)]
 
 
 def scheme_region(cfg: SystemConfig) -> DofRegion:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .errors import (GramOverflow, InvalidConfig, InvalidSeed, InvalidSnrGrid, P
                      ShapeMismatch, SingularCovariance)
 from .rational import RatioLike
 from .region import SystemConfig, _check_quality
-from .scheme import SchedulePlan, order2_payload
+from .scheme import SchedulePlan, _payload_rows, order2_payload
 
 __all__ = [
     "SimParams",
@@ -387,58 +386,42 @@ def rate_snr_limit_db(cfg: SystemConfig, plan: SchedulePlan) -> float:
     return limit
 
 
-def _spread(total: int, slots: int) -> list[int]:
-    """Per-slot stream loads, largest first, summing to ``total``."""
-    if slots == 0:
-        return []
-    base, extra = divmod(total, slots)
-    return [base + 1 if t < extra else base for t in range(slots)]
-
-
 class _Phase:
-    """Symbol phase i: the slots that carry user i's symbols, and how the
-    rows receiver i overhears there reach phase three.
+    """Symbol phase ``phase`` (i): the slots that carry user i's symbols,
+    and how the rows receiver i overhears there reach phase three, in
+    ``scheme``'s layout (the plan's ``loads(i)`` and ``_payload_rows``),
+    which this class only scatters into arrays.
 
     The campaigns lay the phase out as its tau_i slots of ``width`` columns
     each, ``width`` being the phase's largest slot load. A slot with one
-    stream fewer (``_spread`` loads differ by at most one) gets a zero
-    column: a stream that carries no symbol, and adds nothing to any rank
-    or rate. A slot load above M, or above N1 + N2, raises ShapeMismatch.
-
-    The order-2 payload rows are overheard channel rows: from each slot t,
-    as many rows of the other receiver's channel as receiver i lacks
-    there, load_t - N_i. Loads differ by at most one, so these add up to
-    max(0, s_i - N_i * tau_i) = k_i. Phase three deals them round-robin:
-    row j goes to slot j % tau3 as its stream j // tau3, which caps each
-    slot's count of this receiver's rows at ceil(k_i / tau3) <= N_i. On the
-    (phase-three slot, stream) grid ``streams``, where ``live``, stream
-    (a, r) carries the row ``row[a, r]`` of slot ``source[a, r]``, whose
-    load is ``row_loads[a, r]``; elsewhere these read 0.
+    stream fewer gets a zero column: a stream that carries no symbol, and
+    adds nothing to any rank or rate. A slot load above M, or above
+    N1 + N2, raises ShapeMismatch. On the (phase-three slot, stream) grid
+    ``grid``, where ``live``, stream (a, r) carries the row ``row[a, r]``
+    of slot ``source[a, r]``, whose load (which sets the row's power) is
+    ``row_loads[a, r]``; elsewhere these read 0.
     """
 
-    def __init__(self, span: slice, count: int, n: int, other: int, m: int, streams: np.ndarray):
-        self.span = span
-        self.slots = span.stop - span.start
-        loads = _spread(count, self.slots)
-        take = [max(0, load - n) for load in loads]
-        if max(take, default=0) > other or max(loads, default=0) > m:
-            raise ShapeMismatch(f"slot blocks of up to {max(take)} x {max(loads)} do not fit "
-                                f"{other} x {m} channels")
-        take = np.asarray(take, dtype=int)
+    def __init__(self, plan: SchedulePlan, cfg: SystemConfig, phase: int, grid: tuple[int, int]):
+        loads, rows = plan.loads(phase), _payload_rows(plan, cfg, phase)
+        start, other = (0, cfg.n2) if phase == 1 else (plan.tau1, cfg.n1)
+        self.span = slice(start, start + len(loads))
+        self.slots = len(loads)
         self.width = max(loads, default=0)
+        deepest = max((row for *_, row, _ in rows), default=-1) + 1  # payload rows from the fullest slot
+        if deepest > other or self.width > cfg.m:
+            raise ShapeMismatch(f"slot blocks of up to {deepest} x {self.width} do not fit "
+                                f"{other} x {cfg.m} channels")
         # (slots, width): True where a slot's stream carries a symbol
         self.mask = np.arange(self.width) < np.array(loads, dtype=int)[:, None]
         # own-row power shares divide by the slot loads; a slot without
         # streams has only zero columns, so its share is never used
         self.loads = np.maximum(loads, 1)
-        slot = np.repeat(np.arange(len(take)), take)  # source slot of each payload row
-        row = np.arange(len(slot)) - np.repeat(np.cumsum(take) - take, take)  # its row there
-        self.live = streams < len(slot)
-        pick = np.where(self.live, streams, len(slot))  # past the rows: a padded 0
-        self.source = np.append(slot, 0)[pick]
-        self.row = np.append(row, 0)[pick]
-        # load of the slot each payload row comes from, for its power
-        self.row_loads = np.append(np.repeat(loads, take), 0.0)[pick]
+        self.live, self.row_loads = np.zeros(grid, dtype=bool), np.zeros(grid)
+        self.source, self.row = np.zeros(grid, dtype=int), np.zeros(grid, dtype=int)
+        for slot3, stream, *at in rows:
+            self.live[slot3, stream] = True
+            self.source[slot3, stream], self.row[slot3, stream], self.row_loads[slot3, stream] = at
 
     def symbols(self, h: np.ndarray) -> np.ndarray:
         """The phase's slots of channels ``h`` (B, slots, N, M) in its
@@ -489,14 +472,14 @@ def _digits(n: int) -> str:
 
 class _PlanGeometry:
     """Shared index bookkeeping for one (config, plan) pair: the two symbol
-    phases (``phases``, a ``_Phase`` each) and phase three's grid."""
+    phases (``phases``, a ``_Phase`` each, in ``scheme``'s slot layout) and
+    phase three's grid, sized by ``order2_payload``'s closed form."""
 
     def __init__(self, cfg: SystemConfig, plan: SchedulePlan):
         self.cfg = cfg
         self.plan = plan
-        self.payload = order2_payload(plan, cfg)  # validates feasibility
-        length = self.payload.length
-        self.slots3 = min(length, plan.tau3)  # phase-three slots that carry streams
+        payload = order2_payload(plan, cfg)  # validates feasibility
+        self.slots3 = min(payload.length, plan.tau3)  # phase-three slots that carry streams
         # sized from the plan's integers alone, before any per-slot list or array
         for size, unit in ((self.pair_bytes(), "(trial, SNR) pair"),
                            (self.draw_bytes(), "trial's channel draw")):
@@ -506,18 +489,14 @@ class _PlanGeometry:
                     f"plan with tau [{tau}] needs {_over(size)} per {unit}; "
                     f"the cap is {MAX_PAIR_BYTES >> 30} GiB"
                 )
-        # the phase-three grid holds slot t's streams in row t, padded to
-        # the longest slot; payload row j sits at (j % tau3, j // tau3)
-        self.streams3 = self.payload.per_slot_streams  # streams of the fullest slot
-        j = np.arange(self.streams3)[None, :] * plan.tau3 + np.arange(self.slots3)[:, None]
-        span1, span2 = slice(0, plan.tau1), slice(plan.tau1, plan.tau1 + plan.tau2)
-        self.phases = (
-            _Phase(span1, plan.s1_count, cfg.n1, cfg.n2, cfg.m, j),
-            _Phase(span2, plan.s2_count, cfg.n2, cfg.n1, cfg.m, j),
-        )
+        # phase three's grid holds slot t's streams in row t, padded to
+        # the streams of the fullest slot
+        self.streams3 = payload.per_slot_streams
+        grid = (self.slots3, self.streams3)
+        self.phases = (_Phase(plan, cfg, 1, grid), _Phase(plan, cfg, 2, grid))
         base3 = plan.tau1 + plan.tau2
         self.phase3 = slice(base3, base3 + self.slots3)
-        self.slot_streams = np.count_nonzero(j < length, axis=1).astype(float)
+        self.slot_streams = np.maximum(*(phase.live.sum(axis=1) for phase in self.phases)).astype(float)
         # channel columns any system reads
         self.columns = max(self.phases[0].width, self.phases[1].width, self.streams3)
 

@@ -833,12 +833,29 @@ class TestErrors:
              "not a rational: inf"),
             (lambda: doflab.quantize_csit(0j, float("nan"), 1.0), errors.InvalidAlpha,
              "alpha is not a rational: nan"),
+            (lambda: doflab.HalfPlane(-1, 1, 1), errors.InvalidConfig,
+             "half-plane coefficients must be nonnegative"),
+            (lambda: doflab.HalfPlane(0, 0, 1), errors.InvalidConfig,
+             "half-plane needs a nonzero normal"),
+            (lambda: doflab.HalfPlane.from_intercepts(0, 1), errors.InvalidConfig,
+             "intercepts must be positive"),
+            (lambda: doflab.DofRegion.from_json_dict({"constraints": [{"p": "-1", "q": "1", "r": "1"}]}),
+             errors.InvalidConfig, "half-plane coefficients must be nonnegative"),
+            (lambda: doflab.SchedulePlan(-1, 1, 1, 2, 2), errors.InvalidConfig,
+             "tau1 must be nonnegative"),
+            (lambda: doflab.SchedulePlan(0, 0, 0, 0, 0), errors.InvalidConfig, "empty schedule"),
+            (lambda: doflab.SchedulePlan(1, 1, 1, 2, 2, integer_scale=0), errors.InvalidConfig,
+             "integer_scale must be positive"),
+            (lambda: doflab.SchedulePlan.from_durations(doflab.SystemConfig(3, 2, 1, "1/2", "1/2"), 1, 0, 1),
+             errors.InvalidConfig, "fractional stream totals; scale the durations first"),
         ],
         ids=["no-antennas", "one-snr-point", "no-trials", "alpha-not-rational",
              "alpha-above-one", "alpha-above-one-as-given", "with-quality-not-rational",
              "schedule-weight-not-rational", "tdma-weight-not-rational",
              "weight-above-one", "alpha-infinite", "alpha-nan", "schedule-weight-nan",
-             "tdma-weight-infinite", "coefficient-infinite", "quantizer-quality-nan"],
+             "tdma-weight-infinite", "coefficient-infinite", "quantizer-quality-nan",
+             "coefficient-negative", "normal-zero", "intercept-zero", "json-coefficient-negative",
+             "tau-negative", "schedule-empty", "scale-zero", "stream-totals-fractional"],
     )
     def test_invalid_input_is_typed_and_a_value_error(self, build, error, message):
         with pytest.raises(ValueError) as info:

@@ -21,14 +21,20 @@ import pytest
 
 from doflab import (
     DegenerateCorner,
+    DofRegion,
+    HalfPlane,
     SystemConfig,
     achievable_region,
     converse_region,
     corner_point,
     corner_weight,
+    delayed_csit_region,
     dof_region,
+    is_subset,
+    no_csit_region,
     plan_schedule,
     plan_tdma,
+    region_equal,
     representative_corner,
 )
 
@@ -91,6 +97,46 @@ def test_geometry_matches_fraction_oracle_on_acceptance_grid():
     assert degenerate == 2680
 
 
+def delayed_csit_lines(m, n1, n2):
+    """The delayed-CSIT MIMO BC region (alpha = (1, 1)) of Vaze & Varanasi,
+    "The degrees of freedom region of the two-user MIMO broadcast channel
+    with delayed CSIT" (2011), as the axis intercepts of its boundary
+    lines, typed per antenna regime for N1 <= N2 and mirrored otherwise."""
+    if n1 > n2:
+        return [(y, x) for x, y in delayed_csit_lines(m, n2, n1)]
+    if m <= n1:
+        return [(m, m)]  # d1 + d2 <= M
+    if m <= n2:
+        return [(n1, m)]  # d1/N1 + d2/M <= 1
+    if m < n1 + n2:
+        return [(n1, m), (m, n2)]
+    return [(n1, n1 + n2), (n1 + n2, n2)]
+
+
+def region_of(lines):
+    return DofRegion(HalfPlane.from_intercepts(x, y) for x, y in lines)
+
+
+def test_region_endpoints_match_published_regions():
+    """At alpha = (1, 1) the region is the delayed-CSIT region above, with
+    Maddah-Ali & Tse's corner (2/3, 2/3) at M=2, N1=N2=1; at alpha = (0, 0)
+    it is the no-CSIT region d1/min(M,N1) + d2/min(M,N2) <= 1 (Huang,
+    Jafar, Shamai & Vishwanath 2012; Vaze & Varanasi 2012); and at every
+    quality it lies inside the perfect-CSIT region d_i <= min(M, N_i),
+    d1 + d2 <= min(M, N1+N2). Checked on the acceptance grid, with the
+    containment also at qualities of a third."""
+    for cfg, m, n1, n2, _, _ in grid():
+        delayed = region_of(delayed_csit_lines(m, n1, n2))
+        assert region_equal(delayed_csit_region(cfg), delayed), cfg
+        assert region_equal(no_csit_region(cfg), region_of([(min(m, n1), min(m, n2))])), cfg
+    assert (F(2, 3), F(2, 3)) in [tuple(v) for v in region_of(delayed_csit_lines(2, 1, 1)).vertices()]
+    for m, n1, n2 in product(ANTENNAS, ANTENNAS, ANTENNAS):
+        perfect = DofRegion([HalfPlane(1, 0, min(m, n1)), HalfPlane(0, 1, min(m, n2)),
+                             HalfPlane(1, 1, min(m, n1 + n2))])
+        for a1, a2 in product((F(0), F(1, 3), F(1, 2), F(1)), repeat=2):
+            assert is_subset(dof_region(SystemConfig(m, n1, n2, a1, a2)), perfect), (m, n1, n2, a1, a2)
+
+
 def oracle_plan(values):
     """(integers, scale): Fraction values times the lcm of their reduced
     denominators, the plan's integer_scale."""
@@ -129,13 +175,17 @@ def test_plans_match_fraction_oracle_on_acceptance_grid():
 
 
 def test_geometry_import_leaves_numpy_unloaded():
-    """``import doflab`` and the exact geometry load neither numpy nor the
-    Monte Carlo layer; the simulator's names still resolve on first use."""
+    """``import doflab``, the exact geometry and the slot layout load neither
+    numpy nor the Monte Carlo layer; the simulator's names still resolve on
+    first use."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import doflab; "
         "doflab.representative_corner(doflab.SystemConfig(3, 2, 1, '1/2', '1/3')); "
         "doflab.dof_region(doflab.SystemConfig(3, 2, 1)).vertices(); "
+        "from doflab.scheme import _payload_rows; cfg = doflab.SystemConfig(3, 2, 1, '1/2', '1/3'); "
+        "plan = doflab.plan_schedule(cfg, doflab.corner_weight(cfg)); "
+        "plan.loads(1), _payload_rows(plan, cfg, 2); "
         "print(sorted({'numpy', 'doflab.simulate', 'doflab.kernels'} & set(sys.modules))); "
         "from doflab import estimate_rates; "
         "print(doflab.kernels.backend, estimate_rates.__module__, 'numpy' in sys.modules)"

@@ -1,7 +1,9 @@
-"""Three-phase planner: durations, decoding slacks, payload sizing, regions."""
+"""Three-phase planner: durations, decoding slacks, payload sizing, slot
+layout, regions. Nothing here imports numpy."""
 
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from doflab import (
     scheme_region,
     tdma_region,
 )
+from doflab.scheme import _payload_rows
 
 from test_region import intercepts
 
@@ -39,6 +42,17 @@ antenna = st.integers(min_value=1, max_value=6)
 
 def plan_tuple(plan):
     return (plan.tau1, plan.tau2, plan.tau3, plan.s1_count, plan.s2_count)
+
+
+def acceptance_grid_plans():
+    """The acceptance grid's configurations (M, N1, N2 in 1..6, qualities
+    in quarters), each with its corner plan where N2 < M, else its TDMA
+    plan at weight 1/2."""
+    qualities = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    antennas = range(1, 7)
+    for m, n1, n2, a1, a2 in product(antennas, antennas, antennas, qualities, qualities):
+        cfg = SystemConfig(m, n1, n2, a1, a2)
+        yield cfg, plan_schedule(cfg, corner_weight(cfg)) if n2 < m else plan_tdma(cfg, F(1, 2))
 
 
 class TestSchedulePlan:
@@ -322,3 +336,48 @@ def test_integer_scale_is_minimal(m, n1, n2, alpha1, alpha2, w):
     # dividing by any prime factor of the scale must break integrality,
     # i.e. the five scaled quantities share no common factor
     assert math.gcd(*plan_tuple(plan)) == 1
+
+
+def reference_layout(count, slots, n, tau3):
+    """(loads, rows) of a symbol phase of ``count`` streams over ``slots``
+    slots for a receiver of ``n`` antennas, built without the package: each
+    slot takes the ceiling of the streams left over the slots left, so
+    larger loads come first; slot t owes its first ``load - n`` rows of the
+    other receiver, in slot order, and these are dealt one stream at a time
+    across the ``tau3`` phase-three slots, as ``(slot3, stream, slot, row,
+    load)``."""
+    loads, left = [], count
+    for t in range(slots):
+        loads.append(-(-left // (slots - t)))
+        left -= loads[-1]
+    owed = [(t, r, load) for t, load in enumerate(loads) for r in range(max(0, load - n))]
+    rows, stream = [], 0
+    while len(rows) < len(owed):
+        for slot3 in range(tau3):
+            if len(rows) < len(owed):
+                rows.append((slot3, stream, *owed[len(rows)]))
+        stream += 1
+    return loads, rows
+
+
+def test_slot_layout_matches_reference_on_acceptance_grid():
+    """``SchedulePlan.loads`` and ``_payload_rows`` are the layout built
+    here on every acceptance-grid plan; the rows are ``order2_payload``'s
+    k_i, the largest load is the closed form ceil(s_i / tau_i), and every
+    row has a cell of its own in the payload's (slot3, stream) grid."""
+    plans = 0
+    for cfg, plan in acceptance_grid_plans():
+        payload = order2_payload(plan, cfg)
+        grid = (min(payload.length, plan.tau3), payload.per_slot_streams)
+        phases = ((1, plan.s1_count, plan.tau1, cfg.n1, payload.k1_needed),
+                  (2, plan.s2_count, plan.tau2, cfg.n2, payload.k2_needed))
+        for phase, count, slots, n, owed in phases:
+            loads, rows = plan.loads(phase), _payload_rows(plan, cfg, phase)
+            assert (loads, rows) == reference_layout(count, slots, n, plan.tau3), (cfg, phase)
+            assert len(rows) == owed, (cfg, phase)
+            assert max(loads, default=0) == (-(-count // slots) if slots else 0), (cfg, phase)
+            cells = {(slot3, stream) for slot3, stream, *_ in rows}
+            assert len(cells) == len(rows), (cfg, phase)
+            assert all(a < grid[0] and r < grid[1] for a, r in cells), (cfg, phase)
+        plans += 1
+    assert plans == 5400

@@ -46,6 +46,8 @@ from doflab import (
     simulate,
 )
 
+from test_scheme import acceptance_grid_plans
+
 
 class TestSimParams:
     def test_validation(self):
@@ -342,17 +344,6 @@ class TestQuantizer:
                                 rho[:, None, None, None])
         for point, r in enumerate(rho):
             assert np.array_equal(stacked[point], quantize_csit(h, F(1, 3), float(r)))
-
-
-def acceptance_grid_plans():
-    """The acceptance grid's configurations (M, N1, N2 in 1..6, qualities
-    in quarters), each with its corner plan where N2 < M, else its TDMA
-    plan at weight 1/2."""
-    qualities = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-    antennas = range(1, 7)
-    for m, n1, n2, a1, a2 in itertools.product(antennas, antennas, antennas, qualities, qualities):
-        cfg = SystemConfig(m, n1, n2, a1, a2)
-        yield cfg, plan_schedule(cfg, corner_weight(cfg)) if n2 < m else plan_tdma(cfg, F(1, 2))
 
 
 class TestPhaseMatrices:
