@@ -23,16 +23,19 @@ constraint scaled by the common denominator of its coefficients, and
 builds ``p``, ``q`` and ``r`` only when they are read; the region builders
 hand it the integer intercepts of ``SystemConfig`` directly, so building,
 comparing and testing points against regions construct no ``Fraction``.
-A ``DofRegion`` enumerates its vertices at most once, and ``vertices``,
-``area``, ``is_subset``, ``region_equal`` and the JSON form share that
-one set.
+A ``DofRegion`` enumerates its vertices at most once, as one
+counterclockwise tuple of integer triples, and ``vertices``, ``area``,
+``is_subset``, ``region_equal`` and the JSON form share that one tuple.
+The coefficients are nonnegative, so each axis meets the region up to the
+smallest intercept on it: the axis vertices are read off the constraints,
+and only pairs of constraints are solved for the vertices between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -236,6 +239,15 @@ class DofPoint:
         object.__setattr__(self, "d1", as_ratio(self.d1))
         object.__setattr__(self, "d2", as_ratio(self.d2))
 
+    @classmethod
+    def _of(cls, d1: Fraction, d2: Fraction) -> "DofPoint":
+        """The point of two ``Fraction``s, without ``__post_init__``'s
+        parse: the instance ``DofPoint(d1, d2)`` builds."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "d1", d1)
+        object.__setattr__(point, "d2", d2)
+        return point
+
     def __iter__(self) -> Iterator[Fraction]:
         yield self.d1
         yield self.d2
@@ -251,10 +263,6 @@ def _homogeneous(d1: Fraction, d2: Fraction) -> tuple[int, int, int]:
     )
 
 
-def _sign(value: int) -> int:
-    return (value > 0) - (value < 0)
-
-
 @dataclass(frozen=True)
 class DofRegion:
     """Intersection of half-planes with the nonnegative quadrant."""
@@ -265,10 +273,8 @@ class DofRegion:
         object.__setattr__(self, "constraints", tuple(constraints))
 
     def contains(self, point) -> bool:
-        d1, d2 = map(as_ratio, point)
-        if d1 < 0 or d2 < 0:
-            return False
-        return self._holds(*_homogeneous(d1, d2))
+        x, y, den = _homogeneous(*map(as_ratio, point))
+        return x >= 0 and y >= 0 and self._holds(x, y, den)
 
     def _holds(self, x: int, y: int, den: int) -> bool:
         """Whether every constraint holds at ``(x/den, y/den)``, ``den > 0``."""
@@ -276,32 +282,20 @@ class DofRegion:
         return all(p * x + q * y <= r * den for p, q, r in scaled)
 
     @cached_property
-    def _vertex_triples(self) -> frozenset[tuple[int, int, int]]:
-        """The vertex set, enumerated on first use and kept with the
-        instance. It is not a field, so equality, hashing and repr see only
-        the constraints."""
+    def _vertex_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The ordered vertices, enumerated on first use and kept with the
+        instance. They are not a field, so equality, hashing and repr see
+        only the constraints."""
         return _enumerate_vertices([hp.scaled for hp in self.constraints])
 
     def vertices(self) -> list[DofPoint]:
         """Corner points of the polygon, counterclockwise starting at (0, 0).
 
-        Every vertex is the exact intersection of two active lines (the
-        constraint boundaries plus the two axes). Raises UnboundedRegion if
-        some direction of the quadrant is never capped.
+        Raises UnboundedRegion if some direction of the quadrant is never
+        capped.
         """
-
-        def by_angle(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
-            # the origin first, then by y/(x+y), which grows monotonically
-            # with the polar angle in the quadrant, then by x+y
-            (x1, y1, det1), (x2, y2, det2) = a, b
-            s1, s2 = x1 + y1, x2 + y2
-            if s1 == 0 or s2 == 0:
-                return (s1 != 0) - (s2 != 0)
-            return _sign(y1 * s2 - y2 * s1) or _sign(s1 * det2 - s2 * det1)
-
         return [
-            DofPoint(Fraction(x, det), Fraction(y, det))
-            for x, y, det in sorted(self._vertex_triples, key=cmp_to_key(by_angle))
+            DofPoint._of(Fraction(x, det), Fraction(y, det)) for x, y, det in self._vertex_triples
         ]
 
     def area(self) -> Fraction:
@@ -328,18 +322,29 @@ class DofRegion:
         return cls(HalfPlane.from_json_dict(hp) for hp in data["constraints"])
 
 
-def _enumerate_vertices(scaled: list[tuple[int, int, int]]) -> frozenset[tuple[int, int, int]]:
-    """The vertices of the region of the integer constraints ``scaled`` as
-    triples ``(x*det, y*det, det)`` with ``det > 0``, in lowest terms, so
-    equal points give equal triples."""
-    if not any(p > 0 for p, _, _ in scaled) or not any(q > 0 for _, q, _ in scaled):
+def _enumerate_vertices(scaled: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """The vertices of the region of the integer constraints ``scaled``,
+    counterclockwise from the origin, as triples ``(x*det, y*det, det)``
+    with ``det > 0`` in lowest terms, so equal points give equal triples.
+
+    Every coefficient is nonnegative, so the region holds, with each of its
+    points, the rectangle between that point and the origin. Its boundary
+    is the origin, then the d1-axis up to the smallest intercept on it,
+    then a chain of crossings of two constraints along which d2 grows, then
+    the d2-axis down from its smallest intercept. A crossing on an axis is
+    that axis's vertex, so only crossings off the axes are kept.
+    """
+    d1_cap = d2_cap = None  # smallest intercepts on the axes, as (num, den)
+    for p, q, r in scaled:
+        if p and (d1_cap is None or r * d1_cap[1] < d1_cap[0] * p):
+            d1_cap = r, p
+        if q and (d2_cap is None or r * d2_cap[1] < d2_cap[0] * q):
+            d2_cap = r, q
+    if d1_cap is None or d2_cap is None:
         raise UnboundedRegion("region is unbounded in the quadrant")
-    lines = scaled + [(1, 0, 0), (0, 1, 0)]  # the axes d1 = 0 and d2 = 0
-    found: set[tuple[int, int, int]] = set()
-    for i in range(len(lines)):
-        p1, q1, r1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            p2, q2, r2 = lines[j]
+    crossings: list[tuple[int, int, int]] = []  # by increasing d2
+    for i, (p1, q1, r1) in enumerate(scaled):
+        for p2, q2, r2 in scaled[i + 1 :]:
             det = p1 * q2 - p2 * q1
             if det == 0:
                 continue
@@ -347,15 +352,31 @@ def _enumerate_vertices(scaled: list[tuple[int, int, int]]) -> frozenset[tuple[i
             y = p1 * r2 - p2 * r1
             if det < 0:
                 det, x, y = -det, -x, -y
-            if x < 0 or y < 0:
+            if x <= 0 or y <= 0:
                 continue
             for p, q, r in scaled:
                 if p * x + q * y > r * det:
                     break
             else:
                 g = gcd(x, y, det)
-                found.add((x // g, y // g, det // g))
-    return frozenset(found)
+                x, y, det = x // g, y // g, det // g
+                # off the axes no two vertices share a d2: an equal d2 is this vertex
+                k = len(crossings)
+                while k and crossings[k - 1][1] * det > y * crossings[k - 1][2]:
+                    k -= 1
+                if not k or crossings[k - 1] != (x, y, det):
+                    crossings.insert(k, (x, y, det))
+    vertices = [(0, 0, 1)]
+    r, p = d1_cap
+    if r:
+        g = gcd(r, p)
+        vertices.append((r // g, 0, p // g))
+    vertices += crossings
+    r, q = d2_cap
+    if r:
+        g = gcd(r, q)
+        vertices.append((0, r // g, q // g))
+    return tuple(vertices)
 
 
 def dof_region(cfg: SystemConfig) -> DofRegion:
@@ -401,7 +422,7 @@ def _corner(cfg: SystemConfig) -> DofPoint | None:
     det = a * d * den * den - b * c
     if det == 0:
         return None
-    return DofPoint(
+    return DofPoint._of(
         Fraction(a * c * (d * den - b), det), Fraction(b * d * (a * den - c), det)
     )
 
@@ -436,7 +457,7 @@ def representative_corner(cfg: SystemConfig) -> DofPoint:
     """
     point = _corner(cfg)
     if point is None:
-        return DofPoint(Fraction(min(cfg.n1, cfg.m), 2), Fraction(min(cfg.n2, cfg.m), 2))
+        return DofPoint._of(Fraction(min(cfg.n1, cfg.m), 2), Fraction(min(cfg.n2, cfg.m), 2))
     return point
 
 
@@ -449,6 +470,6 @@ def region_equal(a: DofRegion, b: DofRegion) -> bool:
     """True when the two regions are the same set of points.
 
     Two bounded convex polygons are equal exactly when their vertices are,
-    so this compares the vertex sets as reduced integer triples.
+    so this compares the ordered vertices as reduced integer triples.
     """
     return a._vertex_triples == b._vertex_triples

@@ -58,8 +58,12 @@ class SchedulePlan:
     integer_scale: int = 1
 
     def __post_init__(self):
-        for name in ("tau1", "tau2", "tau3", "s1_count", "s2_count"):
-            if getattr(self, name) < 0:
+        # type(...) is int also refuses a bool
+        for name in ("tau1", "tau2", "tau3", "s1_count", "s2_count", "integer_scale"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            if value < 0 and name != "integer_scale":
                 raise InvalidConfig(f"{name} must be nonnegative")
         if self.total_slots == 0:
             raise InvalidConfig("empty schedule")
@@ -217,7 +221,7 @@ def achieved_dof(plan: SchedulePlan, cfg: SystemConfig) -> DofPoint:
     """DoF pair the plan delivers: symbol totals over total duration."""
     _check_feasible(plan, cfg)
     total = plan.total_slots
-    return DofPoint(Fraction(plan.s1_count, total), Fraction(plan.s2_count, total))
+    return DofPoint._of(Fraction(plan.s1_count, total), Fraction(plan.s2_count, total))
 
 
 def order2_payload(plan: SchedulePlan, cfg: SystemConfig) -> Order2Payload:

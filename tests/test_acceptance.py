@@ -37,13 +37,7 @@ from doflab import (
 )
 from doflab.cli import main
 
-ALPHA_GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-ANTENNAS = range(1, 7)
-
-
-def grid_configs():
-    for m, n1, n2, a1, a2 in product(ANTENNAS, ANTENNAS, ANTENNAS, ALPHA_GRID, ALPHA_GRID):
-        yield SystemConfig(m, n1, n2, a1, a2)
+from acceptance_grid import ANTENNAS, GRID_SIZE, QUALITIES, grid_configs
 
 
 def cross(o, a, b):
@@ -75,7 +69,7 @@ def inside_convex(polygon, point):
 
 def test_criterion_1_symmetric_corner():
     start = time.perf_counter()
-    for alpha in ALPHA_GRID:
+    for alpha in QUALITIES:
         cfg = SystemConfig(2, 1, 1, alpha, alpha)
         want = ((1 + alpha) / (2 + alpha), (1 + alpha) / (2 + alpha))
         if alpha == 0:
@@ -94,7 +88,9 @@ def test_criterion_1_symmetric_corner():
 def test_criterion_2_region_tightness():
     start = time.perf_counter()
     count = 0
-    for cfg in grid_configs():
+    configs = grid_configs()
+    assert len(configs) == GRID_SIZE
+    for cfg in configs:
         region = dof_region(cfg)
         assert region_equal(converse_region(cfg), region)
         assert region_equal(achievable_region(cfg), region)
@@ -108,15 +104,17 @@ def test_criterion_2_region_tightness():
 
 def test_criterion_3_sandwich_and_monotonicity():
     areas = {}
-    for cfg in grid_configs():
+    configs = grid_configs()
+    assert len(configs) == GRID_SIZE
+    for cfg in configs:
         region = dof_region(cfg)
         assert is_subset(no_csit_region(cfg), region)
         assert is_subset(region, delayed_csit_region(cfg))
         areas[(cfg.m, cfg.n1, cfg.n2, cfg.alpha1, cfg.alpha2)] = region.area()
     for m, n1, n2 in product(ANTENNAS, ANTENNAS, ANTENNAS):
-        for fixed in ALPHA_GRID:
-            rising1 = [areas[(m, n1, n2, a, fixed)] for a in ALPHA_GRID]
-            rising2 = [areas[(m, n1, n2, fixed, a)] for a in ALPHA_GRID]
+        for fixed in QUALITIES:
+            rising1 = [areas[(m, n1, n2, a, fixed)] for a in QUALITIES]
+            rising2 = [areas[(m, n1, n2, fixed, a)] for a in QUALITIES]
             assert rising1 == sorted(rising1)
             assert rising2 == sorted(rising2)
 
@@ -141,7 +139,9 @@ def test_criterion_3_sandwich_and_monotonicity():
 
 def test_criterion_4_corner_vs_linear_solve():
     degenerate = 0
-    for cfg in grid_configs():
+    configs = grid_configs()
+    assert len(configs) == GRID_SIZE
+    for cfg in configs:
         a, d = F(min(cfg.n1, cfg.m)), F(min(cfg.n2, cfg.m))
         c = min(cfg.n1 + cfg.alpha2 * cfg.n2, F(cfg.m))
         b = min(cfg.n2 + cfg.alpha1 * cfg.n1, F(cfg.m))
@@ -165,7 +165,9 @@ def test_criterion_4_corner_vs_linear_solve():
 def test_criterion_5_scheme_boundary_and_hull():
     weights = [F(k, 10) for k in range(11)]
     checked = tdma = 0
-    for cfg in grid_configs():
+    configs = grid_configs()
+    assert len(configs) == GRID_SIZE
+    for cfg in configs:
         region = dof_region(cfg)
         points = [(F(0), F(0))]
         if cfg.n2 >= cfg.m:
@@ -306,7 +308,9 @@ def test_criterion_10_rank_at_fractional_alpha():
     start = time.perf_counter()
     one = SimParams(snr_grid_db=(30.0, 40.0), trials=1, seed=2024)
     plans = 0
-    for cfg in grid_configs():
+    configs = grid_configs()
+    assert len(configs) == GRID_SIZE
+    for cfg in configs:
         if cfg.n2 >= cfg.m:
             continue
         plan = plan_schedule(cfg, corner_weight(cfg))

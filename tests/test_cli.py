@@ -846,6 +846,14 @@ class TestErrors:
             (lambda: doflab.SchedulePlan(0, 0, 0, 0, 0), errors.InvalidConfig, "empty schedule"),
             (lambda: doflab.SchedulePlan(1, 1, 1, 2, 2, integer_scale=0), errors.InvalidConfig,
              "integer_scale must be positive"),
+            # a plan's fields are counts of slots and symbols: integers, not
+            # floats that happen to be whole, and not bools
+            (lambda: doflab.SchedulePlan(1.5, 1, 1, 2, 2), errors.InvalidConfig,
+             "tau1 must be an integer, got 1.5"),
+            (lambda: doflab.SchedulePlan(True, 1, 1, 2, 2), errors.InvalidConfig,
+             "tau1 must be an integer, got True"),
+            (lambda: doflab.SchedulePlan(1, 1, 1, 2, 2, integer_scale=2.0), errors.InvalidConfig,
+             "integer_scale must be an integer, got 2.0"),
             (lambda: doflab.SchedulePlan.from_durations(doflab.SystemConfig(3, 2, 1, "1/2", "1/2"), 1, 0, 1),
              errors.InvalidConfig, "fractional stream totals; scale the durations first"),
         ],
@@ -855,7 +863,8 @@ class TestErrors:
              "weight-above-one", "alpha-infinite", "alpha-nan", "schedule-weight-nan",
              "tdma-weight-infinite", "coefficient-infinite", "quantizer-quality-nan",
              "coefficient-negative", "normal-zero", "intercept-zero", "json-coefficient-negative",
-             "tau-negative", "schedule-empty", "scale-zero", "stream-totals-fractional"],
+             "tau-negative", "schedule-empty", "scale-zero", "tau-float", "tau-bool",
+             "scale-float", "stream-totals-fractional"],
     )
     def test_invalid_input_is_typed_and_a_value_error(self, build, error, message):
         with pytest.raises(ValueError) as info:

@@ -38,14 +38,9 @@ from doflab import (
     representative_corner,
 )
 
-ALPHAS = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-ANTENNAS = range(1, 7)
+from acceptance_grid import ANTENNAS, GRID_SIZE, grid_configs
+
 WEIGHTS = (F(0), F(1, 5), F(1, 3), F(1, 2), F(4, 5), F(1))
-
-
-def grid():
-    for m, n1, n2, a1, a2 in product(ANTENNAS, ANTENNAS, ANTENNAS, ALPHAS, ALPHAS):
-        yield SystemConfig(m, n1, n2, a1, a2), m, n1, n2, a1, a2
 
 
 def oracle_line(d1_max, d2_max):
@@ -63,7 +58,10 @@ def assert_constraints(region, lines):
 
 def test_geometry_matches_fraction_oracle_on_acceptance_grid():
     degenerate = 0
-    for cfg, m, n1, n2, a1, a2 in grid():
+    configs = grid_configs()
+    assert len(configs) == GRID_SIZE
+    for cfg in configs:
+        m, n1, n2, a1, a2 = cfg.m, cfg.n1, cfg.n2, cfg.alpha1, cfg.alpha2
         a, d = F(min(n1, m)), F(min(n2, m))
         c = min(n1 + a2 * n2, F(m))
         b = min(n2 + a1 * n1, F(m))
@@ -125,7 +123,10 @@ def test_region_endpoints_match_published_regions():
     quality it lies inside the perfect-CSIT region d_i <= min(M, N_i),
     d1 + d2 <= min(M, N1+N2). Checked on the acceptance grid, with the
     containment also at qualities of a third."""
-    for cfg, m, n1, n2, _, _ in grid():
+    configs = grid_configs()
+    assert len(configs) == GRID_SIZE
+    for cfg in configs:
+        m, n1, n2 = cfg.m, cfg.n1, cfg.n2
         delayed = region_of(delayed_csit_lines(m, n1, n2))
         assert region_equal(delayed_csit_region(cfg), delayed), cfg
         assert region_equal(no_csit_region(cfg), region_of([(min(m, n1), min(m, n2))])), cfg
@@ -152,7 +153,10 @@ def test_plans_match_fraction_oracle_on_acceptance_grid():
     """plan_schedule over every three-phase config (N2 < M) and weight, the
     corner weight among them; plan_tdma over every config and weight."""
     schedules = tdmas = 0
-    for cfg, m, n1, n2, a1, a2 in grid():
+    configs = grid_configs()
+    assert len(configs) == GRID_SIZE
+    for cfg in configs:
+        m, n1, n2, a1, a2 = cfg.m, cfg.n1, cfg.n2, cfg.alpha1, cfg.alpha2
         for w in WEIGHTS:
             t1, t2 = w, 1 - w
             (u1, u2, v1, v2), scale = oracle_plan([t1, t2, min(n1, m) * t1, min(n2, m) * t2])
@@ -194,3 +198,17 @@ def test_geometry_import_leaves_numpy_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[]\nnumpy doflab.simulate True\n"
+
+
+def test_acceptance_grid_leaves_numpy_unloaded():
+    """The shared acceptance grid, plans included, loads no numpy, so the
+    geometry and planning tests that sweep it run without numpy."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]; import acceptance_grid; "
+        "print(len(acceptance_grid.grid_plans()), 'numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(root / "src"), str(root / "tests")],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{GRID_SIZE} False\n"

@@ -4,7 +4,7 @@ import copy
 import dataclasses
 import pickle
 from fractions import Fraction as F
-from itertools import islice, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,17 +18,21 @@ from doflab import (
     SystemConfig,
     UnboundedRegion,
     achievable_region,
+    achieved_dof,
     converse_region,
     corner_point,
     delayed_csit_region,
     dof_region,
     is_subset,
     no_csit_region,
+    plan_schedule,
     rational,
     region,
     region_equal,
     representative_corner,
 )
+
+from acceptance_grid import GRID_SIZE, grid_configs
 
 
 def intercepts(region):
@@ -156,6 +160,29 @@ class TestValueSemantics:
                 assert back == shape and hash(back) == hash(shape) and repr(back) == repr(shape)
                 assert back.vertices() == shape.vertices()
                 assert back.to_json_dict() == shape.to_json_dict()
+
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_points_of_the_geometry_are_constructed_points(self, protocol):
+        """Vertices, corners and achieved DoF skip DofPoint's parse of their
+        Fractions; as values they are the points the constructor builds."""
+        cfg = self.cfg
+        built = [*dof_region(cfg).vertices(), corner_point(cfg),
+                 representative_corner(SystemConfig(2, 1, 1, 0, 0)),
+                 achieved_dof(plan_schedule(cfg, F(1, 2)), cfg)]
+        assert [tuple(point) for point in built] == [
+            (0, 0), (2, 0), (F(7, 4), F(1, 4)), (0, 1), (F(7, 4), F(1, 4)),
+            (F(1, 2), F(1, 2)), (F(7, 9), F(2, 3)),
+        ]
+        for point in built:
+            typed = DofPoint(point.d1, point.d2)
+            back = pickle.loads(pickle.dumps(point, protocol))
+            assert point == typed == back and hash(point) == hash(typed) == hash(back)
+            assert repr(point) == repr(typed) == repr(back)
+            assert vars(point) == vars(typed) == vars(back)
+            assert all(type(c) is F for c in (*point, *back))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                point.d1 = F(0)
 
 
 class TestAsRatio:
@@ -356,7 +383,8 @@ class TestPredicates:
 
 def test_vertex_set_is_enumerated_once(monkeypatch):
     """vertices, region_equal, is_subset, area and to_json_dict share one
-    enumeration per region, which stays out of the dataclass's view."""
+    enumeration per region, an ordered tuple of integer triples, which stays
+    out of the dataclass's view."""
     calls = []
     enumerate_vertices = region._enumerate_vertices
 
@@ -377,12 +405,17 @@ def test_vertex_set_is_enumerated_once(monkeypatch):
         assert shape.area() > 0
         data = shape.to_json_dict()
     assert calls == [[hp.scaled for hp in shape.constraints]]
+    # the one enumeration is the vertices in order, as reduced triples
+    triples = shape._vertex_triples
+    assert type(triples) is tuple
+    assert [(F(x, det), F(y, det)) for x, y, det in triples] == [tuple(v) for v in verts]
+    assert all(det > 0 and gcd(x, y, det) == 1 for x, y, det in triples)
 
-    # the stored set is no field: equality, hashing, repr, the fields and
+    # the stored tuple is no field: equality, hashing, repr, the fields and
     # the JSON form are those of a region that never enumerated
     assert [f.name for f in dataclasses.fields(shape)] == ["constraints"]
     assert shape == fresh and hash(shape) == hash(fresh) and repr(shape) == repr(fresh)
-    assert "frozenset" not in repr(shape)
+    assert repr(triples) not in repr(shape)
     assert data == {"constraints": [hp.to_json_dict() for hp in shape.constraints],
                     "vertices": [[str(v.d1), str(v.d2)] for v in verts]}
     back = DofRegion.from_json_dict(data)
@@ -394,9 +427,9 @@ def test_builders_construct_no_fraction(monkeypatch):
     """The region builders, and the checks that compare regions or test a
     point, work on SystemConfig's integers and construct no Fraction; p, q
     and r read afterwards are the coefficients computed in Fractions."""
-    quality = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-    grid = product(range(1, 7), range(1, 7), range(1, 7), quality, quality)
-    configs = [SystemConfig(*c) for c in islice(grid, 0, None, 27)]  # 200 of 5400
+    grid = grid_configs()
+    assert len(grid) == GRID_SIZE
+    configs = grid[::27]  # 200 of 5400
     points = [representative_corner(cfg) for cfg in configs]
 
     made = []
@@ -627,3 +660,69 @@ def test_integer_geometry_matches_fraction_oracle(planes, others, nudges, extra)
         equal = forward and backward
     assert outcome(region_equal, region, other) == equal
     assert outcome(region_equal, other, region) == equal
+
+
+def reference_area(vertices):
+    """The shoelace sum over Fraction vertices in counterclockwise order."""
+    pairs = zip(vertices, vertices[1:] + vertices[:1])
+    return sum((ax * by - bx * ay for (ax, ay), (bx, by) in pairs), F(0)) / 2
+
+
+# small integers make parallel, coincident, concurrent and axis-parallel
+# lines, zero intercepts and redundant constraints common
+integer_plane = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 6)).filter(
+    lambda c: c[0] or c[1]
+).map(lambda c: HalfPlane(*c))
+
+
+def constraints(*coefficients):
+    return [HalfPlane(*c) for c in coefficients]
+
+
+@settings(max_examples=400, deadline=None)
+@given(planes=st.lists(integer_plane, max_size=6), others=st.lists(integer_plane, max_size=6))
+# a zero intercept: the region is the origin alone
+@example(planes=constraints((1, 2, 0), (2, 1, 3)), others=constraints((1, 1, 0)))
+# p = 0 and q = 0: a rectangle cut by a diagonal, and without it
+@example(planes=constraints((0, 1, 2), (1, 0, 3), (1, 1, 4)), others=constraints((0, 1, 2), (1, 0, 3)))
+# duplicate and proportional constraints
+@example(
+    planes=constraints((1, 2, 3), (1, 2, 3), (2, 4, 6), (2, 1, 3)),
+    others=constraints((2, 1, 3), (1, 2, 3)),
+)
+# a redundant constraint, whose crossings lie in the quadrant but outside
+@example(planes=constraints((1, 1, 2), (2, 1, 5), (1, 2, 5)), others=constraints((1, 1, 2)))
+# three constraints through one vertex
+@example(planes=constraints((1, 2, 3), (2, 1, 3), (1, 1, 2)), others=constraints((1, 2, 3), (2, 1, 3)))
+# a single point, as one constraint and as two
+@example(planes=constraints((1, 1, 0)), others=constraints((1, 0, 0), (0, 1, 0)))
+# segments on the d1-axis and on the d2-axis, each with a crossing on it
+@example(planes=constraints((0, 1, 0), (1, 0, 2), (1, 1, 2)), others=constraints((1, 0, 0), (1, 1, 2)))
+# a crossing on the d2-axis, which is that axis's vertex; without the
+# constraint through it, a top edge along d2 = 2
+@example(planes=constraints((0, 1, 2), (1, 1, 3), (1, 2, 4)), others=constraints((0, 1, 2), (1, 1, 3)))
+def test_ordered_enumeration_matches_pairwise_oracle(planes, others):
+    """The ordered enumeration, which reads the axis vertices off the
+    smallest intercepts and solves only pairs of constraints, agrees with
+    the pairwise Fraction oracle over constraints and axes: vertices with
+    their order, area, region_equal, is_subset and UnboundedRegion."""
+    shapes = DofRegion(planes), DofRegion(others)
+    expected = [outcome(reference_vertices, shape) for shape in shapes]
+    for shape, expect in zip(shapes, expected):
+        if expect is UnboundedRegion:
+            with pytest.raises(UnboundedRegion):
+                shape.vertices()
+            with pytest.raises(UnboundedRegion):
+                shape.area()
+        else:
+            assert [tuple(v) for v in shape.vertices()] == expect
+            assert shape.area() == reference_area(expect)
+    if UnboundedRegion in expected:
+        for pair in (shapes, shapes[::-1]):
+            with pytest.raises(UnboundedRegion):
+                region_equal(*pair)
+    else:
+        same = expected[0] == expected[1]
+        assert region_equal(*shapes) is same and region_equal(*shapes[::-1]) is same
+    for inner, outer in (shapes, shapes[::-1]):
+        assert outcome(is_subset, inner, outer) == outcome(reference_is_subset, inner, outer)

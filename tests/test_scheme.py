@@ -3,7 +3,6 @@ layout, regions. Nothing here imports numpy."""
 
 import math
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +33,7 @@ from doflab import (
 )
 from doflab.scheme import _payload_rows
 
+from acceptance_grid import GRID_SIZE, grid_plans
 from test_region import intercepts
 
 ratio = st.fractions(min_value=0, max_value=1, max_denominator=16)
@@ -42,17 +42,6 @@ antenna = st.integers(min_value=1, max_value=6)
 
 def plan_tuple(plan):
     return (plan.tau1, plan.tau2, plan.tau3, plan.s1_count, plan.s2_count)
-
-
-def acceptance_grid_plans():
-    """The acceptance grid's configurations (M, N1, N2 in 1..6, qualities
-    in quarters), each with its corner plan where N2 < M, else its TDMA
-    plan at weight 1/2."""
-    qualities = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-    antennas = range(1, 7)
-    for m, n1, n2, a1, a2 in product(antennas, antennas, antennas, qualities, qualities):
-        cfg = SystemConfig(m, n1, n2, a1, a2)
-        yield cfg, plan_schedule(cfg, corner_weight(cfg)) if n2 < m else plan_tdma(cfg, F(1, 2))
 
 
 class TestSchedulePlan:
@@ -366,7 +355,7 @@ def test_slot_layout_matches_reference_on_acceptance_grid():
     k_i, the largest load is the closed form ceil(s_i / tau_i), and every
     row has a cell of its own in the payload's (slot3, stream) grid."""
     plans = 0
-    for cfg, plan in acceptance_grid_plans():
+    for cfg, plan in grid_plans():
         payload = order2_payload(plan, cfg)
         grid = (min(payload.length, plan.tau3), payload.per_slot_streams)
         phases = ((1, plan.s1_count, plan.tau1, cfg.n1, payload.k1_needed),
@@ -380,4 +369,4 @@ def test_slot_layout_matches_reference_on_acceptance_grid():
             assert len(cells) == len(rows), (cfg, phase)
             assert all(a < grid[0] and r < grid[1] for a, r in cells), (cfg, phase)
         plans += 1
-    assert plans == 5400
+    assert plans == GRID_SIZE

@@ -46,7 +46,7 @@ from doflab import (
     simulate,
 )
 
-from test_scheme import acceptance_grid_plans
+from acceptance_grid import GRID_SIZE, grid_plans
 
 
 class TestSimParams:
@@ -408,7 +408,9 @@ class TestPhaseMatrices:
         """On every acceptance-grid plan the stacks are the reference's
         block-diagonal stacks exactly, unbatched and with a leading axis of
         two trials."""
-        for cfg, plan in acceptance_grid_plans():
+        plans = grid_plans()
+        assert len(plans) == GRID_SIZE
+        for cfg, plan in plans:
             real = gen_channels(cfg, plan.total_slots, 1, np.arange(2))
             batched = build_phase_matrices(real, plan, cfg)
             first = build_phase_matrices(ChannelRealization(real.h1[0], real.h2[0]), plan, cfg)
@@ -1202,7 +1204,9 @@ def test_phase_rows_are_the_payload_deficits():
     rows 0 .. load - N_i - 1 of the other receiver, numbered in slot order,
     and row j dealt to phase-three slot j % tau3 as its stream j // tau3.
     The live streams are order2_payload's k_i."""
-    for cfg, plan in acceptance_grid_plans():
+    plans = grid_plans()
+    assert len(plans) == GRID_SIZE
+    for cfg, plan in plans:
         geom = simulate._PlanGeometry(cfg, plan)
         payload = order2_payload(plan, cfg)
         grid = (min(payload.length, plan.tau3), payload.per_slot_streams)
