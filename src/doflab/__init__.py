@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 _SIMULATE_NAMES = frozenset({
     "ChannelRealization",
     "PhaseMatrices",
-    "ResidualScan",
     "SimParams",
     "SimReport",
     "build_phase_matrices",
@@ -67,7 +66,6 @@ _SIMULATE_NAMES = frozenset({
     "quantize_csit",
     "rank_check_campaign",
     "rate_snr_limit_db",
-    "residual_power_scan",
 })
 
 

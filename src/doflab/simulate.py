@@ -45,14 +45,12 @@ __all__ = [
     "ChannelRealization",
     "PhaseMatrices",
     "SimReport",
-    "ResidualScan",
     "gen_channels",
     "quantize_csit",
     "rate_snr_limit_db",
     "build_phase_matrices",
     "rank_check_campaign",
     "estimate_rates",
-    "residual_power_scan",
 ]
 
 QUANTIZER_CLIP = 4.0
@@ -167,16 +165,6 @@ class SimReport:
             "trials": self.trials,
             "backend": kernels.backend,
         }
-
-
-@dataclass(eq=False)
-class ResidualScan:
-    """Mean quantization-residual power across an SNR grid, with the
-    fitted log-log slope (ideal value: minus the CSIT quality)."""
-
-    snr_grid_db: tuple[float, ...]
-    mean_power: list[float]
-    slope: float
 
 
 # numpy.random.SeedSequence's hash (after O'Neill's seed_seq_fe): its pool
@@ -774,33 +762,8 @@ def estimate_rates(cfg: SystemConfig, plan: SchedulePlan, params: SimParams) -> 
 def _fit_slope(snr_grid_db, values) -> float:
     """Least-squares slope of rate versus log2(rho), top half of the grid, two points at least."""
     x = np.asarray(snr_grid_db, dtype=float) * (math.log2(10.0) / 10.0)
-    y = np.asarray(values, dtype=float)
     top = slice(min(len(x) // 2, len(x) - 2), len(x))
-    return _line_slope(x[top], y[top])
-
-
-def _line_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Slope of the least-squares line ``y = slope * x + c``."""
+    x, y = x[top], np.asarray(values, dtype=float)[top]
     design = np.vstack([x, np.ones_like(x)]).T
     slope, _ = np.linalg.lstsq(design, y, rcond=None)[0]
     return float(slope)
-
-
-def residual_power_scan(
-    alpha: RatioLike, snr_grid_db, seed, entries: int = 100_000
-) -> ResidualScan:
-    """Mean quantizer-residual power per SNR point and its log-log slope.
-
-    The fitted slope of ``log10(mean power)`` against ``log10(rho)`` should
-    sit near ``-alpha``.
-    """
-    grid = tuple(float(s) for s in snr_grid_db)
-    rng = np.random.default_rng(seed)
-    draws = (rng.standard_normal(entries) + 1j * rng.standard_normal(entries)) / np.sqrt(2)
-    means = []
-    for snr_db in grid:
-        rho = 10.0 ** (snr_db / 10.0)
-        hat = quantize_csit(draws, alpha, rho)
-        means.append(float(np.mean(np.abs(draws - hat) ** 2)))
-    log_rho = np.array([snr / 10.0 for snr in grid])  # log10(rho)
-    return ResidualScan(grid, means, _line_slope(log_rho, np.log10(np.maximum(means, 1e-300))))

@@ -820,17 +820,8 @@ class TestErrors:
              errors.InvalidWeight, "weight is not a rational: 'huh'"),
             (lambda: doflab.plan_schedule(doflab.SystemConfig(2, 1, 1), "3/2"),
              errors.InvalidWeight, "weight must lie in [0, 1], got 3/2"),
-            # a float that is not finite is no rational, whatever it stands for
-            (lambda: doflab.SystemConfig(2, 1, 1, float("inf")), errors.InvalidAlpha,
-             "alpha1 is not a rational: inf"),
-            (lambda: doflab.SystemConfig(2, 1, 1, 1, float("nan")), errors.InvalidAlpha,
-             "alpha2 is not a rational: nan"),
-            (lambda: doflab.plan_schedule(doflab.SystemConfig(2, 1, 1), float("nan")),
-             errors.InvalidWeight, "weight is not a rational: nan"),
-            (lambda: doflab.plan_tdma(doflab.SystemConfig(2, 2, 2), float("-inf")),
-             errors.InvalidWeight, "weight is not a rational: -inf"),
-            (lambda: doflab.HalfPlane(float("inf"), 1, 1), errors.InvalidConfig,
-             "not a rational: inf"),
+            # the quantizer's non-finite quality; the geometry's are in
+            # test_region's TestAsRatio
             (lambda: doflab.quantize_csit(0j, float("nan"), 1.0), errors.InvalidAlpha,
              "alpha is not a rational: nan"),
             (lambda: doflab.HalfPlane(-1, 1, 1), errors.InvalidConfig,
@@ -860,8 +851,7 @@ class TestErrors:
         ids=["no-antennas", "one-snr-point", "no-trials", "alpha-not-rational",
              "alpha-above-one", "alpha-above-one-as-given", "with-quality-not-rational",
              "schedule-weight-not-rational", "tdma-weight-not-rational",
-             "weight-above-one", "alpha-infinite", "alpha-nan", "schedule-weight-nan",
-             "tdma-weight-infinite", "coefficient-infinite", "quantizer-quality-nan",
+             "weight-above-one", "quantizer-quality-nan",
              "coefficient-negative", "normal-zero", "intercept-zero", "json-coefficient-negative",
              "tau-negative", "schedule-empty", "scale-zero", "tau-float", "tau-bool",
              "scale-float", "stream-totals-fractional"],

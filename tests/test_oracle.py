@@ -6,11 +6,17 @@ and builds a Fraction only for each value it returns. Over the whole
 acceptance grid, every such value must equal the one this file derives from
 the definitions, with no package helper: the dimensions from their min
 formulas, each constraint from its axis intercepts, the corner by Cramer's
-rule on the two boundary lines, and each plan's durations and symbol counts
-as Fractions scaled by the lcm of their reduced denominators.
+rule on the two boundary lines, the vertices by solving every pair of lines
+in Fractions, and each plan's durations and symbol counts as Fractions
+scaled by the lcm of their reduced denominators.
+
+Nothing here, in ``test_region``, ``test_scheme`` or ``test_converse``
+needs numpy: these four modules are the geometry and planning tests that
+also run on an interpreter without it.
 """
 
 import math
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -39,6 +45,7 @@ from doflab import (
 )
 
 from acceptance_grid import ANTENNAS, GRID_SIZE, grid_configs
+from test_region import reference_vertices
 
 WEIGHTS = (F(0), F(1, 5), F(1, 3), F(1, 2), F(4, 5), F(1))
 
@@ -51,9 +58,20 @@ def oracle_line(d1_max, d2_max):
 
 
 def assert_constraints(region, lines):
+    """The region's constraints are the oracle's lines, and each one is, in
+    ==, hash, repr, JSON and a pickle round trip, the plane typed from the
+    oracle's Fractions."""
+    want = [oracle_line(*line) for line in lines]
     got = [(hp.p, hp.q, hp.r, hp.scaled) for hp in region.constraints]
-    assert got == [oracle_line(*line) for line in lines]
+    assert got == want
     assert all(type(c) is F for hp in region.constraints for c in (hp.p, hp.q, hp.r))
+    for hp, (p, q, r, scaled) in zip(region.constraints, want):
+        typed = HalfPlane(p, q, r)
+        back = pickle.loads(pickle.dumps(hp))
+        assert hp == typed == back and typed.scaled == back.scaled == scaled
+        assert hash(hp) == hash(typed) == hash(back) == hash((p, q, r))
+        assert repr(hp) == repr(typed) == repr(back) == f"HalfPlane(p={p!r}, q={q!r}, r={r!r})"
+        assert hp.to_json_dict() == typed.to_json_dict() == {"p": str(p), "q": str(q), "r": str(r)}
 
 
 def test_geometry_matches_fraction_oracle_on_acceptance_grid():
@@ -65,18 +83,23 @@ def test_geometry_matches_fraction_oracle_on_acceptance_grid():
         a, d = F(min(n1, m)), F(min(n2, m))
         c = min(n1 + a2 * n2, F(m))
         b = min(n2 + a1 * n1, F(m))
+        shapes = dof_region(cfg), converse_region(cfg), achievable_region(cfg)
         # the intercepts of d1/c + d2/d <= 1 and d1/a + d2/b <= 1
-        first, second = dof_region(cfg).constraints
+        first, second = shapes[0].constraints
         dims = (second.r / second.p, first.r / first.q, first.r / first.p, second.r / second.q)
         assert dims == (a, d, c, b)
         assert all(type(x) is F for x in dims)
 
-        assert_constraints(dof_region(cfg), [(c, d), (a, b)])
-        assert_constraints(converse_region(cfg), [(c, d), (a, b)])
+        assert_constraints(shapes[0], [(c, d), (a, b)])
+        assert_constraints(shapes[1], [(c, d), (a, b)])
         if n2 < m:
-            assert_constraints(achievable_region(cfg), [(c, n2), (n1, b)])
+            assert_constraints(shapes[2], [(c, n2), (n1, b)])
         else:
-            assert_constraints(achievable_region(cfg), [(m, m), (a, m)])
+            assert_constraints(shapes[2], [(m, m), (a, m)])
+        # the vertices in order: the origin, then by angle
+        for shape in shapes:
+            assert [tuple(v) for v in shape.vertices()] == reference_vertices(shape), cfg
+        assert region_equal(shapes[1], shapes[0]) and region_equal(shapes[2], shapes[0]), cfg
 
         # Cramer's rule on d1/c + d2/d = 1 and d1/a + d2/b = 1
         p1, q1, p2, q2 = 1 / c, 1 / d, 1 / a, 1 / b
@@ -86,7 +109,7 @@ def test_geometry_matches_fraction_oracle_on_acceptance_grid():
             with pytest.raises(DegenerateCorner, match="^boundary lines coincide; "
                                "the region has no off-axis corner$"):
                 corner_point(cfg)
-            first, second = dof_region(cfg).vertices()[-2:]
+            first, second = shapes[0].vertices()[-2:]
             want = ((first.d1 + second.d1) / 2, (first.d2 + second.d2) / 2)
         else:
             want = ((q2 - q1) / det, (p1 - p2) / det)
@@ -180,8 +203,7 @@ def test_plans_match_fraction_oracle_on_acceptance_grid():
 
 def test_geometry_import_leaves_numpy_unloaded():
     """``import doflab``, the exact geometry and the slot layout load neither
-    numpy nor the Monte Carlo layer; the simulator's names still resolve on
-    first use."""
+    numpy nor the Monte Carlo layer."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import doflab; "
@@ -190,25 +212,26 @@ def test_geometry_import_leaves_numpy_unloaded():
         "from doflab.scheme import _payload_rows; cfg = doflab.SystemConfig(3, 2, 1, '1/2', '1/3'); "
         "plan = doflab.plan_schedule(cfg, doflab.corner_weight(cfg)); "
         "plan.loads(1), _payload_rows(plan, cfg, 2); "
-        "print(sorted({'numpy', 'doflab.simulate', 'doflab.kernels'} & set(sys.modules))); "
-        "from doflab import estimate_rates; "
-        "print(doflab.kernels.backend, estimate_rates.__module__, 'numpy' in sys.modules)"
+        "print(sorted({'numpy', 'doflab.simulate', 'doflab.kernels'} & set(sys.modules)))"
     )
     done = subprocess.run([sys.executable, "-c", script, str(src)],
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[]\nnumpy doflab.simulate True\n"
+    assert done.stdout == "[]\n"
 
 
 def test_acceptance_grid_leaves_numpy_unloaded():
-    """The shared acceptance grid, plans included, loads no numpy, so the
-    geometry and planning tests that sweep it run without numpy."""
+    """The shared acceptance grid, plans included, and the four geometry and
+    planning test modules load neither numpy nor the Monte Carlo layer, so
+    those modules run without numpy."""
     root = Path(__file__).resolve().parents[1]
     script = (
         "import sys; sys.path[:0] = sys.argv[1:]; import acceptance_grid; "
-        "print(len(acceptance_grid.grid_plans()), 'numpy' in sys.modules)"
+        "import test_region, test_scheme, test_converse, test_oracle; "
+        "print(len(acceptance_grid.grid_plans()), "
+        "sorted({'numpy', 'doflab.simulate', 'doflab.kernels'} & set(sys.modules)))"
     )
     done = subprocess.run([sys.executable, "-c", script, str(root / "src"), str(root / "tests")],
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == f"{GRID_SIZE} False\n"
+    assert done.stdout == f"{GRID_SIZE} []\n"

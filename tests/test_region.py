@@ -23,9 +23,11 @@ from doflab import (
     corner_point,
     delayed_csit_region,
     dof_region,
+    errors,
     is_subset,
     no_csit_region,
     plan_schedule,
+    plan_tdma,
     rational,
     region,
     region_equal,
@@ -210,6 +212,30 @@ class TestAsRatio:
                      "1e-10000000", "1e" + "9" * 30):
             with pytest.raises(ValueError, match=f"^a rational of more than {limit} digits$"):
                 rational.as_ratio(text)
+
+    # a float that is not finite is no rational, whatever it stands for
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: SystemConfig(2, 1, 1, float("inf")), errors.InvalidAlpha,
+             "alpha1 is not a rational: inf"),
+            (lambda: SystemConfig(2, 1, 1, 1, float("nan")), errors.InvalidAlpha,
+             "alpha2 is not a rational: nan"),
+            (lambda: plan_schedule(SystemConfig(2, 1, 1), float("nan")), errors.InvalidWeight,
+             "weight is not a rational: nan"),
+            (lambda: plan_tdma(SystemConfig(2, 2, 2), float("-inf")), errors.InvalidWeight,
+             "weight is not a rational: -inf"),
+            (lambda: HalfPlane(float("inf"), 1, 1), errors.InvalidConfig,
+             "not a rational: inf"),
+        ],
+        ids=["alpha-infinite", "alpha-nan", "schedule-weight-nan", "tdma-weight-infinite",
+             "coefficient-infinite"],
+    )
+    def test_non_finite_float_is_a_typed_error(self, build, error, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is error and isinstance(info.value, errors.DoflabError)
+        assert str(info.value) == message
 
 
 @settings(max_examples=500, deadline=None)

@@ -5,9 +5,12 @@ import io
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +45,6 @@ from doflab import (
     plan_tdma,
     quantize_csit,
     rank_check_campaign,
-    residual_power_scan,
     simulate,
 )
 
@@ -652,16 +654,43 @@ def test_every_simulate_name_resolves_from_the_package():
         assert getattr(doflab, name) is getattr(simulate, name), name
 
 
+def test_simulator_names_load_numpy_on_first_use():
+    """``import doflab`` leaves numpy unloaded; the first simulator name
+    read from the package loads ``simulate``, ``kernels`` and numpy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import doflab; "
+        "print('numpy' in sys.modules); "
+        "from doflab import estimate_rates; "
+        "print(doflab.kernels.backend, estimate_rates.__module__, 'numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\nnumpy doflab.simulate True\n"
+
+
+def residual_scan(alpha, snr_grid_db, seed, entries=100_000):
+    """(mean powers, slope): the mean of ``|h - quantize_csit(h, alpha,
+    rho)|**2`` over ``entries`` unit-power draws per SNR point, and the
+    least-squares slope of its log10 against log10(rho), near ``-alpha``."""
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal(entries) + 1j * rng.standard_normal(entries)) / np.sqrt(2)
+    log_rho = np.array(snr_grid_db, dtype=float) / 10.0
+    means = np.array([np.mean(np.abs(h - quantize_csit(h, alpha, 10.0**x)) ** 2) for x in log_rho])
+    return means, float(np.polyfit(log_rho, np.log10(means), 1)[0])
+
+
 class TestResidualScan:
     def test_slope_tracks_quality(self):
-        scan = residual_power_scan(F(1, 2), (20.0, 30.0, 40.0, 50.0, 60.0), 0, entries=20000)
-        assert scan.slope == pytest.approx(-0.5, abs=0.1)
-        assert len(scan.mean_power) == 5
+        means, slope = residual_scan(F(1, 2), (20.0, 30.0, 40.0, 50.0, 60.0), 0, entries=20000)
+        assert slope == pytest.approx(-0.5, abs=0.1)
+        assert len(means) == 5
 
     def test_zero_quality_is_flat(self):
-        scan = residual_power_scan(0, (20.0, 30.0, 40.0), 0, entries=20000)
-        assert scan.slope == pytest.approx(0.0, abs=0.05)
-        for power in scan.mean_power:
+        means, slope = residual_scan(0, (20.0, 30.0, 40.0), 0, entries=20000)
+        assert slope == pytest.approx(0.0, abs=0.05)
+        for power in means:
             assert power == pytest.approx(1.0, abs=0.05)
 
 
