@@ -27,8 +27,10 @@ DIGIT_LIMIT = 1000
 
 RatioLike = Fraction | int | float | str
 
-# a superset of the literals Fraction parses: p/q, or a decimal with an
-# optional exponent; digit runs may hold "_" separators
+# a superset of the literals Fraction parses, except that no space may stand
+# inside: p/q, or a decimal with an optional exponent; digit runs may hold
+# "_" separators. Fraction takes spaces at the slash from Python 3.12 on,
+# and this refuses them on every version.
 _LITERAL = re.compile(
     r"[-+]?(?P<whole>[\d_]*)"
     r"(?:/(?P<den>[\d_]*)|(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?\d[\d_]*))?)"
@@ -58,8 +60,9 @@ def _literal_digits(match: re.Match) -> int:
 def as_ratio(value: RatioLike) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
 
-    Strings may be ``"p/q"``, an integer, or a decimal literal, whose
-    numerator and denominator have at most ``DIGIT_LIMIT`` digits each.
+    Strings may be ``"p/q"``, an integer, or a decimal literal, with no
+    space inside, whose numerator and denominator have at most
+    ``DIGIT_LIMIT`` digits each.
     Floats are converted via ``limit_denominator(DENOMINATOR_LIMIT)``. A
     bool is not a rational. A string that is not such a value, or a float
     that is not finite, raises ``InvalidConfig``, which is a ``ValueError``.

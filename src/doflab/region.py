@@ -17,15 +17,18 @@ touches floating point.
 every value a function returns. The arithmetic behind them runs on plain
 integers, which is just as exact and avoids a gcd per step: the enhanced
 dimensions are summed and capped on numerators over the alpha's
-denominator, and the corner is solved over the common denominator of the
-enhanced dimensions. A ``HalfPlane`` is stored as integers, its
+denominator, once, when a ``SystemConfig`` is built, and the corner is
+solved over the common denominator of the enhanced dimensions. The range
+checks of a quality (and, in ``scheme``, of a weight) compare the
+numerator with the denominator. A ``HalfPlane`` is stored as integers, its
 constraint scaled by the common denominator of its coefficients, and
 builds ``p``, ``q`` and ``r`` only when they are read; the region builders
 hand it the integer intercepts of ``SystemConfig`` directly, so building,
 comparing and testing points against regions construct no ``Fraction``.
 A ``DofRegion`` enumerates its vertices at most once, as one
-counterclockwise tuple of integer triples, and ``vertices``, ``area``,
-``is_subset``, ``region_equal`` and the JSON form share that one tuple.
+counterclockwise tuple of integer triples kept as a plain instance
+attribute, and ``vertices``, ``area``, ``is_subset``, ``region_equal`` and
+the JSON form share that one tuple.
 The coefficients are nonnegative, so each axis meets the region up to the
 smallest intercept on it: the axis vertices are read off the constraints,
 and only pairs of constraints are solved for the vertices between them.
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -56,6 +58,8 @@ __all__ = [
     "region_equal",
 ]
 
+_ZERO = Fraction(0)  # every zero coordinate of a vertex
+
 
 def _check_quality(name: str, given: RatioLike) -> Fraction:
     """The one rule for a CSIT quality: ``given`` parsed by ``as_ratio``
@@ -65,7 +69,7 @@ def _check_quality(name: str, given: RatioLike) -> Fraction:
         value = as_ratio(given)
     except InvalidConfig as exc:
         raise InvalidAlpha(f"{name} is {exc}")
-    if not 0 <= value <= 1:
+    if not 0 <= value.numerator <= value.denominator:
         raise InvalidAlpha(f"{name} must lie in [0, 1], got {given}")
     return value
 
@@ -80,6 +84,10 @@ class SystemConfig:
 
     These are the only checks of the antenna counts: a bad count raises
     ``InvalidConfig``. Each quality goes through ``_check_quality``.
+
+    Construction also derives both enhanced dimensions once, as the flat
+    integer tuple ``_enhanced_ints``; it is not a field, so equality,
+    hashing, repr and ``dataclasses.fields`` see only the five above.
     """
 
     m: int
@@ -93,8 +101,23 @@ class SystemConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
-        object.__setattr__(self, "alpha1", _check_quality("alpha1", self.alpha1))
-        object.__setattr__(self, "alpha2", _check_quality("alpha2", self.alpha2))
+        alpha1 = _check_quality("alpha1", self.alpha1)
+        alpha2 = _check_quality("alpha2", self.alpha2)
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
+        # min(N_rx + alpha_other * N_other, M) over alpha_other's denominator
+        m, n1, n2 = self.m, self.n1, self.n2
+        den1, den2 = alpha2.denominator, alpha1.denominator
+        object.__setattr__(
+            self,
+            "_enhanced_ints",
+            (
+                min(n1 * den1 + alpha2.numerator * n2, m * den1),
+                den1,
+                min(n2 * den2 + alpha1.numerator * n1, m * den2),
+                den2,
+            ),
+        )
 
     def _spatial(self, rx: int) -> tuple[int, int]:
         """min(N_rx, M): receive dimension actually usable by receiver rx,
@@ -106,13 +129,10 @@ class SystemConfig:
         equations are credited at that user's CSIT quality:
         min(N_rx + alpha_other * N_other, M), fractional in general. As
         integers ``(num, den)``, not in lowest terms: ``den`` is the other
-        user's alpha denominator."""
-        if rx == 1:
-            own, other, alpha = self.n1, self.n2, self.alpha2
-        else:
-            own, other, alpha = self.n2, self.n1, self.alpha1
-        den = alpha.denominator
-        return min(own * den + alpha.numerator * other, self.m * den), den
+        user's alpha denominator. Read off ``_enhanced_ints``, which holds
+        ``(num, den)`` of receiver 1 then of receiver 2."""
+        ints = self._enhanced_ints
+        return ints[:2] if rx == 1 else ints[2:]
 
     def with_quality(self, alpha1: RatioLike, alpha2: RatioLike) -> "SystemConfig":
         return SystemConfig(self.m, self.n1, self.n2, alpha1, alpha2)
@@ -281,12 +301,16 @@ class DofRegion:
         scaled = (hp.scaled for hp in self.constraints)
         return all(p * x + q * y <= r * den for p, q, r in scaled)
 
-    @cached_property
     def _vertex_triples(self) -> tuple[tuple[int, int, int], ...]:
-        """The ordered vertices, enumerated on first use and kept with the
-        instance. They are not a field, so equality, hashing and repr see
-        only the constraints."""
-        return _enumerate_vertices([hp.scaled for hp in self.constraints])
+        """The ordered vertices, enumerated on first use and kept in the
+        instance's ``__dict__`` as ``_vertices``. They are not a field, so
+        equality, hashing and repr see only the constraints. An unbounded
+        region raises on every call and stores nothing."""
+        triples = self.__dict__.get("_vertices")
+        if triples is None:
+            triples = _enumerate_vertices([hp.scaled for hp in self.constraints])
+            object.__setattr__(self, "_vertices", triples)
+        return triples
 
     def vertices(self) -> list[DofPoint]:
         """Corner points of the polygon, counterclockwise starting at (0, 0).
@@ -294,9 +318,12 @@ class DofRegion:
         Raises UnboundedRegion if some direction of the quadrant is never
         capped.
         """
-        return [
-            DofPoint._of(Fraction(x, det), Fraction(y, det)) for x, y, det in self._vertex_triples
-        ]
+        points = []
+        for x, y, det in self._vertex_triples():
+            d1 = _ZERO if not x else Fraction(x) if det == 1 else Fraction(x, det)
+            d2 = _ZERO if not y else Fraction(y) if det == 1 else Fraction(y, det)
+            points.append(DofPoint._of(d1, d2))
+        return points
 
     def area(self) -> Fraction:
         """Exact area via the shoelace sum over the ordered vertices."""
@@ -463,7 +490,7 @@ def representative_corner(cfg: SystemConfig) -> DofPoint:
 
 def is_subset(inner: DofRegion, outer: DofRegion) -> bool:
     """Exact containment test for bounded convex regions (vertex check)."""
-    return all(outer._holds(*vertex) for vertex in inner._vertex_triples)
+    return all(outer._holds(*vertex) for vertex in inner._vertex_triples())
 
 
 def region_equal(a: DofRegion, b: DofRegion) -> bool:
@@ -472,4 +499,4 @@ def region_equal(a: DofRegion, b: DofRegion) -> bool:
     Two bounded convex polygons are equal exactly when their vertices are,
     so this compares the ordered vertices as reduced integer triples.
     """
-    return a._vertex_triples == b._vertex_triples
+    return a._vertex_triples() == b._vertex_triples()

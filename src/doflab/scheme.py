@@ -140,7 +140,7 @@ def _check_weight(weight: RatioLike) -> Fraction:
         w = as_ratio(weight)
     except InvalidConfig as exc:
         raise InvalidWeight(f"weight is {exc}")
-    if not 0 <= w <= 1:
+    if not 0 <= w.numerator <= w.denominator:
         raise InvalidWeight(f"weight must lie in [0, 1], got {w}")
     return w
 
@@ -202,19 +202,24 @@ def corner_weight(cfg: SystemConfig) -> Fraction:
     return Fraction(r2, r1 + r2)
 
 
+def _slacks(plan: SchedulePlan, cfg: SystemConfig) -> tuple[int, int]:
+    """The equation-count slacks N_i*(tau_i + tau3) - s_i of both receivers."""
+    return (
+        cfg.n1 * (plan.tau1 + plan.tau3) - plan.s1_count,
+        cfg.n2 * (plan.tau2 + plan.tau3) - plan.s2_count,
+    )
+
+
 def check_decoding_conditions(plan: SchedulePlan, cfg: SystemConfig) -> DecodingCheck:
     """Exact equation-count slacks; ok iff both are nonnegative."""
-    slack1 = cfg.n1 * (plan.tau1 + plan.tau3) - plan.s1_count
-    slack2 = cfg.n2 * (plan.tau2 + plan.tau3) - plan.s2_count
+    slack1, slack2 = _slacks(plan, cfg)
     return DecodingCheck(slack1 >= 0 and slack2 >= 0, slack1, slack2)
 
 
 def _check_feasible(plan: SchedulePlan, cfg: SystemConfig) -> None:
-    check = check_decoding_conditions(plan, cfg)
-    if not check.ok:
-        raise InfeasiblePlan(
-            f"decoding conditions violated (slacks {check.slack1}, {check.slack2})"
-        )
+    slack1, slack2 = _slacks(plan, cfg)
+    if slack1 < 0 or slack2 < 0:
+        raise InfeasiblePlan(f"decoding conditions violated (slacks {slack1}, {slack2})")
 
 
 def achieved_dof(plan: SchedulePlan, cfg: SystemConfig) -> DofPoint:
