@@ -21,14 +21,20 @@ __all__ = [
 ]
 
 
+def _rx1_plane(cfg: SystemConfig) -> HalfPlane:
+    return HalfPlane._from_ratios(cfg._enhanced(1), cfg._spatial(2))
+
+
+def _rx2_plane(cfg: SystemConfig) -> HalfPlane:
+    return HalfPlane._from_ratios(cfg._spatial(1), cfg._enhanced(2))
+
+
 def outer_bound_rx1_enhanced(cfg: SystemConfig) -> DofRegion:
     """Bound from giving receiver 1 the overheard user-2 equations:
 
         d1 / min(N1 + alpha2*N2, M) + d2 / min(N2, M) <= 1.
     """
-    return DofRegion(
-        [HalfPlane._from_ratios(cfg._enhanced(1), cfg._spatial(2))]
-    )
+    return DofRegion([_rx1_plane(cfg)])
 
 
 def outer_bound_rx2_enhanced(cfg: SystemConfig) -> DofRegion:
@@ -36,14 +42,9 @@ def outer_bound_rx2_enhanced(cfg: SystemConfig) -> DofRegion:
 
         d1 / min(N1, M) + d2 / min(N2 + alpha1*N1, M) <= 1.
     """
-    return DofRegion(
-        [HalfPlane._from_ratios(cfg._spatial(1), cfg._enhanced(2))]
-    )
+    return DofRegion([_rx2_plane(cfg)])
 
 
 def converse_region(cfg: SystemConfig) -> DofRegion:
     """Intersection of both single-enhancement bounds."""
-    return DofRegion(
-        outer_bound_rx1_enhanced(cfg).constraints
-        + outer_bound_rx2_enhanced(cfg).constraints
-    )
+    return DofRegion([_rx1_plane(cfg), _rx2_plane(cfg)])

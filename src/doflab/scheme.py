@@ -270,9 +270,12 @@ def scheme_region(cfg: SystemConfig) -> DofRegion:
 
         d1/m1 + d2/N2 <= 1        d1/N1 + d2/m2 <= 1
 
-    As a set this coincides with ``dof_region``; the constraints are written
-    in the scheme's native variables, so the identity is a theorem the test
-    suite checks, not a restatement.
+    As a set this coincides with ``dof_region``. For N1 <= M the two planes
+    are the very ``_from_ratios`` calls ``dof_region`` makes (N2 < M, so
+    min(N_i, M) = N_i), and the identity holds by construction. For N1 > M
+    the second plane reads d1/N1 where ``dof_region``'s reads d1/M; both
+    are then implied by the first plane, and the test suite checks the set
+    identity.
     """
     _check_three_phase(cfg)
     return DofRegion(

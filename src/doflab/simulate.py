@@ -58,10 +58,14 @@ QUANTIZER_CLIP = 4.0
 # that set its slopes (see rate_snr_limit_db).
 RATE_ROUNDING = 1e-3
 # Working-set budget of one batched chunk of the rate and rank campaigns,
-# and separately of one block of channel draws. Small plans fit hundreds of
-# (trial, SNR) pairs in a chunk; plans with systems near 100x100 run one to
-# a few pairs at a time.
-CHUNK_BYTES = 512 * 1024
+# and separately of one block of channel draws. Small plans fit hundreds to
+# thousands of (trial, SNR) pairs in a chunk; a plan with 99x99 systems
+# (M5/N3/N2 at its alpha = (1/2, 1/3) corner) runs ten at a time. Every
+# chunk pays a fixed numpy dispatch cost (on that plan a one-pair rate
+# chunk takes 1.8 ms on one core, a ten-pair chunk 4 to 6 ms), so fewer,
+# larger chunks run faster: of the budgets measured from 512 KiB to 2 MiB,
+# this is the largest whose campaign peak RSS stays within 6% of 512 KiB's.
+CHUNK_BYTES = 1536 * 1024
 # Largest working set of one (trial, SNR) pair, largest channel draw of one
 # trial, and largest array of per-pair rates a campaign will take on; plans
 # and trial counts beyond it raise PlanTooLarge before anything is allocated.
@@ -512,7 +516,7 @@ class _PlanGeometry:
         the Gram-Schmidt pass's batch-last layout, (P N)^H (s, n3) and the
         SVD's copy of it, and per slot the pivot rows Q_t and the projector
         I - Q_t^H Q_t (width, width each). On the benchmark's campaign
-        plans a full rank chunk's traced peak is 0.8 to 1.3 times this
+        plans a full rank chunk's traced peak is 0.7 to 1.0 times this
         count."""
         total = 0
         for n, n3, slots, width in self._receivers():

@@ -1000,8 +1000,8 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("campaign", [estimate_rates, rank_check_campaign])
     def test_draws_ahead_in_blocks(self, campaign, monkeypatch):
-        """On every benchmark plan, including those whose chunks hold one
-        to three pairs, a campaign draws its trials in blocks: one call per
+        """On every benchmark plan, including those whose chunks hold ten
+        to twenty pairs, a campaign draws its trials in blocks: one call per
         block of consecutive trials, every trial once, and none at or past
         the trial count. A block holds as many trials as fit the draw
         budget, rounded down to whole chunks where chunks are whole trials,
@@ -1154,7 +1154,7 @@ CAMPAIGN_CONFIGS = [
     SystemConfig(5, 3, 2),
 ]
 # Measured peak / (units * bytes per unit) of a full chunk on these plans:
-# 0.97 to 1.47 for rate chunks, 0.83 to 1.26 for rank chunks (numpy 2.4,
+# 0.95 to 1.20 for rate chunks, 0.70 to 1.00 for rank chunks (numpy 2.4,
 # x86-64); the bound leaves room on both sides.
 PAIR_BYTES_FACTOR = 2.0
 
@@ -1191,9 +1191,35 @@ def test_pair_bytes_tracks_chunk_memory(cfg):
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
 
 
-# A plan whose systems read 2 of its M = 4000 channel columns: one trial's
-# draw (768000 bytes) outweighs a whole chunk budget.
-WIDE = SystemConfig(4000, 1, 1)
+@pytest.mark.parametrize("fidelity", ["rate", "rank"])
+@pytest.mark.parametrize("cfg", CAMPAIGN_CONFIGS, ids=str)
+def test_report_is_byte_identical_whatever_the_budget(cfg, fidelity, capsys, monkeypatch):
+    """``doflab simulate`` prints the same bytes under a 512 KiB budget,
+    under ``CHUNK_BYTES``, and under budgets of one (trial, SNR) pair or one
+    trial per chunk. On the 99x99 plan, five trials at four SNR points make
+    several chunks under every budget below ``CHUNK_BYTES``, and two draw
+    blocks under the one-pair budget."""
+    plan = plan_schedule(cfg, corner_weight(cfg))
+    geom = simulate._PlanGeometry(cfg, plan)
+    argv = [
+        "simulate", "--M", str(cfg.m), "--N1", str(cfg.n1), "--N2", str(cfg.n2),
+        "--alpha1", str(cfg.alpha1), "--alpha2", str(cfg.alpha2), "--at-corner",
+        "--fidelity", fidelity, "--trials", "5", "--seed", "3",
+        "--snr-min", "30", "--snr-max", "60", "--snr-step", "10",
+    ]
+    outputs = []
+    for budget in (512 * 1024, simulate.CHUNK_BYTES, geom.pair_bytes(), geom.trial_bytes()):
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", budget)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs.count(outputs[0]) == len(outputs)
+
+
+# A plan whose systems read 2 of its M channel columns. One trial's draw is
+# 32 bytes x 3 slots x 2 receive antennas x M columns; M is set from the
+# chunk budget so that the draw is one and a half budgets, whatever the
+# budget.
+WIDE = SystemConfig(simulate.CHUNK_BYTES // 128, 1, 1)
 
 
 @pytest.mark.parametrize("campaign", [estimate_rates, rank_check_campaign])
