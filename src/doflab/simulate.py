@@ -168,23 +168,17 @@ class SimReport:
 
 # numpy.random.SeedSequence's hash (after O'Neill's seed_seq_fe): its pool
 # of 4 uint32 words, the constants of its two hash chains, and its mix
-# multipliers; and the PCG64 multiplier that seeding steps the state with.
+# multipliers. PCG64's own seeding then runs in numpy, through _Words.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_chain(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiply constants of ``count`` consecutive hash steps:
-    step j xors with the chain's value c_j and multiplies by c_(j+1), where
-    c_0 = ``init`` and each value is the last times ``mult``, mod 2**32."""
-    chain = [init]
-    for _ in range(count):
-        chain.append(chain[-1] * mult & 0xFFFFFFFF)
-    chain = np.array(chain, dtype=np.uint32)
+    """The xor and multiply constants of ``count`` hash steps: step j xors
+    with c_j and multiplies by c_(j+1), where c_j = init * mult**j mod 2**32."""
+    chain = np.cumprod(np.array([init] + [mult] * count, dtype=np.uint32), dtype=np.uint32)
     return chain[:-1], chain[1:]
 
 
@@ -203,17 +197,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
-def _seed_state_words(entropy: np.ndarray) -> list[list[int]]:
+def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` of each row ``e`` of
-    ``entropy`` (B, n) uint32, for all rows at once.
-
-    The hash constants do not depend on the data, so each step runs over
-    the whole batch; the three mixes of one source pool word into the
-    others are independent and run as one step too.
-    """
+    ``entropy`` (B, n) uint32, as one C-contiguous (B, 4) uint64 array. The
+    hash constants do not depend on the data, so each step runs over the
+    batch, and the three mixes of one pool word into the others as one."""
     b, n = entropy.shape
-    extra = max(0, n - _POOL)
-    xor, mul = _hash_chain(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    xor, mul = _hash_chain(_INIT_A, _MULT_A, _POOL * max(n, _POOL))
     pool = np.zeros((b, _POOL), dtype=np.uint32)
     pool[:, : min(n, _POOL)] = entropy[:, :_POOL]
     pool = _hashmix(pool, xor[:_POOL], mul[:_POOL])
@@ -226,84 +216,89 @@ def _seed_state_words(entropy: np.ndarray) -> list[list[int]]:
     for src in range(_POOL, n):
         pool = _mix(pool, _hashmix(entropy[:, src, None], xor[step : step + _POOL], mul[step : step + _POOL]))
         step += _POOL
+    # arithmetic, not a view of the uint32 pairs, so no byte order enters
     words = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MUL).astype(np.uint64)
-    return (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist()
+    return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """``PCG64(_Words(w))`` seeds as ``PCG64(SeedSequence(e))`` if ``w`` is its
+    ``generate_state(4, np.uint64)``, C-contiguous: PCG64 reads its pointer."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _seed_int(seed) -> int:
+    """``seed`` as a non-negative int; a bool is not one, as in ``SimParams``."""
+    if isinstance(seed, (bool, np.bool_)):
+        raise InvalidSeed(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an int or a sequence of ints, not {seed!r}")
+    if int(seed) < 0:
+        raise InvalidSeed(f"seed must be non-negative, got {int(seed)}")
+    return int(seed)
+
+
+def _trial_words(trials) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's SeedSequence entropy words (B, w) uint32, zero-padded, and
+    count: a 1-D int array checked at once, other sequences item by item."""
+    if isinstance(trials, np.ndarray) and trials.ndim == 1 and trials.dtype.kind in "iu":
+        if (trials < 0).any():
+            _seed_int(trials[trials < 0][0])
+        rest, mask, shift = trials.astype(np.uint64), np.uint64(0xFFFFFFFF), np.uint64(32)
+    else:
+        rest, mask, shift = np.array([_seed_int(t) for t in trials], dtype=object), 0xFFFFFFFF, 32
+    words = [rest & mask]
+    while (rest := rest >> shift).any():
+        words.append(rest & mask)
+    words = np.stack(words, axis=1).astype(np.uint32)
+    return words, 1 + np.max(np.where(words != 0, np.arange(words.shape[1]), 0), axis=1)
 
 
 def _entropy_words(seed) -> list[int]:
-    """SeedSequence's entropy words of ``seed``: an int's uint32 words, least
-    significant first, or the words of a sequence's items in order. A bool
-    is not an integer here, as in ``SimParams``."""
-    if isinstance(seed, (bool, np.bool_)):
-        raise InvalidSeed(f"seed must be a non-negative integer, got {seed!r}")
-    if isinstance(seed, (int, np.integer)):
-        value = int(seed)
-        if value < 0:
-            raise InvalidSeed(f"seed must be non-negative, got {value}")
-        words = [value & 0xFFFFFFFF]
-        while value >> 32:
-            value >>= 32
-            words.append(value & 0xFFFFFFFF)
-        return words
-    if not isinstance(seed, (list, tuple, range, np.ndarray)):
-        raise TypeError(f"seed must be an int or a sequence of ints, not {seed!r}")
-    return [word for item in seed for word in _entropy_words(item)]
-
-
-def _pcg64_states(entropies: list[list[int]]) -> list[dict]:
-    """The state of ``PCG64(SeedSequence(e))`` for each list of entropy
-    words ``e``. Lists of one length are hashed in one batch; PCG64 seeding
-    then sets inc = 2 * seq + 1 and steps the state twice, adding the seed
-    word in between, in 128-bit integers."""
-    states: list = [None] * len(entropies)
-    by_length: dict[int, list[int]] = {}
-    for i, words in enumerate(entropies):
-        by_length.setdefault(len(words), []).append(i)
-    for length, rows in by_length.items():
-        entropy = np.array([entropies[i] for i in rows], dtype=np.uint32).reshape(len(rows), length)
-        for i, (seed_hi, seed_lo, seq_hi, seq_lo) in zip(rows, _seed_state_words(entropy)):
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-            states[i] = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-    return states
+    """SeedSequence's entropy words of an int ``seed``, or of a sequence's items."""
+    if isinstance(seed, (list, tuple, range, np.ndarray)):
+        return [word for item in seed for word in _entropy_words(item)]
+    value = _seed_int(seed)
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def gen_channels(cfg: SystemConfig, total_slots: int, seed, trials=None) -> ChannelRealization:
     """Draw i.i.d. unit-variance complex Gaussian channels for both users.
 
     With ``trials=None``, ``seed`` may be an int or a sequence of ints and
-    the arrays have shape (slots, N_i, M). With an int array ``trials``,
-    the arrays gain a leading axis: row ``i`` is exactly
-    ``gen_channels(cfg, total_slots, [seed, trials[i]])``, so the
+    the arrays have shape (slots, N_i, M). With ``trials`` a 1-D int array
+    or a sequence of ints, the arrays gain a leading axis: row ``i`` is
+    exactly ``gen_channels(cfg, total_slots, [seed, trials[i]])``, so the
     campaigns' trials are independent but reproducible in any batching.
 
-    Each row's stream is exactly ``numpy.random.default_rng(row_seed)``'s:
-    numpy's ``SeedSequence`` hash of the row's entropy words runs for the
-    whole batch at once, and one ``PCG64`` generator is set to each row's
-    seeded state in turn. Each stream fills one float64 row with, in order,
-    the real and the imaginary parts of ``h1`` and then of ``h2``; the
-    complex channels of all rows are assembled at once.
+    A row draws from exactly ``numpy.random.default_rng(row_seed)``'s stream:
+    numpy's ``SeedSequence`` hash runs for all rows of one word count at
+    once, and each row's state words seed a ``PCG64`` of its own. A stream
+    fills the real and imaginary parts of ``h1``, then of ``h2``, in turn.
     """
     if total_slots < 1:
         raise ValueError("total_slots must be positive")
-    head = _entropy_words(seed)
-    entropies = [head] if trials is None else [head + _entropy_words(t) for t in trials]
-    shape1 = (len(entropies), total_slots, cfg.n1, cfg.m)
-    shape2 = (len(entropies), total_slots, cfg.n2, cfg.m)
+    head = np.array(_entropy_words(seed), dtype=np.uint32)
+    words, counts = (np.zeros((1, 0), np.uint32), np.array([0])) if trials is None else _trial_words(trials)
+    shape1, shape2 = ((len(counts), total_slots, n, cfg.m) for n in (cfg.n1, cfg.n2))
     size1, size2 = math.prod(shape1[1:]), math.prod(shape2[1:])
-    raw = np.empty((len(entropies), 2 * (size1 + size2)))
-    bit_generator = np.random.PCG64(0)  # every row sets its own state
-    generator = np.random.Generator(bit_generator)
-    for row, state in zip(raw, _pcg64_states(entropies)):
-        bit_generator.state = state
-        generator.standard_normal(out=row)
+    raw = np.empty((len(counts), 2 * (size1 + size2)))
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        entropy = np.hstack([np.tile(head, (len(rows), 1)), words[rows, :count]])
+        for row, state in zip(rows, _seed_state_words(entropy)):
+            np.random.Generator(np.random.PCG64(_Words(state))).standard_normal(out=raw[row])
     re1, im1, re2, im2 = np.split(raw, np.cumsum([size1, size1, size2]), axis=1)
-    h1 = (re1.reshape(shape1) + 1j * im1.reshape(shape1)) / np.sqrt(2)
-    h2 = (re2.reshape(shape2) + 1j * im2.reshape(shape2)) / np.sqrt(2)
-    if trials is None:
-        h1, h2 = h1[0], h2[0]
-    return ChannelRealization(h1, h2)
+    h1, h2 = np.empty(shape1, dtype=complex), np.empty(shape2, dtype=complex)
+    for h, re, im in ((h1, re1, im1), (h2, re2, im2)):
+        h.real, h.imag = re.reshape(h.shape), im.reshape(h.shape)
+        h *= 1 / np.sqrt(2)  # complex / np.sqrt(2) multiplies by this too: the same bits
+    return ChannelRealization(h1[0], h2[0]) if trials is None else ChannelRealization(h1, h2)
 
 
 def quantize_csit(h: np.ndarray, alpha: RatioLike, rho) -> np.ndarray:

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -143,6 +144,25 @@ def test_any_grid_is_refused_or_runs(points, ordered):
         assert np.all(np.isfinite(report.rates)) and np.all(np.isfinite(report.slopes))
 
 
+# forms of a campaign's trials; a form that cannot hold a range of trial
+# numbers keeps numpy's arange of it (int64, or object past int64)
+TRIAL_FORMS = ("arange", "list", "range", "int32", "uint32", "uint64", "object")
+
+
+def trial_form(start, stop, form):
+    """The trials ``start`` to ``stop`` in the form ``form``."""
+    trials = range(start, stop)
+    if form == "list":
+        return list(trials)
+    if form == "range":
+        return trials
+    if form == "object":
+        return np.array(list(trials), dtype=object)
+    if form != "arange" and stop <= np.iinfo(form).max + 1:
+        return np.array(list(trials), dtype=form)
+    return np.arange(start, stop)
+
+
 class TestGenChannels:
     def test_deterministic(self):
         cfg = SystemConfig(3, 2, 1)
@@ -181,16 +201,30 @@ class TestGenChannels:
 
     @pytest.mark.parametrize(("seed", "error"), [(-1, ValueError), ([3, -1], ValueError),
                                                  (1.5, TypeError), ([3, 1.5], TypeError),
-                                                 ("12", TypeError), (None, TypeError)])
+                                                 ("12", TypeError), (None, TypeError),
+                                                 (-(2**70), ValueError)])
     def test_invalid_seeds_raise(self, seed, error):
         # as numpy.random.SeedSequence does, except that None (fresh OS
         # entropy there) is refused: every draw here is reproducible
-        with pytest.raises(error):
-            gen_channels(SystemConfig(2, 1, 1), 3, seed)
+        cfg = SystemConfig(2, 1, 1)
+        with pytest.raises(error) as refused:
+            gen_channels(cfg, 3, seed)
+        if isinstance(seed, int):
+            assert str(refused.value) == f"seed must be non-negative, got {seed}"
+        if not isinstance(seed, list):
+            # the same value as a trial, after a valid one, is refused with
+            # the seed's message: in a list, and an int also in numpy's
+            # array of that list (int64, or object past int64)
+            forms = [[5, seed]] + ([np.array([5, seed])] if isinstance(seed, int) else [])
+            for trials in forms:
+                with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
+                    gen_channels(cfg, 3, 1, trials)
 
     @pytest.mark.parametrize(("seed", "trials"), [
         (True, None), (False, None), (np.True_, None), ([3, True], None),
         (1, [True]), (1, np.array([False, True])),
+        # a bool among ints, which numpy's array of the list would turn into 1
+        (1, [3, np.True_]), (1, np.array([3, True], dtype=object)),
     ])
     def test_bool_seed_or_trial_is_refused(self, seed, trials):
         # as SimParams refuses a bool seed: True is not the seed 1
@@ -206,26 +240,61 @@ class TestGenChannels:
         seed=st.sampled_from([0, 1, 2**40, 2**64 + 3]) | st.integers(0, 2**70),
         start=st.sampled_from([0, 1]) | st.integers(0, 10**6),
         count=st.integers(0, 6),
+        form=st.sampled_from(TRIAL_FORMS),
     )
-    @example(m=2, n1=1, n2=1, slots=3, seed=2**40, start=17, count=4)
-    @example(m=5, n1=3, n2=2, slots=27, seed=2**64 + 3, start=250, count=3)
+    @example(m=2, n1=1, n2=1, slots=3, seed=2**40, start=17, count=4, form="arange")
+    @example(m=5, n1=3, n2=2, slots=27, seed=2**64 + 3, start=250, count=3, form="arange")
     # trials of one and of two words in one batch, trials of three words,
     # and entropy longer than SeedSequence's pool of four words
-    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**32 - 2, count=4)
-    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**64, count=3)
-    @example(m=3, n1=2, n2=1, slots=4, seed=2**200 + 9, start=0, count=3)
-    def test_batch_rows_match_four_calls(self, m, n1, n2, slots, seed, start, count):
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**32 - 2, count=4, form="arange")
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**64, count=3, form="arange")
+    @example(m=3, n1=2, n2=1, slots=4, seed=2**200 + 9, start=0, count=3, form="arange")
+    # one- and two-word trials after a four-word seed: the zero word a
+    # shorter row is padded with would change its hash
+    @example(m=2, n1=1, n2=1, slots=3, seed=2**100, start=2**32 - 2, count=4, form="arange")
+    # every form once, at the top of its range where it has one, and an
+    # object array of two- and three-word trials
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=7, count=4, form="list")
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**32 - 2, count=4, form="range")
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**31 - 3, count=3, form="int32")
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**32 - 3, count=3, form="uint32")
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**64 - 3, count=3, form="uint64")
+    @example(m=2, n1=1, n2=1, slots=3, seed=5, start=2**64 - 2, count=4, form="object")
+    def test_batch_rows_match_four_calls(self, m, n1, n2, slots, seed, start, count, form):
         """Row i of a batch is bit-equal to the one-trial draw of
-        ``[seed, trials[i]]``, for trial ranges starting anywhere."""
+        ``[seed, trials[i]]``, for trial ranges starting anywhere, and to
+        row i of the int64 ``arange`` batch of the same trials where there
+        is one, whatever the form of the trials."""
         cfg = SystemConfig(m, n1, n2)
-        trials = np.arange(start, start + count)
+        trials = trial_form(start, start + count, form)
         real = gen_channels(cfg, slots, seed, trials)
         assert real.h1.shape == (count, slots, n1, m)
         assert real.h2.shape == (count, slots, n2, m)
-        for row, trial in enumerate(trials):
-            h1, h2 = four_call_draw(cfg, slots, [seed, int(trial)])
+        if start + count <= 2**63:
+            batch = gen_channels(cfg, slots, seed, np.arange(start, start + count, dtype=np.int64))
+            assert np.array_equal(real.h1, batch.h1) and np.array_equal(real.h2, batch.h2)
+        for row, trial in enumerate(range(start, start + count)):
+            h1, h2 = four_call_draw(cfg, slots, [seed, trial])
             assert np.array_equal(real.h1[row], h1)
             assert np.array_equal(real.h2[row], h2)
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_seed_words_match_seed_sequence(self, length):
+        """The batched hash gives ``SeedSequence(e).generate_state(4,
+        np.uint64)`` for entropy rows of 1 to 9 uint32 words, the extreme
+        words included, and ``PCG64`` seeded from those words through
+        ``_Words`` has the state ``PCG64(SeedSequence(e))`` has."""
+        rng = np.random.default_rng(length)
+        entropy = rng.integers(0, 2**32, (12, length), dtype=np.uint32)
+        entropy[0], entropy[1] = 0, 2**32 - 1
+        entropy[2::3, rng.integers(length)] = 0
+        entropy[3::3, rng.integers(length)] = 2**32 - 1
+        words = simulate._seed_state_words(entropy)
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        for e, w in zip(entropy.tolist(), words):
+            sequence = np.random.SeedSequence(e)
+            assert np.array_equal(w, sequence.generate_state(4, np.uint64))
+            assert np.random.PCG64(simulate._Words(w)).state == np.random.PCG64(sequence).state
 
     @pytest.mark.parametrize("seed", [3, 2**40, 2**64 + 3])
     @pytest.mark.parametrize("pairs_per_chunk", [1, 2, 4, 7, 60])
