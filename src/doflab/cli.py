@@ -342,80 +342,73 @@ def cmd_sweep_pairs(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_command_args(sub: argparse.ArgumentParser, command: str):
+    """Add the arguments of ``command`` to its subparser ``sub``."""
+    _add_config_args(sub, with_alphas=not command.startswith("sweep-"))
+    if command == "plan":
+        sub.add_argument("--weight", default="1/2", help="time share of user 1 in [0,1]")
+        sub.add_argument(
+            "--at-corner",
+            action="store_true",
+            help="use the weight that lands on the region's off-axis corner",
+        )
+    elif command == "simulate":
+        sub.add_argument("--weight", default="1/2")
+        sub.add_argument("--at-corner", action="store_true")
+        sub.add_argument("--fidelity", choices=("rank", "rate", "both"), default="both")
+        sub.add_argument("--snr-min", type=float, default=30.0)
+        sub.add_argument("--snr-max", type=float, default=60.0)
+        sub.add_argument("--snr-step", type=float, default=5.0)
+        sub.add_argument("--trials", type=int, default=200)
+        _add_seed_arg(sub)
+    elif command == "sweep-alpha":
+        sub.add_argument("--alphas", default="0,1/4,1/2,3/4,1", help="comma list of qualities")
+    elif command == "sweep-pairs":
+        sub.add_argument(
+            "--pairs",
+            default="1:0,1:1/4,1:1/2,1:3/4,1:1",
+            help="comma list of alpha1:alpha2 pairs",
+        )
+    one_format = command in ("region", "compare", "plan")
+    _add_output_args(sub, formats=("json",) if one_format else ("json", "csv"))
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``doflab`` parser. Every subcommand is registered with its help
+    line, but only ``command``'s gets its arguments and function: a parse
+    only reaches the subcommand it names, and each argument costs argparse
+    a help formatter."""
     parser = argparse.ArgumentParser(
         prog="doflab",
         description="DoF regions and link simulation for the two-user broadcast "
         "channel with delayed imperfect-quality CSIT",
     )
+    # each subcommand's function, read from the module at each call, and
+    # its help line, in the order of the help text
+    commands = {
+        "region": (cmd_region, "emit the exact region (constraints + vertices)"),
+        "corners": (cmd_corners, "emit the region's vertex list"),
+        "compare": (cmd_compare, "no-CSIT vs configured vs perfect-delayed regions"),
+        "plan": (cmd_plan, "plan a schedule for a time-sharing weight"),
+        "simulate": (cmd_simulate, "Monte Carlo rank / rate simulation of a plan"),
+        "sweep-alpha": (cmd_sweep_alpha, "regions and corners for a list of symmetric qualities"),
+        "sweep-pairs": (cmd_sweep_pairs, "corner points for a list of (alpha1, alpha2) pairs"),
+    }
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("region", help="emit the exact region (constraints + vertices)")
-    _add_config_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_region)
-
-    sub = subs.add_parser("corners", help="emit the region's vertex list")
-    _add_config_args(sub)
-    _add_output_args(sub, formats=("json", "csv"))
-    sub.set_defaults(func=cmd_corners)
-
-    sub = subs.add_parser(
-        "compare", help="no-CSIT vs configured vs perfect-delayed regions"
-    )
-    _add_config_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_compare)
-
-    sub = subs.add_parser("plan", help="plan a schedule for a time-sharing weight")
-    _add_config_args(sub)
-    sub.add_argument("--weight", default="1/2", help="time share of user 1 in [0,1]")
-    sub.add_argument(
-        "--at-corner",
-        action="store_true",
-        help="use the weight that lands on the region's off-axis corner",
-    )
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_plan)
-
-    sub = subs.add_parser("simulate", help="Monte Carlo rank / rate simulation of a plan")
-    _add_config_args(sub)
-    sub.add_argument("--weight", default="1/2")
-    sub.add_argument("--at-corner", action="store_true")
-    sub.add_argument("--fidelity", choices=("rank", "rate", "both"), default="both")
-    sub.add_argument("--snr-min", type=float, default=30.0)
-    sub.add_argument("--snr-max", type=float, default=60.0)
-    sub.add_argument("--snr-step", type=float, default=5.0)
-    sub.add_argument("--trials", type=int, default=200)
-    _add_seed_arg(sub)
-    _add_output_args(sub, formats=("json", "csv"))
-    sub.set_defaults(func=cmd_simulate)
-
-    sub = subs.add_parser(
-        "sweep-alpha", help="regions and corners for a list of symmetric qualities"
-    )
-    _add_config_args(sub, with_alphas=False)
-    sub.add_argument("--alphas", default="0,1/4,1/2,3/4,1", help="comma list of qualities")
-    _add_output_args(sub, formats=("json", "csv"))
-    sub.set_defaults(func=cmd_sweep_alpha)
-
-    sub = subs.add_parser(
-        "sweep-pairs", help="corner points for a list of (alpha1, alpha2) pairs"
-    )
-    _add_config_args(sub, with_alphas=False)
-    sub.add_argument(
-        "--pairs",
-        default="1:0,1:1/4,1:1/2,1:3/4,1:1",
-        help="comma list of alpha1:alpha2 pairs",
-    )
-    _add_output_args(sub, formats=("json", "csv"))
-    sub.set_defaults(func=cmd_sweep_pairs)
-
+    for name, (func, help_text) in commands.items():
+        sub = subs.add_parser(name, help=help_text)
+        if name == command:
+            sub.set_defaults(func=func)
+            _add_command_args(sub, name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option with a value, so its first
+    # argument that is not an option names the subcommand
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except DoflabError as exc:

@@ -6,8 +6,9 @@ goes through one LAPACK call or one vectorized pass. The slot kernels take
 a system whose own rows are block diagonal by slot as its slot blocks
 (..., slots, rows, width), and factor them all at once. A rate has one
 algorithm: the dense form is the slot kernel on one slot with no own rows.
-A rank has one cut, ``RANK_RTOL``. The 2-D forms evaluate a single system
-through the stacked code.
+A rank has one cut, ``RANK_RTOL``, and one judge of a partial rank, the
+SVD; a batched QR certifies full ranks, which then take no SVD. The 2-D
+forms evaluate a single system through the stacked code.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ backend = "numpy"
 # The one relative rank cut: a slot block's rank counts its Gram-Schmidt
 # residual row norms above this share of its largest row norm, rank(P N)
 # the singular values of P N above this share of the coupling rows'
-# ||P||_F, and numerical_rank the singular values above this share of the
-# largest.
+# ||P||_F (full where a QR certificate bounds the smallest one above it),
+# and numerical_rank the singular values above this share of the largest.
 RANK_RTOL = 1e-9
 
 
@@ -246,11 +247,17 @@ def slot_rank_stacked(own: np.ndarray, coupled: np.ndarray | None) -> np.ndarray
     rank(A_t), counted against A_t's own largest row norm so that a slot
     block far weaker than the rest still counts in full, and the projector
     N_t N_t^H = I - Q_t^H Q_t, which has the row space of N_t^H and so
-    stands in for it. One batched singular-values-only SVD then gives
-    rank(P N), counting the singular values above ``RANK_RTOL`` times
-    ||P||_F: P N is cut against the scale of the coupling rows, not its
-    own, so coupling rows in the row span of the own rows leave only
-    rounding noise there, and add no rank.
+    stands in for it. rank(P N) counts the singular values above the cut
+    c = ``RANK_RTOL`` times ||P||_F: P N is cut against the scale of the
+    coupling rows, not its own, so coupling rows in the row span of the
+    own rows leave only rounding noise there, and add no rank.
+
+    One batched QR of (P N)^H certifies full rank, m = min(k, n3), without
+    an SVD: where every diagonal entry of its leading m x m triangle R1
+    exceeds c and c ||R1^-1||_F < 1, sigma_min(P N) >= sigma_min(R1) >=
+    1 / ||R1^-1||_F > c. A singular-values-only SVD counts the members
+    the certificate leaves unsettled; it is the one judge of a partial
+    rank.
     """
     batch = own.shape[:-3]
     slots, rows, width = own.shape[-3:]
@@ -270,9 +277,19 @@ def slot_rank_stacked(own: np.ndarray, coupled: np.ndarray | None) -> np.ndarray
     # (P N)^H, slot t's rows N_t N_t^H P_t^H, summed over the projector's columns
     projected = sum(null_h[:, b, None, :] * p_h[b] for b in range(width))
     projected = projected.reshape(width, n3, -1, slots).transpose(2, 3, 0, 1)
-    s = np.linalg.svd(projected.reshape(batch + (slots * width, n3)), compute_uv=False)
-    scale = np.linalg.norm(coupled, axis=(-2, -1))
-    return rank + np.count_nonzero(s > (RANK_RTOL * scale)[..., None], axis=-1)
+    projected = projected.reshape(-1, slots * width, n3)
+    cut = RANK_RTOL * np.linalg.norm(coupled, axis=(-2, -1)).reshape(-1)
+    full = min(slots * width, n3)
+    r1 = np.linalg.qr(projected, mode="r")[..., :full]
+    # the diagonal check keeps every R1 that reaches the inverse regular
+    sure = np.all(np.abs(np.diagonal(r1, axis1=-2, axis2=-1)) > cut[:, None], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan bound settles nothing
+        sure[sure] = cut[sure] * np.linalg.norm(np.linalg.inv(r1[sure]), axis=(-2, -1)) < 1
+    count = np.full(len(sure), full)
+    if not sure.all():
+        s = np.linalg.svd(projected[~sure], compute_uv=False)
+        count[~sure] = np.count_nonzero(s > cut[~sure, None], axis=-1)
+    return rank + count.reshape(batch)
 
 
 def logdet_rate_bits(g: np.ndarray, sigma: np.ndarray) -> float:

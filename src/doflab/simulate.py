@@ -504,9 +504,9 @@ class _PlanGeometry:
         """Bytes of one trial's rank working set. Per receiver, with
         s = slots * width columns: its phase-three rows P (n3, s), P^H in
         the Gram-Schmidt pass's batch-last layout, (P N)^H (s, n3) and the
-        SVD's copy of it, and per slot the pivot rows Q_t and the projector
+        QR's copy of it, and per slot the pivot rows Q_t and the projector
         I - Q_t^H Q_t (width, width each). On the benchmark's campaign
-        plans a full rank chunk's traced peak is 0.7 to 1.0 times this
+        plans a full rank chunk's traced peak is 0.70 to 0.99 times this
         count."""
         total = 0
         for n, n3, slots, width in self._receivers():
@@ -587,7 +587,8 @@ def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
     cancels exactly, so a deficient rank isolates a schedule defect. Each
     receiver's systems take one ``kernels.slot_rank_stacked`` call: one
     pivoted Gram-Schmidt pass over every slot block of the chunk, and one
-    batched SVD of P N.
+    batched QR of P N that certifies full rank; an SVD counts only the
+    members it leaves unsettled.
     """
     h = (realization.h1, realization.h2)
     ranks = []

@@ -960,6 +960,31 @@ class TestErrors:
         assert err.startswith("usage: ")
 
 
+CONFIG_OPTIONS = ["--M", "--N1", "--N2", "--alpha1", "--alpha2"]
+OPTIONS = {
+    "region": [*CONFIG_OPTIONS, "--out"],
+    "corners": [*CONFIG_OPTIONS, "--out", "--format"],
+    "compare": [*CONFIG_OPTIONS, "--out"],
+    "plan": [*CONFIG_OPTIONS, "--weight", "--at-corner", "--out"],
+    "simulate": [*CONFIG_OPTIONS, "--weight", "--at-corner", "--fidelity", "--snr-min", "--snr-max",
+                 "--snr-step", "--trials", "--seed", "--out", "--format"],
+    "sweep-alpha": ["--M", "--N1", "--N2", "--alphas", "--out", "--format"],
+    "sweep-pairs": ["--M", "--N1", "--N2", "--pairs", "--out", "--format"],
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_lists_every_option(command, capsys):
+    """``<command> --help`` lists exactly that command's options, although
+    ``main`` builds only the invoked subcommand's arguments."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: doflab {command} [-h] ")
+    assert set(re.findall(r"--[\w-]+", out)) == {"--help", *OPTIONS[command]}
+
+
 def test_readme_cli_quick_start(run, tmp_path, monkeypatch):
     """Every ``doflab`` line of the README's CLI quick start succeeds in an
     empty directory, and together they run every subcommand."""

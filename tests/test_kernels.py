@@ -298,6 +298,58 @@ class TestSlotRank:
         assert kernels.slot_rank_stacked(weak, coupled)[1] == 4
         assert dense_rank(weak, coupled)[1] == 2
 
+    def assert_both_references(self, own, coupled):
+        rank = kernels.slot_rank_stacked(own, coupled)
+        assert rank.tolist() == svd_slot_rank(own, coupled).tolist()
+        assert rank.tolist() == dense_rank(own, coupled).tolist()
+        return rank
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 2), (3, 2, 2), (1, 2, 4)])
+    def test_repeated_coupling_row_is_not_undercounted(self, shape):
+        """No own rows and k + 1 coupling rows, the second a multiple of the
+        first: full rank k, though R1, the triangle of the first k rows, is
+        singular. Only the SVD can count these members."""
+        rng = np.random.default_rng(51)
+        slots, rows, width = shape
+        k = slots * width
+        own = np.zeros((200, slots, rows, width), dtype=complex)
+        coupled = rng.standard_normal((200, k + 1, k)) + 1j * rng.standard_normal((200, k + 1, k))
+        coupled[:, 1] = (0.3 - 1.7j) * coupled[:, 0]
+        assert self.assert_both_references(own, coupled).tolist() == [k] * 200
+
+    @pytest.mark.parametrize("n, c", [(40, 0.5), (24, 0.8), (20, 0.9)])
+    def test_kahan_coupling_is_not_overcounted(self, n, c):
+        """Coupling rows K^H of a Kahan matrix K: every diagonal entry of
+        its R is far above the cut, yet its smallest singular value is
+        below it, so its rank is n - 1. The inverse bound must refuse to
+        certify it."""
+        s = np.sqrt(1.0 - c * c)
+        kahan = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        coupled = np.stack([kahan.T, np.exp(0.7j) * kahan.T])
+        own = np.zeros((2, 1, 1, n), dtype=complex)
+        assert self.assert_both_references(own, coupled).tolist() == [n - 1] * 2
+
+    def test_certified_and_counted_members_mix(self, monkeypatch):
+        """Certified members next to a zeroed P and a repeated coupling row:
+        only those two reach the SVD, and each count lands on its own
+        member."""
+        rng = np.random.default_rng(52)
+        own, coupled, _ = slot_structured(rng, 5, [2, 2], 1, 2)
+        coupled[1] = 0
+        coupled[3, 1] = (0.5 - 2j) * coupled[3, 0]
+        counted = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            counted.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [4, 2, 4, 3, 4]
+        assert counted == [2]
+        monkeypatch.undo()
+        self.assert_both_references(own, coupled)
+
 
 def svd_slot_rank(own, coupled):
     """rank([A; P]) = sum_t rank(A_t) + rank(P N) by one SVD per slot block:
