@@ -7,8 +7,9 @@ a system whose own rows are block diagonal by slot as its slot blocks
 (..., slots, rows, width), and factor them all at once. A rate has one
 algorithm: the dense form is the slot kernel on one slot with no own rows.
 A rank has one cut, ``RANK_RTOL``, and one judge of a partial rank, the
-SVD; a batched QR certifies full ranks, which then take no SVD. The 2-D
-forms evaluate a single system through the stacked code.
+SVD; a Cholesky of each system's small Gram matrix certifies full ranks,
+which then take no SVD. The 2-D forms evaluate a single system through the
+stacked code.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ backend = "numpy"
 # The one relative rank cut: a slot block's rank counts its Gram-Schmidt
 # residual row norms above this share of its largest row norm, rank(P N)
 # the singular values of P N above this share of the coupling rows'
-# ||P||_F (full where a QR certificate bounds the smallest one above it),
+# ||P||_F (full where a Cholesky certificate bounds the smallest one above it),
 # and numerical_rank the singular values above this share of the largest.
 RANK_RTOL = 1e-9
 
@@ -102,19 +103,22 @@ def _slot_factor(a: np.ndarray, g: np.ndarray, u_h: np.ndarray) -> np.ndarray:
         # n = sqrt(1 + |c|^2) by hypot, which cannot overflow on its way
         n = np.hypot(1.0, np.hypot.reduce(np.abs(c), axis=-1, initial=0.0))
         log_n = log_n + np.log(n)
+        # complex / (x + 0j) multiplies by 1 / x, so real reciprocals give
+        # the same values
+        inv_n = 1.0 / n
         # forward substitution: conj(R_ij) for i < j sits in column j of R_t
         acc = np.swapaxes(g_cols[..., j], -1, -2).conj()
         if j:
             acc -= np.einsum("...i,...ik->...k", r[..., :j, j].conj(), u_h[..., :j, :])
-        u_h[..., j, :] = acc / -n[..., None]
+        u_h[..., j, :] = acc * -inv_n[..., None]
         if j + 1 < width:
             # H = I - tau v v^H with v = [1; c / (1 + n)], tau = (1 + n) / n;
             # the own columns right of j hold 0 in row j above the A_t rows
             rest = low[..., :, j + 1 :]
-            v = (c / (1.0 + n)[..., None]).conj()  # bounded, so w cannot overflow
+            v = (c * (1.0 / (1.0 + n))[..., None]).conj()  # bounded, so w cannot overflow
             w = (v[..., None, :] @ rest)[..., 0, :]
             r[..., j, j + 1 :] = w * -((1.0 + n) / n)[..., None]
-            rest -= (c / n[..., None])[..., :, None] * w[..., None, :]
+            rest -= (c * inv_n[..., None])[..., :, None] * w[..., None, :]
     return 2.0 * np.sum(log_n, axis=-1) / np.log(2.0)
 
 
@@ -252,17 +256,59 @@ def slot_rank_stacked(own: np.ndarray, coupled: np.ndarray | None) -> np.ndarray
     coupling rows, not its own, so coupling rows in the row span of the
     own rows leave only rounding noise there, and add no rank.
 
-    One batched QR of (P N)^H certifies full rank, m = min(k, n3), without
-    an SVD: where every diagonal entry of its leading m x m triangle R1
-    exceeds c and c ||R1^-1||_F < 1, sigma_min(P N) >= sigma_min(R1) >=
-    1 / ||R1^-1||_F > c. A singular-values-only SVD counts the members
-    the certificate leaves unsettled; it is the one judge of a partial
-    rank.
+    Full rank, m = min(k, n3), takes no SVD where a Cholesky certificate
+    proves sigma_min(P N) > c. Let X = P N, G its m x m Gram matrix on the
+    smaller side (X X^H or X^H X) and G' the one a stacked matmul computes,
+    K = max(k, n3) the length of its inner products, u = eps / 2, and T =
+    trace(G') = ||X||_F^2 up to rounding. A member is settled at m when a
+    Cholesky of G' - tau I completes with positive pivots, where
+
+        tau = c^2 + delta T,    delta = 2 (K + 2 m + 8) eps.
+
+    A completed factorization gives a nonsingular R with R^H R = G - tau I
+    + E + F + D, so lambda_min(G) > tau - ||E||_2 - ||F||_2 - ||D||_2:
+
+    - E = G' - G, the Gram product's rounding. Each entry is a complex
+      inner product of length K, off by at most gamma_(K+2) times that
+      entry of |X|^H |X| (Higham, Accuracy and Stability of Numerical
+      Algorithms, sec. 3.6), so ||E||_2 <= gamma_(K+2) ||X||_F^2, about
+      (K / 2 + 1) eps T.
+    - F, the rounding of tau and of the shift: diagonal, with |F_ii| <=
+      u (G'_ii + tau) + 2 u tau, at most about eps T / 2 + 3 u tau.
+    - D, Cholesky's backward error, which holds for any Hermitian matrix
+      on which it completes: |D| <= gamma_(2 m + 2) |R|^H |R| (Higham
+      Thm 10.3, with the complex inner product's longer gamma), so
+      ||D||_2 <= gamma ||R||_F^2 <= gamma T / (1 - gamma), about (m + 1)
+      eps T; against ||G||_2 >= T / m, the familiar order m^2 eps.
+
+    These sum to about (K / 2 + m + 3) eps T + 3 u tau. delta is more than
+    twice that first sum, and its surplus covers the second-order terms
+    and 3 u tau: a member with T below c^2 / 2 cannot complete, since
+    lambda_min(G) <= T / m. So a completed factorization proves
+    lambda_min(G) > c^2, that is sigma_min(P N) > c, with sigma_min - c
+    at least about (3 K / 4 + 8) eps ||P N||_F, more than the SVD's usual
+    rounding of its singular values. Members with sigma_min between c and
+    about sqrt(delta) ||P N||_F (at most 2.6e-7 ||P||_F on 108 x 18
+    systems) are not certified, and neither is a zero P N. A Cholesky of
+    the stack raises for all of it if one member fails; then each member
+    is factored alone, as ``_cholesky`` finds its index. An SVD of
+    singular values only counts the members the certificate leaves
+    unsettled: it is the one judge of a partial rank.
+
+    Raises ``ValueError`` if any system has a non-finite entry; its
+    ``index`` is the flat batch index of the first.
     """
     batch = own.shape[:-3]
     slots, rows, width = own.shape[-3:]
     if not slots * width:
         return np.zeros(batch, dtype=np.int64)
+    finite = np.isfinite(own).all(axis=(-3, -2, -1))
+    if coupled is not None:
+        finite = finite & np.isfinite(coupled).all(axis=(-2, -1))
+    if not finite.all():
+        exc = ValueError("rank system has a non-finite entry")
+        exc.index = int(np.flatnonzero(~finite)[0])
+        raise exc
     # batch-last (rows, width, B * slots): each step of the pass runs over
     # contiguous vectors of all blocks
     r, null_h = _row_basis(np.moveaxis(own.reshape(-1, rows, width), 0, -1))
@@ -270,21 +316,24 @@ def slot_rank_stacked(own: np.ndarray, coupled: np.ndarray | None) -> np.ndarray
     if coupled is None or not coupled.shape[-2]:
         return rank
     _check_coupling(own, coupled)
-    n3 = coupled.shape[-2]
+    n3, k = coupled.shape[-2], slots * width
     # P_t^H batch-last (width, n3, B * slots): entry (b, m, i * slots + t)
     # is conj(P[i][m, t * width + b])
     p_h = coupled.conj().reshape(-1, n3, slots, width).transpose(3, 1, 0, 2).reshape(width, n3, -1)
     # (P N)^H, slot t's rows N_t N_t^H P_t^H, summed over the projector's columns
     projected = sum(null_h[:, b, None, :] * p_h[b] for b in range(width))
     projected = projected.reshape(width, n3, -1, slots).transpose(2, 3, 0, 1)
-    projected = projected.reshape(-1, slots * width, n3)
+    projected = projected.reshape(-1, k, n3)
     cut = RANK_RTOL * np.linalg.norm(coupled, axis=(-2, -1)).reshape(-1)
-    full = min(slots * width, n3)
-    r1 = np.linalg.qr(projected, mode="r")[..., :full]
-    # the diagonal check keeps every R1 that reaches the inverse regular
-    sure = np.all(np.abs(np.diagonal(r1, axis1=-2, axis2=-1)) > cut[:, None], axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan bound settles nothing
-        sure[sure] = cut[sure] * np.linalg.norm(np.linalg.inv(r1[sure]), axis=(-2, -1)) < 1
+    full = min(k, n3)
+    gram = _herm(projected) @ projected if n3 <= k else projected @ _herm(projected)
+    diagonal = gram.reshape(-1, full * full)[:, :: full + 1]  # a view
+    delta = 2.0 * (max(k, n3) + 2 * full + 8) * np.finfo(np.float64).eps
+    diagonal -= (cut * cut + delta * diagonal.real.sum(axis=-1))[:, None]
+    if _positive_cholesky(gram) is not None:
+        sure = np.ones(len(gram), dtype=bool)
+    else:
+        sure = np.array([_positive_cholesky(one) is not None for one in gram])
     count = np.full(len(sure), full)
     if not sure.all():
         s = np.linalg.svd(projected[~sure], compute_uv=False)

@@ -404,6 +404,12 @@ class _Phase:
         for slot3, stream, *at in rows:
             self.live[slot3, stream] = True
             self.source[slot3, stream], self.row[slot3, stream], self.row_loads[slot3, stream] = at
+        # the live (slot3, stream) pairs by layer, as np.nonzero gives them:
+        # a stream's layer counts the live streams before it with its slot3
+        # and source, so no layer holds a (slot3, source) pair twice
+        earlier = np.tril(self.source[:, :, None] == self.source[:, None, :], -1) & self.live[:, None, :]
+        layer = np.where(self.live, earlier.sum(axis=-1), -1)
+        self.layers = [np.nonzero(layer == each) for each in range(layer.max(initial=-1) + 1)]
 
     def symbols(self, h: np.ndarray) -> np.ndarray:
         """The phase's slots of channels ``h`` (B, slots, N, M) in its
@@ -421,19 +427,22 @@ class _Phase:
     def lift(self, w: np.ndarray, dealt: np.ndarray) -> np.ndarray:
         """Phase-three rows (B, slots3 * N, slots * width), slot by slot,
         that a receiver with channel ``w`` (B, slots3, N, streams) sees of
-        payload rows ``dealt`` (B, slots3, streams, width). Each stream's
-        row lies in the columns of its source slot, where its terms are
-        added one stream index at a time."""
-        b, slots3, n, streams = w.shape
+        payload rows ``dealt`` (B, slots3, streams, width). Each live
+        stream's row lies in the columns of its source slot: the first
+        stream of each (slot3, source) pair is assigned there, and any
+        further ones are added in stream order, a layer at a time."""
+        b, slots3, n = w.shape[:3]
         width = dealt.shape[-1]
         out = np.zeros((b, slots3, n, self.slots, width), dtype=np.complex128)
-        if self.live.any():
-            # (streams, slots3, B, N, width): term r indexes like the
-            # stream's target, out[:, grid, :, source[:, r], :]
+        if self.layers:
+            # (streams, slots3, B, N, width): term (r, a) goes to
+            # out[:, a, :, source[a, r], :]
             terms = w.transpose(3, 1, 0, 2)[..., None] * dealt.transpose(2, 1, 0, 3)[:, :, :, None, :]
-            grid = np.arange(slots3)
-            for r in range(streams):
-                out[:, grid, :, self.source[:, r], :] += terms[r]
+            (a, r), *rest = self.layers
+            # + 0.0 sums as onto out's zeros, so a -0 term still reads +0
+            out[:, a, :, self.source[a, r], :] = terms[r, a] + 0.0
+            for a, r in rest:
+                out[:, a, :, self.source[a, r], :] += terms[r, a]
         return out.reshape(b, slots3 * n, self.slots * width)
 
 
@@ -504,10 +513,11 @@ class _PlanGeometry:
         """Bytes of one trial's rank working set. Per receiver, with
         s = slots * width columns: its phase-three rows P (n3, s), P^H in
         the Gram-Schmidt pass's batch-last layout, (P N)^H (s, n3) and the
-        QR's copy of it, and per slot the pivot rows Q_t and the projector
-        I - Q_t^H Q_t (width, width each). On the benchmark's campaign
-        plans a full rank chunk's traced peak is 0.70 to 0.99 times this
-        count."""
+        conjugate copy of it that its Gram product reads, and per slot the
+        pivot rows Q_t and the projector I - Q_t^H Q_t (width, width each).
+        The Gram matrix itself, min(s, n3) squared, is not counted. On the
+        benchmark's campaign plans a full rank chunk's traced peak is 0.70
+        to 0.99 times this count."""
         total = 0
         for n, n3, slots, width in self._receivers():
             total += 4 * n3 * slots * width + 2 * slots * width * width
@@ -587,8 +597,8 @@ def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
     cancels exactly, so a deficient rank isolates a schedule defect. Each
     receiver's systems take one ``kernels.slot_rank_stacked`` call: one
     pivoted Gram-Schmidt pass over every slot block of the chunk, and one
-    batched QR of P N that certifies full rank; an SVD counts only the
-    members it leaves unsettled.
+    batched Cholesky of P N's Gram matrix, less a margin, that certifies
+    full rank; an SVD counts only the members it leaves unsettled.
     """
     h = (realization.h1, realization.h2)
     ranks = []

@@ -307,8 +307,8 @@ class TestSlotRank:
     @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 2), (3, 2, 2), (1, 2, 4)])
     def test_repeated_coupling_row_is_not_undercounted(self, shape):
         """No own rows and k + 1 coupling rows, the second a multiple of the
-        first: full rank k, though R1, the triangle of the first k rows, is
-        singular. Only the SVD can count these members."""
+        first: full rank k, though the triangle of a QR of the first k rows is
+        singular, so a count of its diagonal reads k - 1."""
         rng = np.random.default_rng(51)
         slots, rows, width = shape
         k = slots * width
@@ -321,7 +321,7 @@ class TestSlotRank:
     def test_kahan_coupling_is_not_overcounted(self, n, c):
         """Coupling rows K^H of a Kahan matrix K: every diagonal entry of
         its R is far above the cut, yet its smallest singular value is
-        below it, so its rank is n - 1. The inverse bound must refuse to
+        below it, so its rank is n - 1. The certificate must refuse to
         certify it."""
         s = np.sqrt(1.0 - c * c)
         kahan = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
@@ -349,6 +349,68 @@ class TestSlotRank:
         assert counted == [2]
         monkeypatch.undo()
         self.assert_both_references(own, coupled)
+
+    @pytest.mark.parametrize(
+        "slots, width, n3", [(2, 3, 4), (1, 2, 5), (2, 2, 4)], ids=["wide", "tall", "square"]
+    )
+    def test_certificate_boundary(self, slots, width, n3, monkeypatch):
+        """Coupling rows P with no own rows, so P N = P, of chosen smallest
+        singular value against the cut c = RANK_RTOL ||P||_F: at 10 c too
+        close to the cut to certify, so the SVD counts it, in full; at c / 10
+        deficient; generic, or at 1e-6 ||P||_F (above the certificate's
+        margin of about 1e-7 ||P||_F here), and certified, so no SVD sees
+        it; and zero, which is never certified."""
+        rng = np.random.default_rng(53)
+        k = slots * width
+        m = min(k, n3)
+        # singular values 1, ..., 1, x: ||P||_F = sqrt(m - 1) up to a
+        # relative x^2 / (m - 1), so x = f RANK_RTOL sqrt(m - 1) is f c
+        values = np.ones((5, m))
+        values[0, -1] = 10 * kernels.RANK_RTOL * np.sqrt(m - 1)
+        values[1, -1] = 0.1 * kernels.RANK_RTOL * np.sqrt(m - 1)
+        values[2] = rng.uniform(0.5, 1.0, m)
+        values[3, -1] = 1e-6 * np.sqrt(m - 1)
+        values[4] = 0
+        middle = np.zeros((5, n3, k))
+        middle[:, range(m), range(m)] = values
+        coupled = unitary(rng, n3, 5) @ middle @ unitary(rng, k, 5)
+        own = np.zeros((5, slots, 1, width), dtype=complex)
+        seen = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            seen.append(svd(a, compute_uv=False))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [m, m - 1, m, m, 0]
+        # one SVD, of the members at 10 c, at c / 10 and zero, in that order
+        (s,) = seen
+        cut = kernels.RANK_RTOL * np.linalg.norm(coupled[:2], axis=(-2, -1))
+        assert s[:2, -1] / cut == pytest.approx([10.0, 0.1], rel=1e-6)
+        assert not s[2].any()
+        monkeypatch.undo()
+        self.assert_both_references(own, coupled)
+
+    def test_non_finite_entry_raises_with_its_index(self):
+        """A nan in the coupling rows or an inf in a slot block raises
+        ValueError naming the flat batch index of the first such system,
+        before any rank is taken."""
+        rng = np.random.default_rng(54)
+        own, coupled, _ = slot_structured(rng, 4, [2, 2], 1, 2)
+        bad = coupled.copy()
+        bad[2, 1, 3] = np.nan
+        bad[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite") as err:
+            kernels.slot_rank_stacked(own, bad)
+        assert err.value.index == 2
+        # over two batch axes the index is the flat one
+        bad = own.reshape(2, 2, 2, 1, 2).copy()
+        bad[1, 0, 1, 0, 0] = -np.inf
+        for coupled_rows in (coupled.reshape(2, 2, 2, 4), None):
+            with pytest.raises(ValueError, match="non-finite") as err:
+                kernels.slot_rank_stacked(bad, coupled_rows)
+            assert err.value.index == 2
 
 
 def svd_slot_rank(own, coupled):

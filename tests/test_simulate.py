@@ -1352,6 +1352,38 @@ def test_phase_rows_are_the_payload_deficits():
                 assert got.shape == grid and np.array_equal(got, want), cfg
 
 
+# M4/N2/N2 at alpha = (1/4, 1): phase one has a single slot and owes phase
+# three's slot two of its rows, so two streams there share a source slot.
+SHARED_SOURCE = SystemConfig(4, 2, 2, F(1, 4), F(1))
+
+
+@pytest.mark.parametrize("cfg", [SHARED_SOURCE, *CAMPAIGN_CONFIGS], ids=str)
+def test_lift_matches_the_stream_loop(cfg):
+    """``_Phase.lift`` assigns the first stream of each (phase-three slot,
+    source slot) pair and adds any further ones; its rows must be bitwise
+    those of adding every stream's terms onto zeros, one stream index at a
+    time, signed zeros included."""
+    plan = plan_schedule(cfg, corner_weight(cfg))
+    geom = simulate._PlanGeometry(cfg, plan)
+    if cfg == SHARED_SOURCE:
+        assert (plan.tau1, plan.tau2, plan.tau3) == (1, 4, 1)
+        assert len(geom.phases[0].layers) == 2
+    if not geom.slots3:
+        return
+    real = gen_channels(cfg, plan.total_slots, 3, np.arange(4))
+    h = (real.h1[..., : geom.columns], real.h2[..., : geom.columns])
+    for i, phase in enumerate(geom.phases):
+        w = h[i][:, geom.phase3, :, : geom.streams3]
+        dealt = phase.rows(phase.symbols(h[1 - i]))
+        b, slots3, n, streams = w.shape
+        want = np.zeros((b, slots3, n, phase.slots, dealt.shape[-1]), dtype=complex)
+        terms = w.transpose(3, 1, 0, 2)[..., None] * dealt.transpose(2, 1, 0, 3)[:, :, :, None, :]
+        for r in range(streams):
+            want[:, np.arange(slots3), :, phase.source[:, r], :] += terms[r]
+        got = phase.lift(w, dealt)
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
 def _block_diagonal(own):
     """Slot blocks (B, slots, rows, width) as one block-diagonal matrix."""
     slots, width = own.shape[1], own.shape[3]
@@ -1405,7 +1437,7 @@ class TestSlotRankParity:
 @pytest.mark.parametrize("cfg", CAMPAIGN_CONFIGS, ids=str)
 def test_full_rank_chunks_call_no_svd(cfg, monkeypatch):
     """Every member of the campaign plans' rank chunks reaches full rank, and
-    the rank kernel's QR certificate settles each one: no SVD runs."""
+    the rank kernel's Cholesky certificate settles each one: no SVD runs."""
 
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called on a full-rank chunk")
