@@ -6,13 +6,15 @@ goes through one LAPACK call or one vectorized pass. The slot kernels take
 a system whose own rows are block diagonal by slot as its slot blocks
 (..., slots, rows, width), and factor them all at once. A rate has one
 algorithm: the dense form is the slot kernel on one slot with no own rows.
-A rank has one cut, ``RANK_RTOL``, and one judge of a partial rank, the
-SVD; a Cholesky of each system's small Gram matrix certifies full ranks,
-which then take no SVD. The 2-D forms evaluate a single system through the
-stacked code.
+A rank is exact: ``slot_rank_stacked`` eliminates int64 residues mod a
+prime, with no tolerance. ``numerical_rank(_stacked)``, an SVD cut at
+``RANK_RTOL``, is the float reference the tests hold it to. The 2-D forms
+evaluate a single system through the stacked code.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,11 +31,10 @@ __all__ = [
 ]
 
 backend = "numpy"
-# The one relative rank cut: a slot block's rank counts its Gram-Schmidt
-# residual row norms above this share of its largest row norm, rank(P N)
-# the singular values of P N above this share of the coupling rows'
-# ||P||_F (full where a Cholesky certificate bounds the smallest one above it),
-# and numerical_rank the singular values above this share of the largest.
+# The rank kernel's two primes, the largest below 2**25: a product of two
+# residues stays below 2**50, so a sum of up to 2**13 of them fits int64.
+PRIMES = (33554393, 33554383)
+# numerical_rank(_stacked)'s SVD cut: singular values above this share of the largest.
 RANK_RTOL = 1e-9
 
 
@@ -206,139 +207,119 @@ def numerical_rank_stacked(a: np.ndarray) -> np.ndarray:
     return np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
 
 
-def _row_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank r and null-space projector of each block A of a batch-last stack
-    (rows, width, B), by one pivoted Gram-Schmidt pass over all blocks.
-
-    Step p takes each block's row of largest residual norm, orthogonalizes
-    it once more against q_0..q_p-1 and counts it when its norm exceeds
-    ``RANK_RTOL`` times the block's largest row norm; its unit row q_p is
-    then projected out of every row. A row at or below the cut gives q_p =
-    0, so a block's rank stops there. Returns r (B,) and I - Q^H Q (width,
-    width, B), the orthogonal projector onto the null space of A, set to
-    exactly zero where r = width so that its rounding noise cannot become
-    rank.
-    """
-    rows, width, batch = a.shape
-    x = np.array(a, dtype=np.complex128, order="C")  # the residual rows
-    sq = (x.real**2 + x.imag**2).sum(axis=1)  # their squared norms (rows, B)
-    cut = RANK_RTOL * np.sqrt(np.max(sq, axis=0, initial=0.0))
-    q = np.zeros((min(rows, width), width, batch), dtype=np.complex128)
-    rank = np.zeros(batch, dtype=np.int64)
-    for p in range(len(q)):
-        v = np.take_along_axis(x, np.argmax(sq, axis=0)[None, None, :], axis=0)[0]
-        if p:  # the second pass of classical Gram-Schmidt, on the pivot row alone
-            v -= (np.sum(q[:p].conj() * v, axis=1)[:, None, :] * q[:p]).sum(axis=0)
-        norm = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
-        keep = norm > cut
-        rank += keep
-        q[p] = v * np.divide(1.0, norm, out=np.zeros(batch), where=keep)
-        x -= np.sum(q[p].conj() * x, axis=1)[:, None, :] * q[p]
-        sq = (x.real**2 + x.imag**2).sum(axis=1)
-    null_h = np.eye(width)[..., None] - np.sum(q.conj()[:, :, None, :] * q[:, None, :, :], axis=0)
-    null_h *= rank < width
-    return rank, null_h
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """``a`` mod p in place, by floor division: far faster in numpy than a remainder."""
+    a -= a // p * p
+    return a
 
 
-def slot_rank_stacked(own: np.ndarray, coupled: np.ndarray | None) -> np.ndarray:
-    """Rank of each system [A; P] of the stack: own rows A = blockdiag(A_t)
-    over coupling rows P (..., n3, k), laid out as in
-    ``slot_rate_bits_stacked`` (``coupled`` is None without coupling rows).
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction-free Gauss-Jordan elimination mod ``p`` of each matrix of a
+    batch-last stack (rows, cols, B), in place, a column at a time: at
+    column c each takes its first row r not yet a pivot row with an entry
+    d != 0 there, and every other row x becomes d x - x_c r right of column
+    c. No inverse is taken and no product reaches p**2. Returns the pivot
+    columns (cols, B) and each one's pivot row (cols, B), 0 if free."""
+    rows, cols, b = a.shape
+    at, index = np.arange(b), np.arange(rows)[:, None]
+    open_rows = np.ones((rows, b), dtype=bool)
+    pivot, where = np.zeros((cols, b), dtype=bool), np.zeros((cols, b), dtype=np.intp)
+    for c in range(cols if rows else 0):
+        candidates = open_rows & (a[:, c] != 0)
+        r = candidates.argmax(axis=0)
+        found = candidates[r, at]
+        pivot[c], where[c] = found, r
+        open_rows[r, at] &= ~found
+        if c + 1 == cols or not found.any():
+            continue
+        other = found & (index != r)  # the rows to eliminate
+        row = a[r, c:, at].T
+        right = a[:, c + 1 :]
+        right *= np.where(other, row[0], 1)[:, None, :]
+        right -= (a[:, c] * other)[:, None, :] * row[1:]
+        _reduce(right, p)
+    return pivot, where
 
-    rank([A; P]) = sum_t rank(A_t) + rank(P N), where N = blockdiag(N_t)
-    and N_t spans the null space of A_t. One pivoted Gram-Schmidt pass over
-    the rows of every slot block of the stack (``_row_basis``) gives each
-    rank(A_t), counted against A_t's own largest row norm so that a slot
-    block far weaker than the rest still counts in full, and the projector
-    N_t N_t^H = I - Q_t^H Q_t, which has the row space of N_t^H and so
-    stands in for it. rank(P N) counts the singular values above the cut
-    c = ``RANK_RTOL`` times ||P||_F: P N is cut against the scale of the
-    coupling rows, not its own, so coupling rows in the row span of the
-    own rows leave only rounding noise there, and add no rank.
 
-    Full rank, m = min(k, n3), takes no SVD where a Cholesky certificate
-    proves sigma_min(P N) > c. Let X = P N, G its m x m Gram matrix on the
-    smaller side (X X^H or X^H X) and G' the one a stacked matmul computes,
-    K = max(k, n3) the length of its inner products, u = eps / 2, and T =
-    trace(G') = ||X||_F^2 up to rounding. A member is settled at m when a
-    Cholesky of G' - tau I completes with positive pivots, where
+def _null_vectors(a: np.ndarray, pivot: np.ndarray, where: np.ndarray, p: int) -> np.ndarray:
+    """Null vectors mod ``p`` of each block of a stack (rows, width, B) that
+    ``_eliminate`` reduced, one per free column, free columns first: (width,
+    f, B), f the most free columns of any block, zero past a block's own.
 
-        tau = c^2 + delta T,    delta = 2 (K + 2 m + 8) eps.
+    With d_c the pivot of column c (1 if free), full Gauss-Jordan would read
+    d_j R(c_j) and e R(f) where pivot row j reads d_j and e, R(q) the
+    product of the d_c right of q. So f's vector holds the product of all
+    d_c at f and -e L(c_j) R(f) at each c_j, L(q) the product of the d_c
+    left of q: again no inverse."""
+    _, width, b = a.shape
+    diag = np.arange(width)
+    reduced = np.zeros((width, width, b), dtype=np.int64)  # row c: c's pivot row, or 0
+    column, member = np.nonzero(pivot)
+    reduced[column, :, member] = a[where[column, member], :, member]
+    d = np.where(pivot, reduced[diag, diag], 1)
+    left, right = np.ones((2, width, b), dtype=np.int64)
+    for c in range(1, width):
+        left[c] = left[c - 1] * d[c - 1] % p
+        right[-1 - c] = right[-c] * d[-c] % p
+    null = _reduce(_reduce(reduced * left[:, None], p) * -right, p)
+    null[diag, diag] = left[-1] * d[-1] % p
+    count = np.cumsum(~pivot, axis=0)  # free column f goes to column count - 1
+    column, member = np.nonzero(~pivot)
+    out = np.zeros((width, count[-1].max(initial=0), b), dtype=np.int64)
+    out[:, count[column, member] - 1, member] = null[:, column, member]
+    return out
 
-    A completed factorization gives a nonsingular R with R^H R = G - tau I
-    + E + F + D, so lambda_min(G) > tau - ||E||_2 - ||F||_2 - ||D||_2:
 
-    - E = G' - G, the Gram product's rounding. Each entry is a complex
-      inner product of length K, off by at most gamma_(K+2) times that
-      entry of |X|^H |X| (Higham, Accuracy and Stability of Numerical
-      Algorithms, sec. 3.6), so ||E||_2 <= gamma_(K+2) ||X||_F^2, about
-      (K / 2 + 1) eps T.
-    - F, the rounding of tau and of the shift: diagonal, with |F_ii| <=
-      u (G'_ii + tau) + 2 u tau, at most about eps T / 2 + 3 u tau.
-    - D, Cholesky's backward error, which holds for any Hermitian matrix
-      on which it completes: |D| <= gamma_(2 m + 2) |R|^H |R| (Higham
-      Thm 10.3, with the complex inner product's longer gamma), so
-      ||D||_2 <= gamma ||R||_F^2 <= gamma T / (1 - gamma), about (m + 1)
-      eps T; against ||G||_2 >= T / m, the familiar order m^2 eps.
+def slot_rank_stacked(own: np.ndarray, coupled: np.ndarray | None, p: int = PRIMES[0]) -> np.ndarray:
+    """Exact rank over GF(p) of each system [A; P] of a stack of int64
+    residues mod a prime ``p`` < 2**25: own rows A = blockdiag(A_t) over
+    coupling rows P (..., n3, k), laid out as in ``slot_rate_bits_stacked``
+    (``coupled`` is None without coupling rows).
 
-    These sum to about (K / 2 + m + 3) eps T + 3 u tau. delta is more than
-    twice that first sum, and its surplus covers the second-order terms
-    and 3 u tau: a member with T below c^2 / 2 cannot complete, since
-    lambda_min(G) <= T / m. So a completed factorization proves
-    lambda_min(G) > c^2, that is sigma_min(P N) > c, with sigma_min - c
-    at least about (3 K / 4 + 8) eps ||P N||_F, more than the SVD's usual
-    rounding of its singular values. Members with sigma_min between c and
-    about sqrt(delta) ||P N||_F (at most 2.6e-7 ||P||_F on 108 x 18
-    systems) are not certified, and neither is a zero P N. A Cholesky of
-    the stack raises for all of it if one member fails; then each member
-    is factored alone, as ``_cholesky`` finds its index. An SVD of
-    singular values only counts the members the certificate leaves
-    unsettled: it is the one judge of a partial rank.
+    rank([A; P]) = sum_t rank(A_t) + rank(P N), N = blockdiag(N_t), N_t
+    spanning the null space of A_t. One ``_eliminate`` of every slot block,
+    batch-last so each step runs over contiguous rows of all blocks, gives
+    each rank(A_t); N_t holds the vectors of A_t's free columns only. P N
+    takes one contraction and one reduction: each entry sums ``width``
+    products below 2**50, so below 2**63. ``_eliminate`` then reduces P N,
+    batch-last too, over its shorter side.
 
-    Raises ``ValueError`` if any system has a non-finite entry; its
-    ``index`` is the flat batch index of the first.
+    Raises ``TypeError`` unless both arrays are int64, and ``ValueError`` if
+    a slot block has 2**13 columns or more, or if an entry lies outside 0
+    .. p - 1; then its ``index`` is the flat batch index of the first such
+    system.
     """
     batch = own.shape[:-3]
     slots, rows, width = own.shape[-3:]
+    if own.dtype != np.int64 or coupled is not None and coupled.dtype != np.int64:
+        raise TypeError("rank systems hold int64 residues")
+    if width >= 1 << 13:
+        raise ValueError(f"slot blocks of {width} columns: P N's sums could pass 2**63")
+    bad = ((own < 0) | (own >= p)).any(axis=(-3, -2, -1))
+    if coupled is not None:
+        _check_coupling(own, coupled)
+        bad |= ((coupled < 0) | (coupled >= p)).any(axis=(-2, -1))
+    if bad.any():
+        exc = ValueError(f"rank system has an entry outside the residues 0 .. {p - 1}")
+        exc.index = int(np.flatnonzero(bad)[0])
+        raise exc
     if not slots * width:
         return np.zeros(batch, dtype=np.int64)
-    finite = np.isfinite(own).all(axis=(-3, -2, -1))
-    if coupled is not None:
-        finite = finite & np.isfinite(coupled).all(axis=(-2, -1))
-    if not finite.all():
-        exc = ValueError("rank system has a non-finite entry")
-        exc.index = int(np.flatnonzero(~finite)[0])
-        raise exc
-    # batch-last (rows, width, B * slots): each step of the pass runs over
-    # contiguous vectors of all blocks
-    r, null_h = _row_basis(np.moveaxis(own.reshape(-1, rows, width), 0, -1))
-    rank = r.reshape(batch + (slots,)).sum(axis=-1)
-    if coupled is None or not coupled.shape[-2]:
+    members = math.prod(batch)
+    blocks = np.moveaxis(own.reshape(members * slots, rows, width), 0, -1).copy()
+    pivot, where = _eliminate(blocks, p)
+    rank = pivot.sum(axis=0).reshape(batch + (slots,)).sum(axis=-1)
+    if coupled is None or not coupled.shape[-2] or pivot.all():
         return rank
-    _check_coupling(own, coupled)
-    n3, k = coupled.shape[-2], slots * width
-    # P_t^H batch-last (width, n3, B * slots): entry (b, m, i * slots + t)
-    # is conj(P[i][m, t * width + b])
-    p_h = coupled.conj().reshape(-1, n3, slots, width).transpose(3, 1, 0, 2).reshape(width, n3, -1)
-    # (P N)^H, slot t's rows N_t N_t^H P_t^H, summed over the projector's columns
-    projected = sum(null_h[:, b, None, :] * p_h[b] for b in range(width))
-    projected = projected.reshape(width, n3, -1, slots).transpose(2, 3, 0, 1)
-    projected = projected.reshape(-1, k, n3)
-    cut = RANK_RTOL * np.linalg.norm(coupled, axis=(-2, -1)).reshape(-1)
-    full = min(k, n3)
-    gram = _herm(projected) @ projected if n3 <= k else projected @ _herm(projected)
-    diagonal = gram.reshape(-1, full * full)[:, :: full + 1]  # a view
-    delta = 2.0 * (max(k, n3) + 2 * full + 8) * np.finfo(np.float64).eps
-    diagonal -= (cut * cut + delta * diagonal.real.sum(axis=-1))[:, None]
-    if _positive_cholesky(gram) is not None:
-        sure = np.ones(len(gram), dtype=bool)
-    else:
-        sure = np.array([_positive_cholesky(one) is not None for one in gram])
-    count = np.full(len(sure), full)
-    if not sure.all():
-        s = np.linalg.svd(projected[~sure], compute_uv=False)
-        count[~sure] = np.count_nonzero(s > cut[~sure, None], axis=-1)
-    return rank + count.reshape(batch)
+    null = _null_vectors(blocks, pivot, where, p)
+    n3, free = coupled.shape[-2], null.shape[1]
+    # (P N)^T, slot by slot: N_t^T P_t^T (B, slots, free, n3)
+    n_t = null.reshape(width, free, members, slots).transpose(2, 3, 1, 0)
+    pn = _reduce(n_t @ coupled.reshape(members, n3, slots, width).transpose(0, 2, 3, 1), p)
+    pn = pn.reshape(members, slots * free, n3).transpose(1, 2, 0)
+    if n3 > slots * free:
+        pn = pn.transpose(1, 0, 2)
+    return rank + _eliminate(np.ascontiguousarray(pn), p)[0].sum(axis=0).reshape(batch)
 
 
 def logdet_rate_bits(g: np.ndarray, sigma: np.ndarray) -> float:

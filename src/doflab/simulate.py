@@ -6,7 +6,8 @@ Rayleigh channel draws and measures two fidelities:
 * **rank** -- idealized bookkeeping: with exact overheard-equation
   coefficients, does every receiver end up with a full-column-rank linear
   system for its symbols? This validates the schedule combinatorics
-  (stream loading, phase-three chunk dealing) independent of SNR.
+  (stream loading, phase-three chunk dealing) independent of SNR,
+  exactly: over GF(p), from residues of the drawn channels (``_ranks``).
 
 * **rate** -- finite-SNR mutual information. CSIT imperfection is modeled
   by feeding back each channel coefficient through a uniform quantizer
@@ -424,25 +425,28 @@ class _Phase:
         dealt[:, self.live] = h[:, self.source[self.live], self.row[self.live]]
         return dealt
 
-    def lift(self, w: np.ndarray, dealt: np.ndarray) -> np.ndarray:
+    def lift(self, w: np.ndarray, dealt: np.ndarray, p: int = 0) -> np.ndarray:
         """Phase-three rows (B, slots3 * N, slots * width), slot by slot,
         that a receiver with channel ``w`` (B, slots3, N, streams) sees of
-        payload rows ``dealt`` (B, slots3, streams, width). Each live
-        stream's row lies in the columns of its source slot: the first
-        stream of each (slot3, source) pair is assigned there, and any
-        further ones are added in stream order, a layer at a time."""
+        payload rows ``dealt`` (B, slots3, streams, width), complex, or int64
+        residues reduced mod ``p``. Each live stream's row lies in the columns
+        of its source slot: the first stream of each (slot3, source) pair is
+        assigned there, and any further ones are added in stream order, a
+        layer at a time."""
         b, slots3, n = w.shape[:3]
         width = dealt.shape[-1]
-        out = np.zeros((b, slots3, n, self.slots, width), dtype=np.complex128)
+        out = np.zeros((b, slots3, n, self.slots, width), dtype=np.result_type(w, dealt))
         if self.layers:
             # (streams, slots3, B, N, width): term (r, a) goes to
             # out[:, a, :, source[a, r], :]
             terms = w.transpose(3, 1, 0, 2)[..., None] * dealt.transpose(2, 1, 0, 3)[:, :, :, None, :]
             (a, r), *rest = self.layers
-            # + 0.0 sums as onto out's zeros, so a -0 term still reads +0
-            out[:, a, :, self.source[a, r], :] = terms[r, a] + 0.0
+            # + 0 sums as onto out's zeros, so a -0 term still reads +0
+            out[:, a, :, self.source[a, r], :] = terms[r, a] + 0
             for a, r in rest:
                 out[:, a, :, self.source[a, r], :] += terms[r, a]
+        if p:
+            kernels._reduce(out, p)
         return out.reshape(b, slots3 * n, self.slots * width)
 
 
@@ -510,18 +514,16 @@ class _PlanGeometry:
         return 16 * total
 
     def trial_bytes(self) -> int:
-        """Bytes of one trial's rank working set. Per receiver, with
-        s = slots * width columns: its phase-three rows P (n3, s), P^H in
-        the Gram-Schmidt pass's batch-last layout, (P N)^H (s, n3) and the
-        conjugate copy of it that its Gram product reads, and per slot the
-        pivot rows Q_t and the projector I - Q_t^H Q_t (width, width each).
-        The Gram matrix itself, min(s, n3) squared, is not counted. On the
-        benchmark's campaign plans a full rank chunk's traced peak is 0.70
-        to 0.99 times this count."""
-        total = 0
-        for n, n3, slots, width in self._receivers():
-            total += 4 * n3 * slots * width + 2 * slots * width * width
-        return 16 * total
+        """Bytes of one trial's rank working set, in int64 residues: its draw
+        and, for the larger receiver, with s = slots * width and f = width - N
+        free columns per slot, its phase-three rows P (n3, s) twice, its slot
+        blocks (N, s) and P N (n3, slots * f) twice; plus 256 bytes of pivots
+        and indices. On the benchmark's campaign plans a full rank chunk's
+        traced peak is 0.90 to 1.51 times this count."""
+        draw = self.plan.total_slots * (self.cfg.n1 + self.cfg.n2) * self.columns
+        most = max(2 * n3 * slots * width + n * slots * width + 2 * n3 * slots * max(0, width - n)
+                   for n, n3, slots, width in self._receivers())
+        return 8 * (draw + most) + 256
 
     def draw_bytes(self) -> int:
         """Bytes of one trial's channel draw at all M columns: the float64
@@ -589,25 +591,41 @@ def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
     return PhaseMatrices(*stacks)
 
 
-def _ranks(geom: _PlanGeometry, realization: ChannelRealization):
-    """Per-receiver ranks of the idealized systems of draws stacked on one
-    leading axis.
+def _residues(h: np.ndarray, p: int) -> np.ndarray:
+    """Each complex entry of ``h`` as an int64 residue mod ``p``: the xor of
+    its real and imaginary parts' float64 bit patterns, mod p."""
+    return ((h.real.view(np.uint64) ^ h.imag.view(np.uint64)) % np.uint64(p)).astype(np.int64)
 
-    The order-2 coefficients are the true channel rows and the cross part
-    cancels exactly, so a deficient rank isolates a schedule defect. Each
-    receiver's systems take one ``kernels.slot_rank_stacked`` call: one
-    pivoted Gram-Schmidt pass over every slot block of the chunk, and one
-    batched Cholesky of P N's Gram matrix, less a margin, that certifies
-    full rank; an SVD counts only the members it leaves unsettled.
-    """
-    h = (realization.h1, realization.h2)
-    ranks = []
-    for i, phase in enumerate(geom.phases):
-        rows = None
-        if geom.slots3:
-            w = h[i][:, geom.phase3, :, : geom.streams3]
-            rows = phase.lift(w, phase.rows(phase.symbols(h[1 - i])))
-        ranks.append(kernels.slot_rank_stacked(phase.symbols(h[i]), rows))
+
+def _ranks(geom: _PlanGeometry, realization: ChannelRealization) -> list[np.ndarray]:
+    """Per-receiver exact ranks of the idealized systems of draws stacked on
+    one leading axis. The order-2 coefficients are the true channel rows
+    and the cross part cancels exactly, so a deficient rank isolates a
+    schedule defect. System entries are polynomials of degree at most 2 in
+    the channel entries, so each drawn entry becomes a residue mod p
+    (``_residues``) before the phases are laid out, which keeps the entries
+    rows share, and each receiver takes one ``kernels.slot_rank_stacked``.
+
+    A rank mod p never exceeds the generic rank. A full-rank system of n
+    symbols has an n x n minor of degree at most 2 n, nonzero mod p, so by
+    the Schwartz-Zippel lemma a false deficit has probability at most 2 n /
+    p per receiver and trial, up to the bit map's non-uniformity. Members
+    deficient under the first of ``kernels.PRIMES`` are recounted under the
+    second, and keep the larger rank."""
+    symbols = (geom.plan.s1_count, geom.plan.s2_count)
+    ranks = [np.zeros(len(realization.h1), dtype=np.int64) for _ in symbols]
+    todo = slice(None)
+    for p in kernels.PRIMES:
+        h = [_residues(each[todo], p) for each in (realization.h1, realization.h2)]
+        for i, phase in enumerate(geom.phases):
+            rows = None
+            if geom.slots3:
+                w = h[i][:, geom.phase3, :, : geom.streams3]
+                rows = phase.lift(w, phase.rows(phase.symbols(h[1 - i])), p)
+            ranks[i][todo] = np.maximum(ranks[i][todo], kernels.slot_rank_stacked(phase.symbols(h[i]), rows, p))
+        todo = np.flatnonzero((ranks[0] < symbols[0]) | (ranks[1] < symbols[1]))
+        if not todo.size:
+            break
     return ranks
 
 

@@ -1,9 +1,9 @@
 """Numeric kernels: reference results, stacked-versus-2-D parity, failure modes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from doflab import GramOverflow, SingularCovariance, kernels
 
@@ -242,317 +242,142 @@ class TestSplitKernel:
         own, g3, s3 = slot_structured(np.random.default_rng(27), 2, [2, 2], 2, 2)
         with pytest.raises(ValueError):
             kernels.slot_rate_bits_stacked(own, g3[..., :3], s3)
-        with pytest.raises(ValueError):
-            kernels.slot_rank_stacked(own, g3[..., :3])
+
+
+def fraction_rank(matrix):
+    """Rank of an integer matrix (rows of ints) by Gaussian elimination over
+    the rationals, in ``Fraction``."""
+    rows = [[Fraction(int(x)) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            ratio = rows[i][c] / rows[rank][c]
+            rows[i] = [x - ratio * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_ranks(own, coupled):
+    """``fraction_rank`` of each dense system [blockdiag(A_t); P]."""
+    dense = block_diagonal(own).real.astype(np.int64)
+    if coupled is not None:
+        dense = np.concatenate([dense, coupled], axis=-2)
+    return [fraction_rank(system.tolist()) for system in dense]
+
+
+P = kernels.PRIMES[0]
+
+
+def integer_system(rng, batch, slots, rows, width, n3, high=4):
+    """Slot blocks (batch, slots, rows, width) and coupling rows (batch, n3,
+    slots * width) of integers 0 .. high - 1: small enough that ranks are
+    often deficient."""
+    own = rng.integers(0, high, (batch, slots, rows, width))
+    return own, rng.integers(0, high, (batch, n3, slots * width))
 
 
 class TestSlotRank:
-    """rank([A; P]) from the slot blocks and P N against an SVD of the
-    stacked system."""
+    """The exact rank of int64 residues mod p against a ``Fraction`` rank of
+    the dense system."""
 
     def test_random_systems(self):
-        for trial in range(40):
+        for trial in range(60):
             rng = np.random.default_rng(3000 + trial)
-            loads = rng.integers(1, 5, size=int(rng.integers(1, 6))).tolist()
-            rows = int(rng.integers(1, 4))
-            n3 = int(rng.integers(0, 7))
-            own, coupled, _ = slot_structured(rng, 6, loads, rows, max(n3, 1))
-            coupled = coupled[:, :n3]
-            # deficient members: a zeroed slot block, coupling rows that
-            # repeat one another, and no coupling at all
-            own[1, 0] = 0
-            if n3 > 1:
-                coupled[2, 1] = 3 * coupled[2, 0]
-            coupled[4] = 0
-            slot = kernels.slot_rank_stacked(own, coupled)
-            assert slot.tolist() == dense_rank(own, coupled).tolist()
-        assert kernels.slot_rank_stacked(own, None).tolist() == dense_rank(own, None).tolist()
+            slots, rows, width = (int(x) for x in rng.integers(1, 5, 3))
+            own, coupled = integer_system(rng, 4, slots, rows, width, int(rng.integers(0, 7)))
+            own[1, 0] = 0  # a zero block
+            if rows > 1:
+                own[2, -1, 1] = 2 * own[2, -1, 0]  # a deficient block
+            coupled[3] = 0  # coupling rows that add nothing
+            want = fraction_ranks(own, coupled)
+            assert kernels.slot_rank_stacked(own, coupled).tolist() == want
+            assert kernels.slot_rank_stacked(own, None).tolist() == fraction_ranks(own, None)
 
-    def test_zeroed_block_covered_by_coupling(self):
-        # slot 1 has no own equations at all, and the coupling rows supply
-        # all of its symbols: full rank again
-        rng = np.random.default_rng(31)
-        own, coupled, _ = slot_structured(rng, 3, [3, 2], 2, 3)
-        own[:, 1] = 0
-        assert kernels.slot_rank_stacked(own, coupled).tolist() == [5, 5, 5]
-        assert dense_rank(own, coupled).tolist() == [5, 5, 5]
-        assert kernels.slot_rank_stacked(own, coupled[:, :2]).tolist() == [4, 4, 4]
+    def test_residues_near_p(self):
+        """Entries p - 1 - x, that is -(1 + x) mod p: every product in the
+        elimination is near p**2, and the rank is that of 1 + x."""
+        for trial in range(20):
+            rng = np.random.default_rng(3100 + trial)
+            own, coupled = integer_system(rng, 3, 3, 2, 3, 5)
+            assert kernels.slot_rank_stacked(P - 1 - own, P - 1 - coupled).tolist() == fraction_ranks(
+                1 + own, 1 + coupled
+            )
 
-    def test_rank_rtol_semantics(self):
-        # a slot block with singular values 1 and 1e-12 (and one of 1e-6):
-        # the cut at RANK_RTOL = 1e-9 falls between them in both evaluations
-        rng = np.random.default_rng(32)
-        own, coupled, _ = slot_structured(rng, 2, [2, 2], 2, 1)
-        u, _, vh = np.linalg.svd(own[:, 0])
-        own[0, 0] = u[0] @ np.diag([1.0, 1e-12]) @ vh[0]
-        own[1, 0] = u[1] @ np.diag([1.0, 1e-6]) @ vh[1]
-        coupled[:] = 0
-        assert kernels.slot_rank_stacked(own, coupled).tolist() == [3, 4]
-        assert dense_rank(own, coupled).tolist() == [3, 4]
-        # each factor is cut against its own largest singular value: a slot
-        # block 1e-12 times weaker than the rest counts in full here, where
-        # the stacked system's SVD cuts it
-        weak = own.copy()
-        weak[1] = own[1, 1]
-        weak[:, 1] *= 1e-12
-        assert kernels.slot_rank_stacked(weak, coupled)[1] == 4
-        assert dense_rank(weak, coupled)[1] == 2
-
-    def assert_both_references(self, own, coupled):
-        rank = kernels.slot_rank_stacked(own, coupled)
-        assert rank.tolist() == svd_slot_rank(own, coupled).tolist()
-        assert rank.tolist() == dense_rank(own, coupled).tolist()
-        return rank
-
-    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 2), (3, 2, 2), (1, 2, 4)])
-    def test_repeated_coupling_row_is_not_undercounted(self, shape):
-        """No own rows and k + 1 coupling rows, the second a multiple of the
-        first: full rank k, though the triangle of a QR of the first k rows is
-        singular, so a count of its diagonal reads k - 1."""
-        rng = np.random.default_rng(51)
-        slots, rows, width = shape
-        k = slots * width
-        own = np.zeros((200, slots, rows, width), dtype=complex)
-        coupled = rng.standard_normal((200, k + 1, k)) + 1j * rng.standard_normal((200, k + 1, k))
-        coupled[:, 1] = (0.3 - 1.7j) * coupled[:, 0]
-        assert self.assert_both_references(own, coupled).tolist() == [k] * 200
-
-    @pytest.mark.parametrize("n, c", [(40, 0.5), (24, 0.8), (20, 0.9)])
-    def test_kahan_coupling_is_not_overcounted(self, n, c):
-        """Coupling rows K^H of a Kahan matrix K: every diagonal entry of
-        its R is far above the cut, yet its smallest singular value is
-        below it, so its rank is n - 1. The certificate must refuse to
-        certify it."""
-        s = np.sqrt(1.0 - c * c)
-        kahan = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
-        coupled = np.stack([kahan.T, np.exp(0.7j) * kahan.T])
-        own = np.zeros((2, 1, 1, n), dtype=complex)
-        assert self.assert_both_references(own, coupled).tolist() == [n - 1] * 2
-
-    def test_certified_and_counted_members_mix(self, monkeypatch):
-        """Certified members next to a zeroed P and a repeated coupling row:
-        only those two reach the SVD, and each count lands on its own
-        member."""
-        rng = np.random.default_rng(52)
-        own, coupled, _ = slot_structured(rng, 5, [2, 2], 1, 2)
-        coupled[1] = 0
-        coupled[3, 1] = (0.5 - 2j) * coupled[3, 0]
-        counted = []
-        svd = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            counted.append(len(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        assert kernels.slot_rank_stacked(own, coupled).tolist() == [4, 2, 4, 3, 4]
-        assert counted == [2]
-        monkeypatch.undo()
-        self.assert_both_references(own, coupled)
-
-    @pytest.mark.parametrize(
-        "slots, width, n3", [(2, 3, 4), (1, 2, 5), (2, 2, 4)], ids=["wide", "tall", "square"]
-    )
-    def test_certificate_boundary(self, slots, width, n3, monkeypatch):
-        """Coupling rows P with no own rows, so P N = P, of chosen smallest
-        singular value against the cut c = RANK_RTOL ||P||_F: at 10 c too
-        close to the cut to certify, so the SVD counts it, in full; at c / 10
-        deficient; generic, or at 1e-6 ||P||_F (above the certificate's
-        margin of about 1e-7 ||P||_F here), and certified, so no SVD sees
-        it; and zero, which is never certified."""
-        rng = np.random.default_rng(53)
-        k = slots * width
-        m = min(k, n3)
-        # singular values 1, ..., 1, x: ||P||_F = sqrt(m - 1) up to a
-        # relative x^2 / (m - 1), so x = f RANK_RTOL sqrt(m - 1) is f c
-        values = np.ones((5, m))
-        values[0, -1] = 10 * kernels.RANK_RTOL * np.sqrt(m - 1)
-        values[1, -1] = 0.1 * kernels.RANK_RTOL * np.sqrt(m - 1)
-        values[2] = rng.uniform(0.5, 1.0, m)
-        values[3, -1] = 1e-6 * np.sqrt(m - 1)
-        values[4] = 0
-        middle = np.zeros((5, n3, k))
-        middle[:, range(m), range(m)] = values
-        coupled = unitary(rng, n3, 5) @ middle @ unitary(rng, k, 5)
-        own = np.zeros((5, slots, 1, width), dtype=complex)
-        seen = []
-        svd = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            seen.append(svd(a, compute_uv=False))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        assert kernels.slot_rank_stacked(own, coupled).tolist() == [m, m - 1, m, m, 0]
-        # one SVD, of the members at 10 c, at c / 10 and zero, in that order
-        (s,) = seen
-        cut = kernels.RANK_RTOL * np.linalg.norm(coupled[:2], axis=(-2, -1))
-        assert s[:2, -1] / cut == pytest.approx([10.0, 0.1], rel=1e-6)
-        assert not s[2].any()
-        monkeypatch.undo()
-        self.assert_both_references(own, coupled)
-
-    def test_non_finite_entry_raises_with_its_index(self):
-        """A nan in the coupling rows or an inf in a slot block raises
-        ValueError naming the flat batch index of the first such system,
-        before any rank is taken."""
-        rng = np.random.default_rng(54)
-        own, coupled, _ = slot_structured(rng, 4, [2, 2], 1, 2)
-        bad = coupled.copy()
-        bad[2, 1, 3] = np.nan
-        bad[3, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite") as err:
-            kernels.slot_rank_stacked(own, bad)
-        assert err.value.index == 2
-        # over two batch axes the index is the flat one
-        bad = own.reshape(2, 2, 2, 1, 2).copy()
-        bad[1, 0, 1, 0, 0] = -np.inf
-        for coupled_rows in (coupled.reshape(2, 2, 2, 4), None):
-            with pytest.raises(ValueError, match="non-finite") as err:
-                kernels.slot_rank_stacked(bad, coupled_rows)
-            assert err.value.index == 2
-
-
-def svd_slot_rank(own, coupled):
-    """rank([A; P]) = sum_t rank(A_t) + rank(P N) by one SVD per slot block:
-    the reference for the Gram-Schmidt pass of ``slot_rank_stacked``. N_t^H
-    is the right singular vectors of A_t past its rank, the others zeroed;
-    rank(P N) counts the singular values above RANK_RTOL * ||P||_F."""
-    slots, width = own.shape[-3], own.shape[-1]
-    if not slots * width:
-        return np.zeros(own.shape[:-3], dtype=np.int64)
-    # the right singular vectors of A_t are the left ones of A_t^H
-    v, s, _ = np.linalg.svd(np.swapaxes(own.conj(), -1, -2))
-    r = np.count_nonzero(s > kernels.RANK_RTOL * s[..., :1], axis=-1)
-    rank = np.sum(r, axis=-1)
-    if coupled is None or not coupled.shape[-2]:
-        return rank
-    n3 = coupled.shape[-2]
-    null_h = np.swapaxes(v.conj(), -1, -2) * (np.arange(width) >= r[..., None])[..., None]
-    p_h = np.swapaxes(coupled.conj(), -1, -2).reshape(coupled.shape[:-2] + (slots, width, n3))
-    projected = (null_h @ p_h).reshape(coupled.shape[:-2] + (slots * width, n3))
-    s = np.linalg.svd(projected, compute_uv=False)
-    scale = np.linalg.norm(coupled, axis=(-2, -1))
-    return rank + np.count_nonzero(s > kernels.RANK_RTOL * scale[..., None], axis=-1)
-
-
-def unitary(rng, n, batch):
-    q, _ = np.linalg.qr(rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n)))
-    return q
-
-
-# Singular values of the slot blocks, relative to the largest (1): each is
-# a thousand times away from the cut at RANK_RTOL = 1e-9, where a pivoted
-# Gram-Schmidt residual and a singular value may fall on either side.
-SINGULAR = (1.0, 1e-3, 1e-6, 1e-12, 0.0)
-
-
-@st.composite
-def slot_systems(draw):
-    """Slot blocks (batch, slots, rows, width) with chosen singular values,
-    loads below the width (masked columns), chosen zero rows and zeroed
-    blocks, over coupling rows that are free, or lie in the row span of the
-    own rows, exactly or up to 1e-3."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    batch, rows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    loads = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any))
-    width = max(loads)
-    own = np.zeros((batch, len(loads), rows, width), dtype=complex)
-    for t, load in enumerate(loads):
-        count = min(rows, load)
-        if not count:
-            continue
-        values = [1.0] + draw(st.lists(st.sampled_from(SINGULAR), min_size=count - 1, max_size=count - 1))
-        if draw(st.booleans()):
-            values = [0.0] * count  # a zeroed block
-        middle = np.zeros((rows, load))
-        middle[range(count), range(count)] = values
-        own[:, t, :, :load] = unitary(rng, rows, batch) @ middle @ unitary(rng, load, batch)
-    zero_rows = sorted(draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)))
-    own[:, :, zero_rows] = 0
-    n3 = draw(st.integers(0, 5))
-    free = draw(st.sampled_from((0.0, 1e-3, 1.0)))
-    shape = (batch, n3, len(loads) * rows)
-    coupled = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) @ block_diagonal(own)
-    coupled += free * (rng.standard_normal(coupled.shape) + 1j * rng.standard_normal(coupled.shape))
-    return own, coupled if n3 or draw(st.booleans()) else None
-
-
-def dense_rank(own, coupled):
-    stacked = block_diagonal(own)
-    if coupled is not None:
-        stacked = np.concatenate([stacked, coupled], axis=-2)
-    return kernels.numerical_rank_stacked(stacked)
-
-
-class TestSlotRankGramSchmidt:
-    """The pivoted Gram-Schmidt pass against one SVD per slot block and
-    against an SVD of the dense system."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(slot_systems())
-    def test_matches_svd_references(self, system):
-        own, coupled = system
-        rank = kernels.slot_rank_stacked(own, coupled)
-        assert rank.tolist() == svd_slot_rank(own, coupled).tolist()
-        assert rank.tolist() == dense_rank(own, coupled).tolist()
+    def test_full_rank(self):
+        rng = np.random.default_rng(3200)
+        own, coupled = integer_system(rng, 50, 3, 2, 3, 3, high=P)
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [9] * 50
+        assert fraction_ranks(own[:5], coupled[:5]) == [9] * 5
 
     def test_coupling_in_the_own_row_span_adds_no_rank(self):
-        """Coupling rows that mix own rows leave only rounding noise in P N,
-        which is cut against the coupling rows' scale, not its own."""
-        rng = np.random.default_rng(41)
-        for loads, rows, n3 in (([3, 2, 3], 2, 4), ([2, 2], 1, 2), ([4], 2, 3), ([3, 3, 1], 2, 6)):
-            own, _, _ = slot_structured(rng, 200, loads, rows, 1)
-            mix = rng.standard_normal((200, n3, len(loads) * rows))
-            coupled = mix @ block_diagonal(own)
-            want = dense_rank(own, None)
-            assert want.tolist() == [sum(min(rows, load) for load in loads)] * 200
-            assert dense_rank(own, coupled).tolist() == want.tolist()
-            assert kernels.slot_rank_stacked(own, coupled).tolist() == want.tolist()
+        rng = np.random.default_rng(3300)
+        for slots, rows, width, n3 in ((3, 2, 3, 4), (2, 1, 2, 2), (1, 2, 4, 3), (3, 2, 3, 6)):
+            own, _ = integer_system(rng, 20, slots, rows, width, 0)
+            mix = rng.integers(0, 4, (20, n3, slots * rows))
+            coupled = mix @ block_diagonal(own).real.astype(np.int64)
+            want = fraction_ranks(own, None)
+            assert fraction_ranks(own, coupled) == want
+            assert kernels.slot_rank_stacked(own, coupled % P).tolist() == want
 
-    def test_weak_counted_row_stays_orthogonal(self):
-        """A block with singular values 1 and 1e-8, ten times above the cut.
-        After the first step its other row is a residual of norm about 1e-8
-        that still holds rounding error of about 1e-16 along the first
-        pivot row. Without the second Gram-Schmidt pass that error, 1e-8 of
-        the residual, tilts the projector by more than the cut, and
-        coupling rows in the row span read as rank."""
-        rng = np.random.default_rng(43)
-        middle = np.diag([1.0, 1e-8, 0.0])[:2]
-        own = (unitary(rng, 2, 300) @ middle @ unitary(rng, 3, 300))[:, None]
-        coupled = rng.standard_normal((300, 4, 2)) @ own[:, 0]
-        assert dense_rank(own, coupled).tolist() == [2] * 300
-        assert kernels.slot_rank_stacked(own, coupled).tolist() == [2] * 300
+    def test_zero_block_covered_by_coupling(self):
+        """Slot 1 has no own equations at all, and the coupling rows supply
+        all of its symbols: full rank again, and one short with a row less."""
+        rng = np.random.default_rng(3400)
+        own, coupled = integer_system(rng, 3, 2, 2, 3, 3, high=P)
+        own[:, 1] = 0
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [5, 5, 5]
+        assert kernels.slot_rank_stacked(own, coupled[:, :2]).tolist() == [4, 4, 4]
 
-    def test_row_basis(self):
-        """Pivoted rows give each block's rank, also past a zero first row
-        of a tall block; the projector is Hermitian, idempotent,
-        annihilated by the block, and exactly zero where the block has full
-        column rank."""
-        rng = np.random.default_rng(42)
-        for rows, width in ((3, 2), (2, 3), (3, 3), (1, 4), (4, 1)):
-            a = rng.standard_normal((rows, width, 50)) + 1j * rng.standard_normal((rows, width, 50))
-            a[:, :, 10:20] *= (np.arange(width) < width - 1)[:, None]  # a zero column
-            a[:, :, 20:30] = 0
-            a[0, :, 30:40] = 0  # a zero first row
-            rank, null_h = kernels._row_basis(a)
-            blocks = np.moveaxis(a, -1, 0)
-            projector = np.moveaxis(null_h, -1, 0)
-            assert rank.tolist() == kernels.numerical_rank_stacked(blocks).tolist()
-            full = rank == width
-            assert not np.any(projector[full])
-            assert np.allclose(blocks @ projector, 0, atol=1e-12)
-            assert np.allclose(projector, np.swapaxes(projector.conj(), -1, -2), atol=1e-12)
-            assert np.allclose(projector @ projector, projector, atol=1e-12)
-            assert np.allclose(np.trace(projector, axis1=-2, axis2=-1), width - rank, atol=1e-12)
-
-    def test_all_zero_blocks_raise_no_warning(self):
-        # the tests turn a RuntimeWarning (0/0 in a normalization) into an error
-        own = np.zeros((3, 2, 2, 3), dtype=complex)
-        assert kernels.slot_rank_stacked(own, np.zeros((3, 2, 6), dtype=complex)).tolist() == [0] * 3
+    def test_all_zero_and_empty_systems(self):
+        own = np.zeros((3, 2, 2, 3), dtype=np.int64)
+        assert kernels.slot_rank_stacked(own, np.zeros((3, 2, 6), dtype=np.int64)).tolist() == [0] * 3
         assert kernels.slot_rank_stacked(own, None).tolist() == [0] * 3
-        coupled = np.ones((3, 2, 6), dtype=complex)
-        assert kernels.slot_rank_stacked(own, coupled).tolist() == [1] * 3
+        assert kernels.slot_rank_stacked(own, np.ones((3, 2, 6), dtype=np.int64)).tolist() == [1] * 3
+        # no own rows: the rank of the coupling rows alone
+        rng = np.random.default_rng(3500)
+        coupled = rng.integers(0, 3, (4, 3, 4))
+        none = np.zeros((4, 2, 0, 2), dtype=np.int64)
+        assert kernels.slot_rank_stacked(none, coupled).tolist() == [fraction_rank(c.tolist()) for c in coupled]
+        assert kernels.slot_rank_stacked(own[..., :0], None).tolist() == [0] * 3
+
+    def test_keeps_batch_axes(self):
+        rng = np.random.default_rng(3600)
+        own, coupled = integer_system(rng, 6, 2, 1, 3, 4)
+        flat = kernels.slot_rank_stacked(own, coupled)
+        grid = kernels.slot_rank_stacked(own.reshape(2, 3, 2, 1, 3), coupled.reshape(2, 3, 4, 6))
+        assert grid.shape == (2, 3) and grid.ravel().tolist() == flat.tolist()
+
+    def test_coupling_shape_checked(self):
+        own, coupled = integer_system(np.random.default_rng(3700), 2, 2, 2, 2, 2)
+        with pytest.raises(ValueError, match="columns"):
+            kernels.slot_rank_stacked(own, coupled[..., :3])
+
+    def test_residue_range_and_dtype_checked(self):
+        """An entry outside 0 .. p - 1 raises ValueError naming the flat
+        batch index of the first such system; a float array TypeError."""
+        own, coupled = integer_system(np.random.default_rng(3800), 4, 2, 1, 2, 2)
+        bad = coupled.copy()
+        bad[2, 1, 3] = P
+        bad[3, 0, 0] = -1
+        with pytest.raises(ValueError, match="outside") as err:
+            kernels.slot_rank_stacked(own, bad)
+        assert err.value.index == 2
+        bad = own.reshape(2, 2, 2, 1, 2).copy()
+        bad[1, 0, 1, 0, 0] = -1
+        for coupled_rows in (coupled.reshape(2, 2, 2, 4), None):
+            with pytest.raises(ValueError, match="outside") as err:
+                kernels.slot_rank_stacked(bad, coupled_rows)
+            assert err.value.index == 2
+        with pytest.raises(ValueError, match="outside"):
+            kernels.slot_rank_stacked(own, coupled, p=3)
+        with pytest.raises(TypeError, match="int64"):
+            kernels.slot_rank_stacked(own.astype(float), coupled)
+        with pytest.raises(TypeError, match="int64"):
+            kernels.slot_rank_stacked(own, coupled.astype(complex))
 
 
 class TestNumericalRank:

@@ -164,6 +164,35 @@ def test_region_endpoints_match_published_regions():
             assert is_subset(dof_region(SystemConfig(m, n1, n2, a1, a2)), perfect), (m, n1, n2, a1, a2)
 
 
+def delayed_csit_threshold(m, n_own, n_other):
+    """alpha*_j = min(N_j, max(0, M - N_i)) / N_j: the quality of receiver
+    j's channel (``n_own`` = N_j antennas, the other receiver ``n_other``
+    = N_i) from which the region reaches the delayed-CSIT one."""
+    return F(min(n_own, max(0, m - n_other)), n_own)
+
+
+def test_delayed_csit_region_reached_from_a_quality_threshold():
+    """Wherever the no-CSIT and delayed-CSIT regions differ (1375 grid
+    configs), ``dof_region`` equals the delayed-CSIT region exactly when
+    both qualities reach their thresholds. 135 of those configs, over 20
+    antenna triples, reach it with some quality below 1, M3/N2/N2 at (1/2,
+    1/2) among them."""
+    differ, below_one, triples = 0, 0, set()
+    for cfg in grid_configs():
+        delayed = delayed_csit_region(cfg)
+        if region_equal(no_csit_region(cfg), delayed):
+            continue
+        differ += 1
+        reached = (cfg.alpha1 >= delayed_csit_threshold(cfg.m, cfg.n1, cfg.n2)
+                   and cfg.alpha2 >= delayed_csit_threshold(cfg.m, cfg.n2, cfg.n1))
+        assert region_equal(dof_region(cfg), delayed) == reached, cfg
+        if reached and min(cfg.alpha1, cfg.alpha2) < 1:
+            below_one += 1
+            triples.add((cfg.m, cfg.n1, cfg.n2))
+    assert (differ, below_one, len(triples)) == (1375, 135, 20)
+    assert (3, 2, 2) in triples and delayed_csit_threshold(3, 2, 2) == F(1, 2)
+
+
 def oracle_plan(values):
     """(integers, scale): Fraction values times the lcm of their reduced
     denominators, the plan's integer_scale."""

@@ -1105,7 +1105,7 @@ class TestBatchedEquivalence:
     def test_rank_chunks_tile_the_draw_blocks(self, monkeypatch):
         """Drawing ahead adds no rank chunk, even where a rank chunk nearly
         fills the draw budget: the blocks hold whole chunks."""
-        cfg = SystemConfig(4, 2, 2, F(1, 2), F(1, 2))
+        cfg = SystemConfig(5, 3, 2)
         plan = plan_schedule(cfg, corner_weight(cfg))
         geom = simulate._PlanGeometry(cfg, plan)
         chunk = simulate.CHUNK_BYTES // geom.trial_bytes()
@@ -1223,7 +1223,7 @@ CAMPAIGN_CONFIGS = [
     SystemConfig(5, 3, 2),
 ]
 # Measured peak / (units * bytes per unit) of a full chunk on these plans:
-# 0.95 to 1.20 for rate chunks, 0.70 to 0.99 for rank chunks (numpy 2.4,
+# 0.95 to 1.20 for rate chunks, 0.90 to 1.51 for rank chunks (numpy 2.4,
 # x86-64); the bound leaves room on both sides.
 PAIR_BYTES_FACTOR = 2.0
 
@@ -1252,7 +1252,8 @@ def test_pair_bytes_tracks_chunk_memory(cfg):
     budget = pairs * geom.pair_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
 
-    trials = max(1, simulate.CHUNK_BYTES // geom.trial_bytes())
+    # a full rank chunk, which a draw block of fewer trials cuts short
+    trials = max(1, simulate.CHUNK_BYTES // max(geom.trial_bytes(), geom.draw_bytes()))
     units, real = next(simulate._draws(geom, 1, trials, 1, geom.trial_bytes()))
     assert len(units) == trials
     peak = _traced_peak(lambda: simulate._ranks(geom, real))
@@ -1385,64 +1386,143 @@ def test_lift_matches_the_stream_loop(cfg):
 
 
 def _block_diagonal(own):
-    """Slot blocks (B, slots, rows, width) as one block-diagonal matrix."""
-    slots, width = own.shape[1], own.shape[3]
-    return np.stack([_ref_stack(blocks, [width] * slots) for blocks in own])
+    """Slot blocks (B, slots, rows, width) as one block-diagonal matrix, in
+    their dtype."""
+    b, slots, rows, width = own.shape
+    out = np.zeros((b, slots * rows, slots * width), dtype=own.dtype)
+    for t in range(slots):
+        out[:, t * rows : (t + 1) * rows, t * width : (t + 1) * width] = own[:, t]
+    return out
+
+
+def svd_ranks(geom, real):
+    """Per receiver, the SVD rank of each float system of the campaigns'
+    layout: the own slot blocks over the lifted phase-three rows."""
+    h = (real.h1, real.h2)
+    ranks = []
+    for i, phase in enumerate(geom.phases):
+        dense = _block_diagonal(phase.symbols(h[i]))
+        if geom.slots3:
+            w = h[i][:, geom.phase3, :, : geom.streams3]
+            dense = np.concatenate([dense, phase.lift(w, phase.rows(phase.symbols(h[1 - i])))], axis=1)
+        ranks.append(kernels.numerical_rank_stacked(dense))
+    return ranks
 
 
 class TestSlotRankParity:
-    """The campaigns' slot rank equals an SVD rank of the stacked system on
-    the campaign plans, both with the overheard rows the plan geometry
-    chooses and with the first k_i rows of the stacked channel, the choice
-    that leaves the later slots of a phase without equations."""
+    """The campaigns' exact rank over GF(p) equals an SVD rank of the same
+    layout in floats on the campaign plans, both with the overheard rows the
+    plan geometry chooses and with the first k_i rows of the stacked
+    channel, the choice that leaves the later slots of a phase without
+    equations."""
 
     @pytest.mark.parametrize("cfg", CAMPAIGN_CONFIGS, ids=str)
     def test_chosen_and_first_rows(self, cfg):
         plan = plan_schedule(cfg, corner_weight(cfg))
         geom = simulate._PlanGeometry(cfg, plan)
+        p = kernels.PRIMES[0]
         # units of one byte: the six trials in one chunk
         units, real = next(simulate._draws(geom, 5, 6, 1, 1))
         assert units.tolist() == list(range(6))
-        h = (real.h1, real.h2)
+        floats = (real.h1, real.h2)
+        residues = tuple(simulate._residues(h, p) for h in floats)
         deficient = 0
         for i, phase in enumerate(geom.phases):
             if not geom.slots3:
                 continue
-            own, other = phase.symbols(h[i]), phase.symbols(h[1 - i])
-            w = h[i][:, geom.phase3, :, : geom.streams3]
             symbols = (plan.s1_count, plan.s2_count)[i]
-            stacked = _block_diagonal(other)
+            rows_per = floats[1 - i].shape[2]
             # the stacked rows on the phase-three grid: the ones the plan
             # geometry chooses, or row j of the stack where payload row j goes
-            chosen = phase.source * other.shape[2] + phase.row
+            chosen = phase.source * rows_per + phase.row
             j = np.arange(geom.streams3) * plan.tau3 + np.arange(geom.slots3)[:, None]
             for index, first in ((chosen, False), (j, True)):
-                rows = np.where(phase.live[..., None], stacked[:, np.where(phase.live, index, 0)], 0)
-                coupled = (w @ rows).reshape(len(w), -1, rows.shape[-1])
-                if not first:
-                    lifted = phase.lift(w, phase.rows(other))
-                    assert np.max(np.abs(lifted - coupled)) <= 1e-12 * np.max(np.abs(coupled))
-                slot = kernels.slot_rank_stacked(own, coupled)
+                systems = []
+                for h in (floats, residues):
+                    own, other = phase.symbols(h[i]), phase.symbols(h[1 - i])
+                    w = h[i][:, geom.phase3, :, : geom.streams3]
+                    stacked = _block_diagonal(other)
+                    rows = np.where(phase.live[..., None], stacked[:, np.where(phase.live, index, 0)], 0)
+                    coupled = (w @ rows).reshape(len(w), -1, rows.shape[-1])
+                    if h is residues:
+                        coupled %= p
+                    if not first:
+                        lifted = phase.lift(w, phase.rows(other), p if h is residues else 0)
+                        if h is residues:
+                            assert np.array_equal(lifted, coupled)
+                        else:
+                            assert np.max(np.abs(lifted - coupled)) <= 1e-12 * np.max(np.abs(coupled))
+                    systems.append((own, coupled))
+                (own, coupled), exact_system = systems
+                exact = kernels.slot_rank_stacked(*exact_system, p)
                 dense = np.concatenate([_block_diagonal(own), coupled], axis=1)
-                assert slot.tolist() == kernels.numerical_rank_stacked(dense).tolist()
+                assert exact.tolist() == kernels.numerical_rank_stacked(dense).tolist()
                 if first:
-                    deficient += int(np.count_nonzero(slot < symbols))
+                    deficient += int(np.count_nonzero(exact < symbols))
                 else:
-                    assert slot.tolist() == [symbols] * len(w)
+                    assert exact.tolist() == [symbols] * len(w)
         # the first-rows choice leaves these plans short of equations
         if cfg in (SystemConfig(4, 2, 2, F(1, 2), F(1, 2)), SystemConfig(5, 3, 2, F(1, 2), F(1, 3))):
             assert deficient > 0
 
 
-@pytest.mark.parametrize("cfg", CAMPAIGN_CONFIGS, ids=str)
-def test_full_rank_chunks_call_no_svd(cfg, monkeypatch):
-    """Every member of the campaign plans' rank chunks reaches full rank, and
-    the rank kernel's Cholesky certificate settles each one: no SVD runs."""
+# M3/N2/N1 at its corner: tau = (4, 1, 2), and phase two deals one row to
+# each phase-three slot, where receiver two has one antenna.
+MUTATED = SystemConfig(3, 2, 1)
 
-    def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called on a full-rank chunk")
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    plan = plan_schedule(cfg, corner_weight(cfg))
-    params = SimParams((30.0, 60.0), trials=1500, seed=1)
-    assert rank_check_campaign(cfg, plan, params) == (1500, 1500)
+def _drop_last_row(rows):
+    """Phase one's payload without its last overheard row."""
+    return rows[:-1]
+
+
+def _misdeal_last_row(rows):
+    """Phase two's payload with its last row dealt to phase-three slot 0,
+    after the streams already there, instead of to its own slot."""
+    *kept, (slot3, _, *at) = rows
+    assert slot3 != 0
+    return kept + [(0, 1 + max(stream for s3, stream, *_ in kept if s3 == 0), *at)]
+
+
+@pytest.mark.parametrize("phase, mutant", [(1, _drop_last_row), (2, _misdeal_last_row)],
+                         ids=["dropped-row", "misdealt-row"])
+def test_schedule_mutants_show_the_same_deficit(phase, mutant, monkeypatch):
+    """A schedule defect: one overheard row dropped from the payload, or one
+    row dealt to the wrong phase-three slot. The exact rank and an SVD rank
+    of the same mutated system find the same deficit of one equation for
+    that phase's receiver on every trial, and ``rank_check_campaign``
+    counts no pass for it."""
+    plan = plan_schedule(MUTATED, corner_weight(MUTATED))
+    assert (plan.tau1, plan.tau2, plan.tau3) == (4, 1, 2)
+    payload_rows = simulate._payload_rows
+
+    def mutated(plan_, cfg_, phase_):
+        rows = payload_rows(plan_, cfg_, phase_)
+        return mutant(rows) if phase_ == phase else rows
+
+    monkeypatch.setattr(simulate, "_payload_rows", mutated)
+    geom = simulate._PlanGeometry(MUTATED, plan)
+    params = SimParams((30.0, 40.0), trials=50, seed=9)
+    units, real = next(simulate._draws(geom, params.seed, params.trials, 1, 1))
+    assert len(units) == params.trials
+    exact, svd = simulate._ranks(geom, real), svd_ranks(geom, real)
+    symbols = (plan.s1_count, plan.s2_count)
+    for i in (0, 1):
+        assert exact[i].tolist() == svd[i].tolist()
+        assert (symbols[i] - svd[i]).tolist() == [int(i == phase - 1)] * params.trials
+    passes = tuple(int(np.count_nonzero(svd[i] == symbols[i])) for i in (0, 1))
+    assert rank_check_campaign(MUTATED, plan, params) == passes
+    assert passes[phase - 1] == 0
+
+
+def test_rank_beyond_forty_slots():
+    """Criterion 10 covers the grid's corner plans up to 40 slots; the rest,
+    122 plans of 41 to 319 slots, reach full rank on both receivers too."""
+    one = SimParams((30.0, 40.0), trials=1, seed=2024)
+    slots = []
+    for cfg, plan in grid_plans():
+        if cfg.n2 >= cfg.m or plan.total_slots <= 40:
+            continue
+        assert rank_check_campaign(cfg, plan, one) == (1, 1), cfg
+        slots.append(plan.total_slots)
+    assert (len(slots), min(slots), max(slots)) == (122, 41, 319)
