@@ -351,6 +351,53 @@ class TestSlotRank:
         grid = kernels.slot_rank_stacked(own.reshape(2, 3, 2, 1, 3), coupled.reshape(2, 3, 4, 6))
         assert grid.shape == (2, 3) and grid.ravel().tolist() == flat.tolist()
 
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 2), (3, 2, 2), (1, 2, 4)])
+    def test_repeated_coupling_row_is_not_undercounted(self, shape):
+        """No own rows and k + 1 coupling rows, the second a multiple of the
+        first: full rank k, though the first k rows alone are singular."""
+        rng = np.random.default_rng(3650)
+        slots, rows, width = shape
+        k = slots * width
+        own = np.zeros((20, slots, rows, width), dtype=np.int64)
+        coupled = rng.integers(0, 1000, (20, k + 1, k))
+        coupled[:, 1] = 3 * coupled[:, 0]
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [k] * 20
+        assert fraction_ranks(own[:4], coupled[:4]) == [k] * 4
+
+    @pytest.mark.parametrize(
+        "slots, width, n3", [(2, 3, 4), (1, 2, 5), (2, 2, 4)], ids=["wide", "tall", "square"]
+    )
+    def test_wide_tall_and_square_p_n(self, slots, width, n3):
+        """Coupling rows P over zero slot blocks, so P N = P, of each shape
+        that the elimination of P N meets: generic, so full rank; its last
+        row or column the sum of the others, so one short; and zero."""
+        rng = np.random.default_rng(3660)
+        k = slots * width
+        m = min(k, n3)
+        coupled = rng.integers(0, 1000, (3, n3, k))
+        if n3 <= k:
+            coupled[1, -1] = coupled[1, :-1].sum(axis=0)
+        else:
+            coupled[1, :, -1] = coupled[1, :, :-1].sum(axis=-1)
+        coupled[2] = 0
+        own = np.zeros((3, slots, 1, width), dtype=np.int64)
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [m, m - 1, 0]
+        assert fraction_ranks(own, coupled) == [m, m - 1, 0]
+
+    @pytest.mark.parametrize("where", ["slot-block", "coupling"])
+    def test_rank_mod_p_falls_where_p_divides_a_minor(self, where):
+        """The one-sided bound: [[2, 1], [1, (p + 1) / 2]] has determinant
+        p, so rank 2 over the rationals but 1 mod p, in a slot block and in
+        P N alike; mod the other prime it has rank 2 again."""
+        minor = np.array([[2, 1], [1, (P + 1) // 2]], dtype=np.int64)
+        if where == "slot-block":
+            own, coupled = minor[None, None], None
+        else:
+            own, coupled = np.zeros((1, 1, 0, 2), dtype=np.int64), minor[None]
+        assert fraction_ranks(own, coupled) == [2]
+        assert kernels.slot_rank_stacked(own, coupled).tolist() == [1]
+        assert kernels.slot_rank_stacked(own, coupled, kernels.PRIMES[1]).tolist() == [2]
+
     def test_coupling_shape_checked(self):
         own, coupled = integer_system(np.random.default_rng(3700), 2, 2, 2, 2, 2)
         with pytest.raises(ValueError, match="columns"):

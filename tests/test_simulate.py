@@ -1466,6 +1466,21 @@ class TestSlotRankParity:
             assert deficient > 0
 
 
+@pytest.mark.parametrize("cfg", CAMPAIGN_CONFIGS, ids=str)
+def test_rank_path_calls_no_float_factorization(cfg, monkeypatch):
+    """Every member of the campaign plans' rank chunks reaches full rank
+    over GF(p), and no SVD, QR or Cholesky runs on the way."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a float factorization ran in the rank fidelity")
+
+    for name in ("svd", "qr", "cholesky", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    plan = plan_schedule(cfg, corner_weight(cfg))
+    params = SimParams((30.0, 60.0), trials=1500, seed=1)
+    assert rank_check_campaign(cfg, plan, params) == (1500, 1500)
+
+
 # M3/N2/N1 at its corner: tau = (4, 1, 2), and phase two deals one row to
 # each phase-three slot, where receiver two has one antenna.
 MUTATED = SystemConfig(3, 2, 1)
