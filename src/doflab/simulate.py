@@ -7,7 +7,8 @@ Rayleigh channel draws and measures two fidelities:
   coefficients, does every receiver end up with a full-column-rank linear
   system for its symbols? This validates the schedule combinatorics
   (stream loading, phase-three chunk dealing) independent of SNR,
-  exactly: over GF(p), from residues of the drawn channels (``_ranks``).
+  exactly: over GF(p), from residues of raw 64-bit words drawn per
+  channel entry (``_ranks``).
 
 * **rate** -- finite-SNR mutual information. CSIT imperfection is modeled
   by feeding back each channel coefficient through a uniform quantizer
@@ -21,10 +22,12 @@ Rayleigh channel draws and measures two fidelities:
 
 Symbols and noise have unit power; a slot's transmit power ``rho`` is
 split evenly over the streams it carries, so SNR means exactly ``rho``.
-Trial ``t`` of a campaign draws its channels from exactly the stream of
-``numpy.random.default_rng([seed, t])``; ``gen_channels`` reproduces
-numpy's seeding for a whole batch of trials at once. Identical parameters
-reproduce identical reports, whatever the batching.
+Trial ``t`` of a campaign draws from exactly the stream of
+``numpy.random.default_rng([seed, t])``: the rate fidelity its normals
+(``gen_channels``), the rank fidelity its raw 64-bit words
+(``_channel_words``). ``_stream_rows`` reproduces numpy's seeding for a
+whole batch of trials at once. Identical parameters reproduce identical
+reports, whatever the batching.
 """
 
 from __future__ import annotations
@@ -119,7 +122,8 @@ class ChannelRealization:
     """Per-slot channel matrices.
 
     ``h1``/``h2`` have shape (slots, N_i, M), with leading batch axes for a
-    stack of draws.
+    stack of draws. The rank fidelity's draw (``_channel_words``) holds the
+    raw uint64 words of the channel entries its systems read instead.
     """
 
     h1: np.ndarray
@@ -268,6 +272,24 @@ def _entropy_words(seed) -> list[int]:
     return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
+def _stream_rows(seed, trials, width: int, dtype, fill) -> np.ndarray:
+    """Rows of ``width`` entries of ``dtype``, one per row seed: ``seed``
+    with ``trials=None``, else ``[seed, trials[i]]`` for row i. ``fill(bits,
+    row)`` writes each row from ``bits``, the ``PCG64`` that
+    ``numpy.random.default_rng(row_seed)`` holds. numpy's ``SeedSequence``
+    hash runs for all rows of one word count at once, and each row's state
+    words seed its own ``PCG64`` through ``_Words``."""
+    head = np.array(_entropy_words(seed), dtype=np.uint32)
+    words, counts = (np.zeros((1, 0), np.uint32), np.array([0])) if trials is None else _trial_words(trials)
+    out = np.empty((len(counts), width), dtype=dtype)
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        entropy = np.hstack([np.tile(head, (len(rows), 1)), words[rows, :count]])
+        for row, state in zip(rows, _seed_state_words(entropy)):
+            fill(np.random.PCG64(_Words(state)), out[row])
+    return out
+
+
 def gen_channels(cfg: SystemConfig, total_slots: int, seed, trials=None) -> ChannelRealization:
     """Draw i.i.d. unit-variance complex Gaussian channels for both users.
 
@@ -277,25 +299,17 @@ def gen_channels(cfg: SystemConfig, total_slots: int, seed, trials=None) -> Chan
     exactly ``gen_channels(cfg, total_slots, [seed, trials[i]])``, so the
     campaigns' trials are independent but reproducible in any batching.
 
-    A row draws from exactly ``numpy.random.default_rng(row_seed)``'s stream:
-    numpy's ``SeedSequence`` hash runs for all rows of one word count at
-    once, and each row's state words seed a ``PCG64`` of its own. A stream
-    fills the real and imaginary parts of ``h1``, then of ``h2``, in turn.
+    A row draws from exactly ``numpy.random.default_rng(row_seed)``'s stream
+    (``_stream_rows``), which fills the real and imaginary parts of ``h1``,
+    then of ``h2``, in turn.
     """
     if total_slots < 1:
         raise ValueError("total_slots must be positive")
-    head = np.array(_entropy_words(seed), dtype=np.uint32)
-    words, counts = (np.zeros((1, 0), np.uint32), np.array([0])) if trials is None else _trial_words(trials)
-    shape1, shape2 = ((len(counts), total_slots, n, cfg.m) for n in (cfg.n1, cfg.n2))
-    size1, size2 = math.prod(shape1[1:]), math.prod(shape2[1:])
-    raw = np.empty((len(counts), 2 * (size1 + size2)))
-    for count in set(counts.tolist()):
-        rows = np.flatnonzero(counts == count)
-        entropy = np.hstack([np.tile(head, (len(rows), 1)), words[rows, :count]])
-        for row, state in zip(rows, _seed_state_words(entropy)):
-            np.random.Generator(np.random.PCG64(_Words(state))).standard_normal(out=raw[row])
+    size1, size2 = (total_slots * n * cfg.m for n in (cfg.n1, cfg.n2))
+    raw = _stream_rows(seed, trials, 2 * (size1 + size2), np.float64,
+                       lambda bits, row: np.random.Generator(bits).standard_normal(out=row))
     re1, im1, re2, im2 = np.split(raw, np.cumsum([size1, size1, size2]), axis=1)
-    h1, h2 = np.empty(shape1, dtype=complex), np.empty(shape2, dtype=complex)
+    h1, h2 = (np.empty((len(raw), total_slots, n, cfg.m), dtype=complex) for n in (cfg.n1, cfg.n2))
     for h, re, im in ((h1, re1, im1), (h2, re2, im2)):
         h.real, h.imag = re.reshape(h.shape), im.reshape(h.shape)
         h *= 1 / np.sqrt(2)  # complex / np.sqrt(2) multiplies by this too: the same bits
@@ -514,37 +528,61 @@ class _PlanGeometry:
         return 16 * total
 
     def trial_bytes(self) -> int:
-        """Bytes of one trial's rank working set, in int64 residues: its draw
-        and, for the larger receiver, with s = slots * width and f = width - N
-        free columns per slot, its phase-three rows P (n3, s) twice, its slot
-        blocks (N, s) and P N (n3, slots * f) twice; plus 256 bytes of pivots
-        and indices. On the benchmark's campaign plans a full rank chunk's
-        traced peak is 0.90 to 1.51 times this count."""
+        """Bytes of one trial's rank working set, 8 per word or int64
+        residue: its raw words (``_channel_words``) and one copy of their
+        residues and, for the larger receiver, with s = slots * width and
+        f = width - N free columns per slot, its phase-three rows P (n3, s)
+        twice, its slot blocks (N, s) and P N (n3, slots * f) twice; plus
+        256 bytes of pivots and indices. On the benchmark's campaign plans a
+        full rank chunk's traced peak, its draw included, is 0.95 to 1.41
+        times this count."""
         draw = self.plan.total_slots * (self.cfg.n1 + self.cfg.n2) * self.columns
         most = max(2 * n3 * slots * width + n * slots * width + 2 * n3 * slots * max(0, width - n)
                    for n, n3, slots, width in self._receivers())
-        return 8 * (draw + most) + 256
+        return 8 * (2 * draw + most) + 256
 
     def draw_bytes(self) -> int:
-        """Bytes of one trial's channel draw at all M columns: the float64
-        normals (16 bytes per complex entry) and the complex channels."""
+        """Bytes of one trial's rate channel draw at all M columns: the
+        float64 normals (16 bytes per complex entry) and the complex
+        channels."""
         cfg = self.cfg
         return 32 * self.plan.total_slots * (cfg.n1 + cfg.n2) * cfg.m
 
 
-def _draws(geom: _PlanGeometry, seed: int, count: int, per_trial: int, unit_bytes: int):
+def _channel_words(geom: _PlanGeometry, seed: int, trials: np.ndarray) -> ChannelRealization:
+    """The rank fidelity's draw of ``trials``: per trial, the first
+    ``total_slots * (N1 + N2) * geom.columns`` raw 64-bit words of the stream
+    whose normals ``gen_channels`` reads (``_stream_rows``), as uint64
+    (B, slots, N_i, columns) arrays, ``h1``'s words first."""
+    cfg, slots, columns = geom.cfg, geom.plan.total_slots, geom.columns
+    size1 = slots * cfg.n1 * columns
+    raw = _stream_rows(seed, trials, size1 + slots * cfg.n2 * columns, np.uint64,
+                       lambda bits, row: np.copyto(row, bits.random_raw(len(row))))
+    return ChannelRealization(raw[:, :size1].reshape(-1, slots, cfg.n1, columns),
+                              raw[:, size1:].reshape(-1, slots, cfg.n2, columns))
+
+
+def _draws(geom: _PlanGeometry, seed: int, count: int, per_trial: int, unit_bytes: int,
+           words: bool = False):
     """Chunks of a campaign of ``count`` trials, ``per_trial`` units each
     (its (trial, SNR) pairs, or its trials) of ``unit_bytes``: yields each
     chunk's unit indices, consecutive in ``range(count * per_trial)``, and
-    the channels of their trials ``units // per_trial`` on a leading axis.
+    the channels of their trials ``units // per_trial`` on a leading axis,
+    or with ``words`` (one unit per trial) their ``_channel_words``.
 
-    A chunk holds as many units as fit ``CHUNK_BYTES``, at least one. The
-    trials are drawn ahead in blocks, each one ``gen_channels`` call cut to
-    the first ``geom.columns`` columns, of as many trials as fit their
+    A chunk holds as many units as fit ``CHUNK_BYTES``, at least one. Words
+    count in ``unit_bytes``, so each chunk draws its own. Channels are
+    drawn ahead in blocks, each one ``gen_channels`` call cut to the first
+    ``geom.columns`` columns, of as many trials as fit their
     ``draw_bytes()`` there (at least one), rounded down to whole chunks
     where chunks are whole trials. No chunk straddles two blocks.
     """
     size = max(1, CHUNK_BYTES // max(unit_bytes, 1))
+    if words:
+        for first in range(0, count, size):
+            trials = np.arange(first, min(first + size, count))
+            yield trials, _channel_words(geom, seed, trials)
+        return
     block = max(1, CHUNK_BYTES // max(geom.draw_bytes(), 1))
     if size % per_trial == 0:
         whole = size // per_trial
@@ -591,32 +629,30 @@ def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
     return PhaseMatrices(*stacks)
 
 
-def _residues(h: np.ndarray, p: int) -> np.ndarray:
-    """Each complex entry of ``h`` as an int64 residue mod ``p``: the xor of
-    its real and imaginary parts' float64 bit patterns, mod p."""
-    return ((h.real.view(np.uint64) ^ h.imag.view(np.uint64)) % np.uint64(p)).astype(np.int64)
-
-
-def _ranks(geom: _PlanGeometry, realization: ChannelRealization) -> list[np.ndarray]:
-    """Per-receiver exact ranks of the idealized systems of draws stacked on
-    one leading axis. The order-2 coefficients are the true channel rows
-    and the cross part cancels exactly, so a deficient rank isolates a
-    schedule defect. System entries are polynomials of degree at most 2 in
-    the channel entries, so each drawn entry becomes a residue mod p
-    (``_residues``) before the phases are laid out, which keeps the entries
-    rows share, and each receiver takes one ``kernels.slot_rank_stacked``.
+def _ranks(geom: _PlanGeometry, words: ChannelRealization) -> list[np.ndarray]:
+    """Per-receiver exact ranks of the idealized systems of channel words
+    (``_channel_words``) stacked on one leading axis. The order-2
+    coefficients are the true channel rows and the cross part cancels
+    exactly, so a deficient rank isolates a schedule defect. System entries
+    are polynomials of degree at most 2 in the channel entries, so each
+    entry is its word's residue mod p, taken before the phases are laid
+    out, which keeps the entries rows share, and each receiver takes one
+    ``kernels.slot_rank_stacked``.
 
     A rank mod p never exceeds the generic rank. A full-rank system of n
     symbols has an n x n minor of degree at most 2 n, nonzero mod p, so by
     the Schwartz-Zippel lemma a false deficit has probability at most 2 n /
-    p per receiver and trial, up to the bit map's non-uniformity. Members
+    p per receiver and trial for uniform residues. A uniform 64-bit word
+    reduced mod p takes each residue with a probability within a relative
+    p / 2**64 of 1 / p, so the bound grows by that share at most. Members
     deficient under the first of ``kernels.PRIMES`` are recounted under the
     second, and keep the larger rank."""
     symbols = (geom.plan.s1_count, geom.plan.s2_count)
-    ranks = [np.zeros(len(realization.h1), dtype=np.int64) for _ in symbols]
+    ranks = [np.zeros(len(words.h1), dtype=np.int64) for _ in symbols]
     todo = slice(None)
     for p in kernels.PRIMES:
-        h = [_residues(each[todo], p) for each in (realization.h1, realization.h2)]
+        # below 2**25, so the uint64 residues read the same as int64
+        h = [(each[todo] % np.uint64(p)).view(np.int64) for each in (words.h1, words.h2)]
         for i, phase in enumerate(geom.phases):
             rows = None
             if geom.slots3:
@@ -640,9 +676,10 @@ def rank_check_campaign(
     failure isolates a schedule defect (not enough equations routed to the
     receiver) rather than an SNR effect.
 
-    The trials run in stacked chunks from ``_draws``, ``trial_bytes()`` each.
-    More trials than ``estimate_rates`` takes on its smallest grid, two
-    points, raise ``PlanTooLarge`` before anything is drawn.
+    The trials run in stacked chunks from ``_draws``, ``trial_bytes()`` each,
+    on raw channel words (``_channel_words``). More trials than
+    ``estimate_rates`` takes on its smallest grid, two points, raise
+    ``PlanTooLarge`` before anything is drawn.
     """
     geom = _PlanGeometry(cfg, plan)
     most = MAX_PAIR_BYTES // 32  # 16 bytes of rates per pair, two pairs per trial
@@ -651,8 +688,8 @@ def rank_check_campaign(
                            "rate fidelity takes at two SNR points")
     symbols = (plan.s1_count, plan.s2_count)
     passes = [0, 0]
-    for _, real in _draws(geom, params.seed, params.trials, 1, geom.trial_bytes()):
-        for i, rank in enumerate(_ranks(geom, real)):
+    for _, words in _draws(geom, params.seed, params.trials, 1, geom.trial_bytes(), words=True):
+        for i, rank in enumerate(_ranks(geom, words)):
             passes[i] += int(np.count_nonzero(rank == symbols[i]))
     return passes[0], passes[1]
 

@@ -339,6 +339,57 @@ class TestGenChannels:
             ]
 
 
+class TestChannelWords:
+    """The rank fidelity's draw: trial t's words are the first raw words of
+    ``numpy.random.default_rng([seed, t])``'s bit generator, whatever the
+    batching."""
+
+    CFG = SystemConfig(5, 3, 2, F(1, 2), F(1, 3))
+
+    @staticmethod
+    def flat(words):
+        """The words of each trial, ``h1``'s then ``h2``'s, as one row."""
+        b = len(words.h1)
+        return np.concatenate([words.h1.reshape(b, -1), words.h2.reshape(b, -1)], axis=1)
+
+    @pytest.mark.parametrize("seed", [3, 2**40, 2**64 + 3])
+    def test_rows_are_the_streams_raw_words(self, seed):
+        """Trials of one entropy word and of two, mixed in one batch and
+        split into batches of one, three and all of them."""
+        plan = plan_schedule(self.CFG, corner_weight(self.CFG))
+        geom = simulate._PlanGeometry(self.CFG, plan)
+        slots, columns = plan.total_slots, geom.columns
+        n = slots * (self.CFG.n1 + self.CFG.n2) * columns
+        trials = [0, 1, 7, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 5]
+        for size in (1, 3, len(trials)):
+            for start in range(0, len(trials), size):
+                batch = np.array(trials[start : start + size], dtype=np.int64)
+                words = simulate._channel_words(geom, seed, batch)
+                assert words.h1.dtype == words.h2.dtype == np.uint64
+                assert words.h1.shape == (len(batch), slots, self.CFG.n1, columns)
+                assert words.h2.shape == (len(batch), slots, self.CFG.n2, columns)
+                for row, trial in zip(self.flat(words), batch.tolist()):
+                    want = np.random.default_rng([seed, trial]).bit_generator.random_raw(n)
+                    assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 5, 40])
+    def test_draws_chunk_the_words(self, per_chunk, monkeypatch):
+        """``_draws`` yields chunks of the trials that fit the budget, with
+        the one-trial words of each."""
+        plan = plan_schedule(self.CFG, corner_weight(self.CFG))
+        geom = simulate._PlanGeometry(self.CFG, plan)
+        n = plan.total_slots * (self.CFG.n1 + self.CFG.n2) * geom.columns
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", per_chunk * geom.trial_bytes())
+        chunks = []
+        for units, words in simulate._draws(geom, 4, 11, 1, geom.trial_bytes(), words=True):
+            chunks.append(units.tolist())
+            for row, trial in zip(self.flat(words), units.tolist()):
+                want = np.random.default_rng([4, trial]).bit_generator.random_raw(n)
+                assert np.array_equal(row, want)
+        assert chunks == [list(range(start, min(start + per_chunk, 11)))
+                          for start in range(0, 11, per_chunk)]
+
+
 def four_call_draw(cfg, slots, seed):
     """One trial's channels by four consecutive ``standard_normal`` calls:
     real and imaginary parts of h1, then of h2."""
@@ -542,6 +593,7 @@ class TestRankCheck:
             raise RuntimeError("drawn")
 
         monkeypatch.setattr(simulate, "gen_channels", drawn)
+        monkeypatch.setattr(simulate, "_channel_words", drawn)
         with pytest.raises(RuntimeError, match="^drawn$"):
             rank_check_campaign(cfg, plan, SimParams((20.0, 30.0), trials=most))
         for campaign in (rank_check_campaign, estimate_rates):
@@ -1074,22 +1126,26 @@ class TestBatchedEquivalence:
         block of consecutive trials, every trial once, and none at or past
         the trial count. A block holds as many trials as fit the draw
         budget, rounded down to whole chunks where chunks are whole trials,
-        so at most ceil(trials / block) calls where nothing is rounded."""
+        so at most ceil(trials / block) calls where nothing is rounded. The
+        rank fidelity's words count in its trial bytes, so its blocks are
+        its chunks."""
         calls = []
-        draw = simulate.gen_channels
+        rate = campaign is estimate_rates
+        name = "gen_channels" if rate else "_channel_words"
+        draw = getattr(simulate, name)
 
-        def counted(cfg_, total, seed, trials):
-            calls.append([int(t) for t in trials])
-            return draw(cfg_, total, seed, trials)
+        def counted(*args):
+            calls.append([int(t) for t in args[-1]])
+            return draw(*args)
 
-        monkeypatch.setattr(simulate, "gen_channels", counted)
+        monkeypatch.setattr(simulate, name, counted)
         for cfg in CAMPAIGN_CONFIGS:
             plan = plan_schedule(cfg, corner_weight(cfg))
             geom = simulate._PlanGeometry(cfg, plan)
-            block = max(1, simulate.CHUNK_BYTES // geom.draw_bytes())
-            params = SimParams((30.0, 40.0), trials=2 * block + 3, seed=7)
-            per_trial, unit = (2, geom.pair_bytes()) if campaign is estimate_rates else (1, geom.trial_bytes())
+            per_trial, unit = (2, geom.pair_bytes()) if rate else (1, geom.trial_bytes())
             chunk = max(1, simulate.CHUNK_BYTES // unit)
+            block = max(1, simulate.CHUNK_BYTES // (geom.draw_bytes() if rate else unit))
+            params = SimParams((30.0, 40.0), trials=2 * block + 3, seed=7)
             whole = chunk // per_trial if chunk % per_trial == 0 else 1
             drawn = block // whole * whole or block
             calls.clear()
@@ -1103,25 +1159,29 @@ class TestBatchedEquivalence:
             ], cfg
 
     def test_rank_chunks_tile_the_draw_blocks(self, monkeypatch):
-        """Drawing ahead adds no rank chunk, even where a rank chunk nearly
-        fills the draw budget: the blocks hold whole chunks."""
+        """Drawing adds no rank chunk: the trial bytes count the words, so
+        each rank chunk draws its own, in one call, and ranks them all."""
         cfg = SystemConfig(5, 3, 2)
         plan = plan_schedule(cfg, corner_weight(cfg))
         geom = simulate._PlanGeometry(cfg, plan)
         chunk = simulate.CHUNK_BYTES // geom.trial_bytes()
-        budget = simulate.CHUNK_BYTES // geom.draw_bytes()
-        assert chunk < budget < 2 * chunk
+        assert chunk > 5
         params = SimParams((30.0, 40.0), trials=3 * chunk + 5, seed=2)
-        sizes = []
-        ranks = simulate._ranks
+        sizes, drawn = [], []
+        ranks, words = simulate._ranks, simulate._channel_words
 
         def counted(geom_, real):
             sizes.append(len(real.h1))
             return ranks(geom_, real)
 
+        def recorded(geom_, seed_, trials_):
+            drawn.append(len(trials_))
+            return words(geom_, seed_, trials_)
+
         monkeypatch.setattr(simulate, "_ranks", counted)
+        monkeypatch.setattr(simulate, "_channel_words", recorded)
         assert rank_check_campaign(cfg, plan, params) == reference_rank_passes(cfg, plan, params)
-        assert sizes == [chunk] * 3 + [5]
+        assert sizes == drawn == [chunk] * 3 + [5]
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -1223,8 +1283,8 @@ CAMPAIGN_CONFIGS = [
     SystemConfig(5, 3, 2),
 ]
 # Measured peak / (units * bytes per unit) of a full chunk on these plans:
-# 0.95 to 1.20 for rate chunks, 0.90 to 1.51 for rank chunks (numpy 2.4,
-# x86-64); the bound leaves room on both sides.
+# 0.95 to 1.20 for rate chunks, 0.95 to 1.41 for rank chunks with their
+# draw (numpy 2.4, x86-64); the bound leaves room on both sides.
 PAIR_BYTES_FACTOR = 2.0
 
 
@@ -1252,11 +1312,16 @@ def test_pair_bytes_tracks_chunk_memory(cfg):
     budget = pairs * geom.pair_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
 
-    # a full rank chunk, which a draw block of fewer trials cuts short
-    trials = max(1, simulate.CHUNK_BYTES // max(geom.trial_bytes(), geom.draw_bytes()))
-    units, real = next(simulate._draws(geom, 1, trials, 1, geom.trial_bytes()))
-    assert len(units) == trials
-    peak = _traced_peak(lambda: simulate._ranks(geom, real))
+    # a full rank chunk, its words drawn inside the trace: trial_bytes()
+    # counts them
+    trials = max(1, simulate.CHUNK_BYTES // geom.trial_bytes())
+
+    def rank_chunk():
+        units, words = next(simulate._draws(geom, 1, trials, 1, geom.trial_bytes(), words=True))
+        assert len(units) == trials
+        simulate._ranks(geom, words)
+
+    peak = _traced_peak(rank_chunk)
     budget = trials * geom.trial_bytes()
     assert budget / PAIR_BYTES_FACTOR <= peak <= PAIR_BYTES_FACTOR * budget
 
@@ -1296,14 +1361,19 @@ WIDE = SystemConfig(simulate.CHUNK_BYTES // 128, 1, 1)
 def test_chunk_memory_bounded_in_m(campaign):
     """The campaigns keep only the channel columns their systems read and
     draw no more trials per chunk than fit the budget, so a wide M costs
-    at most two budgets plus two trials' draws."""
+    the rate fidelity at most two budgets plus two trials' draws. The rank
+    fidelity draws words for those columns alone, so its draw does not
+    grow with M: it stays below two budgets."""
     plan = plan_schedule(WIDE, corner_weight(WIDE))
     geom = simulate._PlanGeometry(WIDE, plan)
     assert geom.columns == 2 and geom.draw_bytes() > simulate.CHUNK_BYTES
     # the command line's default grid: seven SNR points per trial
     params = SimParams(tuple(30.0 + 5.0 * i for i in range(7)), trials=6, seed=1)
     peak = _traced_peak(lambda: campaign(WIDE, plan, params))
-    assert peak < 2 * simulate.CHUNK_BYTES + 2 * geom.draw_bytes()
+    if campaign is rank_check_campaign:
+        assert peak < 2 * simulate.CHUNK_BYTES
+    else:
+        assert peak < 2 * simulate.CHUNK_BYTES + 2 * geom.draw_bytes()
 
 
 @pytest.mark.parametrize("campaign", [estimate_rates, rank_check_campaign])
@@ -1409,6 +1479,14 @@ def svd_ranks(geom, real):
     return ranks
 
 
+def float_words(real):
+    """The words of a float draw, for ranks of the same systems in floats
+    and over GF(p): per complex entry, the xor of its real and imaginary
+    parts' float64 bit patterns."""
+    return ChannelRealization(*(h.real.view(np.uint64) ^ h.imag.view(np.uint64)
+                                for h in (real.h1, real.h2)))
+
+
 class TestSlotRankParity:
     """The campaigns' exact rank over GF(p) equals an SVD rank of the same
     layout in floats on the campaign plans, both with the overheard rows the
@@ -1425,7 +1503,8 @@ class TestSlotRankParity:
         units, real = next(simulate._draws(geom, 5, 6, 1, 1))
         assert units.tolist() == list(range(6))
         floats = (real.h1, real.h2)
-        residues = tuple(simulate._residues(h, p) for h in floats)
+        words = float_words(real)
+        residues = tuple((h % np.uint64(p)).view(np.int64) for h in (words.h1, words.h2))
         deficient = 0
         for i, phase in enumerate(geom.phases):
             if not geom.slots3:
@@ -1469,13 +1548,15 @@ class TestSlotRankParity:
 @pytest.mark.parametrize("cfg", CAMPAIGN_CONFIGS, ids=str)
 def test_rank_path_calls_no_float_factorization(cfg, monkeypatch):
     """Every member of the campaign plans' rank chunks reaches full rank
-    over GF(p), and no SVD, QR or Cholesky runs on the way."""
+    over GF(p), and no SVD, QR or Cholesky runs on the way, nor any
+    Gaussian draw."""
 
     def refused(*args, **kwargs):
-        raise AssertionError("a float factorization ran in the rank fidelity")
+        raise AssertionError("a float factorization or draw ran in the rank fidelity")
 
     for name in ("svd", "qr", "cholesky", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, refused)
+    monkeypatch.setattr(simulate, "gen_channels", refused)
     plan = plan_schedule(cfg, corner_weight(cfg))
     params = SimParams((30.0, 60.0), trials=1500, seed=1)
     assert rank_check_campaign(cfg, plan, params) == (1500, 1500)
@@ -1520,7 +1601,7 @@ def test_schedule_mutants_show_the_same_deficit(phase, mutant, monkeypatch):
     params = SimParams((30.0, 40.0), trials=50, seed=9)
     units, real = next(simulate._draws(geom, params.seed, params.trials, 1, 1))
     assert len(units) == params.trials
-    exact, svd = simulate._ranks(geom, real), svd_ranks(geom, real)
+    exact, svd = simulate._ranks(geom, float_words(real)), svd_ranks(geom, real)
     symbols = (plan.s1_count, plan.s2_count)
     for i in (0, 1):
         assert exact[i].tolist() == svd[i].tolist()
