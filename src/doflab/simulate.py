@@ -22,12 +22,11 @@ Rayleigh channel draws and measures two fidelities:
 
 Symbols and noise have unit power; a slot's transmit power ``rho`` is
 split evenly over the streams it carries, so SNR means exactly ``rho``.
-Trial ``t`` of a campaign draws from exactly the stream of
-``numpy.random.default_rng([seed, t])``: the rate fidelity its normals
-(``gen_channels``), the rank fidelity its raw 64-bit words
-(``_channel_words``). ``_stream_rows`` reproduces numpy's seeding for a
-whole batch of trials at once. Identical parameters reproduce identical
-reports, whatever the batching.
+Trial ``t`` of the rate fidelity draws its normals from exactly the stream
+of ``numpy.random.default_rng([seed, t])``, seeded a batch at a time
+(``_stream_rows``); rank trial ``t`` reads the t-th stretch of raw 64-bit
+words of one PCG64 stream per campaign (``_channel_words``). Identical
+parameters reproduce identical reports, whatever the batching.
 """
 
 from __future__ import annotations
@@ -122,8 +121,8 @@ class ChannelRealization:
     """Per-slot channel matrices.
 
     ``h1``/``h2`` have shape (slots, N_i, M), with leading batch axes for a
-    stack of draws. The rank fidelity's draw (``_channel_words``) holds the
-    raw uint64 words of the channel entries its systems read instead.
+    stack of draws. The rank draw (``_channel_words``) holds instead raw
+    uint64 words, one per entry its systems read, from one campaign stream.
     """
 
     h1: np.ndarray
@@ -272,21 +271,20 @@ def _entropy_words(seed) -> list[int]:
     return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _stream_rows(seed, trials, width: int, dtype, fill) -> np.ndarray:
-    """Rows of ``width`` entries of ``dtype``, one per row seed: ``seed``
-    with ``trials=None``, else ``[seed, trials[i]]`` for row i. ``fill(bits,
-    row)`` writes each row from ``bits``, the ``PCG64`` that
-    ``numpy.random.default_rng(row_seed)`` holds. numpy's ``SeedSequence``
-    hash runs for all rows of one word count at once, and each row's state
-    words seed its own ``PCG64`` through ``_Words``."""
+def _stream_rows(seed, trials, width: int) -> np.ndarray:
+    """Rows of ``width`` float64 normals, one per row seed: ``seed`` with
+    ``trials=None``, else ``[seed, trials[i]]`` for row i, each row exactly
+    ``numpy.random.default_rng(row_seed).standard_normal(width)``. numpy's
+    ``SeedSequence`` hash runs for all rows of one word count at once, and
+    each row's state words seed its own ``PCG64`` through ``_Words``."""
     head = np.array(_entropy_words(seed), dtype=np.uint32)
     words, counts = (np.zeros((1, 0), np.uint32), np.array([0])) if trials is None else _trial_words(trials)
-    out = np.empty((len(counts), width), dtype=dtype)
+    out = np.empty((len(counts), width))
     for count in set(counts.tolist()):
         rows = np.flatnonzero(counts == count)
         entropy = np.hstack([np.tile(head, (len(rows), 1)), words[rows, :count]])
         for row, state in zip(rows, _seed_state_words(entropy)):
-            fill(np.random.PCG64(_Words(state)), out[row])
+            np.random.Generator(np.random.PCG64(_Words(state))).standard_normal(out=out[row])
     return out
 
 
@@ -306,8 +304,7 @@ def gen_channels(cfg: SystemConfig, total_slots: int, seed, trials=None) -> Chan
     if total_slots < 1:
         raise ValueError("total_slots must be positive")
     size1, size2 = (total_slots * n * cfg.m for n in (cfg.n1, cfg.n2))
-    raw = _stream_rows(seed, trials, 2 * (size1 + size2), np.float64,
-                       lambda bits, row: np.random.Generator(bits).standard_normal(out=row))
+    raw = _stream_rows(seed, trials, 2 * (size1 + size2))
     re1, im1, re2, im2 = np.split(raw, np.cumsum([size1, size1, size2]), axis=1)
     h1, h2 = (np.empty((len(raw), total_slots, n, cfg.m), dtype=complex) for n in (cfg.n1, cfg.n2))
     for h, re, im in ((h1, re1, im1), (h2, re2, im2)):
@@ -484,30 +481,29 @@ class _PlanGeometry:
     phases (``phases``, a ``_Phase`` each, in ``scheme``'s slot layout) and
     phase three's grid, sized by ``order2_payload``'s closed form."""
 
-    def __init__(self, cfg: SystemConfig, plan: SchedulePlan):
+    def __init__(self, cfg: SystemConfig, plan: SchedulePlan, rank: bool = False):
         self.cfg = cfg
         self.plan = plan
         payload = order2_payload(plan, cfg)  # validates feasibility
         self.slots3 = min(payload.length, plan.tau3)  # phase-three slots that carry streams
-        # sized from the plan's integers alone, before any per-slot list or array
-        for size, unit in ((self.pair_bytes(), "(trial, SNR) pair"),
-                           (self.draw_bytes(), "trial's channel draw")):
-            if size > MAX_PAIR_BYTES:
-                tau = ", ".join(map(_digits, (plan.tau1, plan.tau2, plan.tau3)))
-                raise PlanTooLarge(
-                    f"plan with tau [{tau}] needs {_over(size)} per {unit}; "
-                    f"the cap is {MAX_PAIR_BYTES >> 30} GiB"
-                )
         # phase three's grid holds slot t's streams in row t, padded to
         # the streams of the fullest slot
         self.streams3 = payload.per_slot_streams
+        # channel columns any system reads
+        self.columns = max(self.streams3, *(width for *_, width in self._receivers()))
+        # sized from the plan's integers alone, before any per-slot list or array
+        for size, unit in ((self.pair_bytes(), "(trial, SNR) pair"),
+                           (self.trial_bytes(), "trial's rank working set") if rank else
+                           (self.draw_bytes(), "trial's channel draw")):
+            if size > MAX_PAIR_BYTES:
+                tau = ", ".join(map(_digits, (plan.tau1, plan.tau2, plan.tau3)))
+                raise PlanTooLarge(f"plan with tau [{tau}] needs {_over(size)} per {unit}; "
+                                   f"the cap is {MAX_PAIR_BYTES >> 30} GiB")
         grid = (self.slots3, self.streams3)
         self.phases = (_Phase(plan, cfg, 1, grid), _Phase(plan, cfg, 2, grid))
         base3 = plan.tau1 + plan.tau2
         self.phase3 = slice(base3, base3 + self.slots3)
         self.slot_streams = np.maximum(*(phase.live.sum(axis=1) for phase in self.phases)).astype(float)
-        # channel columns any system reads
-        self.columns = max(self.phases[0].width, self.phases[1].width, self.streams3)
 
     def _receivers(self):
         """Per receiver: antennas N, phase-three rows n3, own-phase slots and
@@ -549,15 +545,17 @@ class _PlanGeometry:
         return 32 * self.plan.total_slots * (cfg.n1 + cfg.n2) * cfg.m
 
 
-def _channel_words(geom: _PlanGeometry, seed: int, trials: np.ndarray) -> ChannelRealization:
-    """The rank fidelity's draw of ``trials``: per trial, the first
-    ``total_slots * (N1 + N2) * geom.columns`` raw 64-bit words of the stream
-    whose normals ``gen_channels`` reads (``_stream_rows``), as uint64
+def _channel_words(geom: _PlanGeometry, seed: int, first: int, count: int) -> ChannelRealization:
+    """The rank fidelity's draw of ``count`` trials from ``first`` on: trial t
+    reads words ``t * n .. (t + 1) * n - 1`` of the campaign's one PCG64
+    stream, n = ``total_slots * (N1 + N2) * geom.columns``, as uint64
     (B, slots, N_i, columns) arrays, ``h1``'s words first."""
     cfg, slots, columns = geom.cfg, geom.plan.total_slots, geom.columns
-    size1 = slots * cfg.n1 * columns
-    raw = _stream_rows(seed, trials, size1 + slots * cfg.n2 * columns, np.uint64,
-                       lambda bits, row: np.copyto(row, bits.random_raw(len(row))))
+    size1, n = slots * cfg.n1 * columns, slots * (cfg.n1 + cfg.n2) * columns
+    # a spawned child: SeedSequence pads short entropy with zeros, so
+    # SeedSequence(seed)'s stream is default_rng([seed, 0])'s, rate trial 0's
+    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).advance(first * n)
+    raw = bits.random_raw(count * n).reshape(count, n)
     return ChannelRealization(raw[:, :size1].reshape(-1, slots, cfg.n1, columns),
                               raw[:, size1:].reshape(-1, slots, cfg.n2, columns))
 
@@ -571,7 +569,7 @@ def _draws(geom: _PlanGeometry, seed: int, count: int, per_trial: int, unit_byte
     or with ``words`` (one unit per trial) their ``_channel_words``.
 
     A chunk holds as many units as fit ``CHUNK_BYTES``, at least one. Words
-    count in ``unit_bytes``, so each chunk draws its own. Channels are
+    count in ``unit_bytes``, so each chunk reads its own. Channels are
     drawn ahead in blocks, each one ``gen_channels`` call cut to the first
     ``geom.columns`` columns, of as many trials as fit their
     ``draw_bytes()`` there (at least one), rounded down to whole chunks
@@ -581,7 +579,7 @@ def _draws(geom: _PlanGeometry, seed: int, count: int, per_trial: int, unit_byte
     if words:
         for first in range(0, count, size):
             trials = np.arange(first, min(first + size, count))
-            yield trials, _channel_words(geom, seed, trials)
+            yield trials, _channel_words(geom, seed, first, len(trials))
         return
     block = max(1, CHUNK_BYTES // max(geom.draw_bytes(), 1))
     if size % per_trial == 0:
@@ -631,13 +629,13 @@ def build_phase_matrices(realization: ChannelRealization, plan: SchedulePlan,
 
 def _ranks(geom: _PlanGeometry, words: ChannelRealization) -> list[np.ndarray]:
     """Per-receiver exact ranks of the idealized systems of channel words
-    (``_channel_words``) stacked on one leading axis. The order-2
-    coefficients are the true channel rows and the cross part cancels
-    exactly, so a deficient rank isolates a schedule defect. System entries
-    are polynomials of degree at most 2 in the channel entries, so each
-    entry is its word's residue mod p, taken before the phases are laid
-    out, which keeps the entries rows share, and each receiver takes one
-    ``kernels.slot_rank_stacked``.
+    (``_channel_words``, a stretch of one stream per trial) on one leading
+    axis. The order-2 coefficients are the true channel rows and the cross
+    part cancels exactly, so a deficient rank isolates a schedule defect.
+    System entries are polynomials of degree at most 2 in the channel
+    entries, so each entry is its word's residue mod p, taken before the
+    phases are laid out, which keeps the entries rows share, and each
+    receiver takes one ``kernels.slot_rank_stacked``.
 
     A rank mod p never exceeds the generic rank. A full-rank system of n
     symbols has an n x n minor of degree at most 2 n, nonzero mod p, so by
@@ -677,11 +675,12 @@ def rank_check_campaign(
     receiver) rather than an SNR effect.
 
     The trials run in stacked chunks from ``_draws``, ``trial_bytes()`` each,
-    on raw channel words (``_channel_words``). More trials than
-    ``estimate_rates`` takes on its smallest grid, two points, raise
+    on raw words of one PCG64 stream (``_channel_words``). A plan whose
+    ``pair_bytes()`` or ``trial_bytes()`` passes the cap, or more trials
+    than ``estimate_rates`` takes on its smallest grid, two points, raise
     ``PlanTooLarge`` before anything is drawn.
     """
-    geom = _PlanGeometry(cfg, plan)
+    geom = _PlanGeometry(cfg, plan, rank=True)
     most = MAX_PAIR_BYTES // 32  # 16 bytes of rates per pair, two pairs per trial
     if params.trials > most:
         raise PlanTooLarge(f"{params.trials} trials are more than {most}, the most the "

@@ -340,9 +340,9 @@ class TestGenChannels:
 
 
 class TestChannelWords:
-    """The rank fidelity's draw: trial t's words are the first raw words of
-    ``numpy.random.default_rng([seed, t])``'s bit generator, whatever the
-    batching."""
+    """The rank fidelity's draw: trial t's words are the words t * n ..
+    (t + 1) * n - 1 of one PCG64 stream per campaign, seeded by the first
+    child that ``SeedSequence(seed)`` spawns, whatever the batching."""
 
     CFG = SystemConfig(5, 3, 2, F(1, 2), F(1, 3))
 
@@ -352,25 +352,44 @@ class TestChannelWords:
         b = len(words.h1)
         return np.concatenate([words.h1.reshape(b, -1), words.h2.reshape(b, -1)], axis=1)
 
+    @staticmethod
+    def stream_words(seed, trial, n):
+        """Trial ``trial``'s n words, from a fresh generator of the stream
+        jumped ahead past the earlier trials' words."""
+        bits = np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0])
+        bits.advance(trial * n)
+        return bits.random_raw(n)
+
     @pytest.mark.parametrize("seed", [3, 2**40, 2**64 + 3])
     def test_rows_are_the_streams_raw_words(self, seed):
-        """Trials of one entropy word and of two, mixed in one batch and
-        split into batches of one, three and all of them."""
+        """Batches of one, three and eight trials, starting at each listed
+        trial, below 2**32, at it and past it: every row is its trial's words
+        of the stream, checked row by row against a fresh generator. The
+        first eight trials are also checked against reading through the
+        stream without a jump, and the stream is none of the rate
+        fidelity's."""
         plan = plan_schedule(self.CFG, corner_weight(self.CFG))
         geom = simulate._PlanGeometry(self.CFG, plan)
         slots, columns = plan.total_slots, geom.columns
         n = slots * (self.CFG.n1 + self.CFG.n2) * columns
         trials = [0, 1, 7, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 5]
         for size in (1, 3, len(trials)):
-            for start in range(0, len(trials), size):
-                batch = np.array(trials[start : start + size], dtype=np.int64)
-                words = simulate._channel_words(geom, seed, batch)
+            for first in trials:
+                words = simulate._channel_words(geom, seed, first, size)
                 assert words.h1.dtype == words.h2.dtype == np.uint64
-                assert words.h1.shape == (len(batch), slots, self.CFG.n1, columns)
-                assert words.h2.shape == (len(batch), slots, self.CFG.n2, columns)
-                for row, trial in zip(self.flat(words), batch.tolist()):
-                    want = np.random.default_rng([seed, trial]).bit_generator.random_raw(n)
-                    assert np.array_equal(row, want)
+                assert words.h1.shape == (size, slots, self.CFG.n1, columns)
+                assert words.h2.shape == (size, slots, self.CFG.n2, columns)
+                for trial, row in enumerate(self.flat(words), start=first):
+                    assert np.array_equal(row, self.stream_words(seed, trial, n))
+        eight = self.flat(simulate._channel_words(geom, seed, 0, 8))
+        read = np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]).random_raw(8 * n)
+        assert np.array_equal(eight, read.reshape(8, n))
+        # SeedSequence pads short entropy with zeros: seed's own stream is
+        # the rate fidelity's trial 0, and the rank stream is neither
+        own = np.random.default_rng(seed).bit_generator.random_raw(n)
+        assert np.array_equal(own, np.random.default_rng([seed, 0]).bit_generator.random_raw(n))
+        for rate in (seed, [seed, 0], [seed, 1]):
+            assert not np.array_equal(eight[0], np.random.default_rng(rate).bit_generator.random_raw(n))
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 5, 40])
     def test_draws_chunk_the_words(self, per_chunk, monkeypatch):
@@ -384,8 +403,7 @@ class TestChannelWords:
         for units, words in simulate._draws(geom, 4, 11, 1, geom.trial_bytes(), words=True):
             chunks.append(units.tolist())
             for row, trial in zip(self.flat(words), units.tolist()):
-                want = np.random.default_rng([4, trial]).bit_generator.random_raw(n)
-                assert np.array_equal(row, want)
+                assert np.array_equal(row, self.stream_words(4, trial, n))
         assert chunks == [list(range(start, min(start + per_chunk, 11)))
                           for start in range(0, 11, per_chunk)]
 
@@ -1135,7 +1153,8 @@ class TestBatchedEquivalence:
         draw = getattr(simulate, name)
 
         def counted(*args):
-            calls.append([int(t) for t in args[-1]])
+            # gen_channels(cfg, slots, seed, trials), _channel_words(geom, seed, first, count)
+            calls.append([int(t) for t in args[-1]] if rate else list(range(args[2], args[2] + args[3])))
             return draw(*args)
 
         monkeypatch.setattr(simulate, name, counted)
@@ -1174,9 +1193,9 @@ class TestBatchedEquivalence:
             sizes.append(len(real.h1))
             return ranks(geom_, real)
 
-        def recorded(geom_, seed_, trials_):
-            drawn.append(len(trials_))
-            return words(geom_, seed_, trials_)
+        def recorded(geom_, seed_, first_, count_):
+            drawn.append(count_)
+            return words(geom_, seed_, first_, count_)
 
         monkeypatch.setattr(simulate, "_ranks", counted)
         monkeypatch.setattr(simulate, "_channel_words", recorded)
@@ -1376,10 +1395,9 @@ def test_chunk_memory_bounded_in_m(campaign):
         assert peak < 2 * simulate.CHUNK_BYTES + 2 * geom.draw_bytes()
 
 
-@pytest.mark.parametrize("campaign", [estimate_rates, rank_check_campaign])
-def test_draw_too_large(campaign, monkeypatch):
-    """A plan whose one-trial draw exceeds the cap is refused before any
-    channel is drawn, even when its systems are small."""
+def test_draw_too_large(monkeypatch):
+    """A plan whose one-trial rate draw exceeds the cap is refused before
+    any channel is drawn, even when its systems are small."""
     plan = plan_schedule(WIDE, corner_weight(WIDE))
     geom = simulate._PlanGeometry(WIDE, plan)
     assert geom.pair_bytes() < geom.draw_bytes() - 1
@@ -1390,7 +1408,28 @@ def test_draw_too_large(campaign, monkeypatch):
     monkeypatch.setattr(simulate, "gen_channels", never)
     monkeypatch.setattr(simulate, "MAX_PAIR_BYTES", geom.draw_bytes() - 1)
     with pytest.raises(PlanTooLarge, match="per trial's channel draw"):
-        campaign(WIDE, plan, SimParams((30.0, 40.0), trials=1))
+        estimate_rates(WIDE, plan, SimParams((30.0, 40.0), trials=1))
+
+
+def test_rank_draw_capped_by_its_own_words(monkeypatch):
+    """The rank fidelity draws words for the columns its systems read, so a
+    cap below the rate fidelity's M-column draw does not refuse it; a cap
+    below its own trial bytes does, before any word is drawn."""
+    plan = plan_schedule(WIDE, corner_weight(WIDE))
+    geom = simulate._PlanGeometry(WIDE, plan)
+    assert max(geom.pair_bytes(), geom.trial_bytes()) < geom.draw_bytes() - 1
+    params = SimParams((30.0, 40.0), trials=3)
+    monkeypatch.setattr(simulate, "MAX_PAIR_BYTES", geom.draw_bytes() - 1)
+    assert rank_check_campaign(WIDE, plan, params) == (3, 3)
+
+    def never(*args):
+        raise AssertionError("drew words for a plan over the cap")
+
+    monkeypatch.setattr(simulate, "_channel_words", never)
+    monkeypatch.setattr(simulate, "MAX_PAIR_BYTES", geom.trial_bytes() - 1)
+    assert geom.pair_bytes() <= simulate.MAX_PAIR_BYTES
+    with pytest.raises(PlanTooLarge, match="per trial's rank working set"):
+        rank_check_campaign(WIDE, plan, params)
 
 
 def test_phase_rows_are_the_payload_deficits():
@@ -1549,14 +1588,16 @@ class TestSlotRankParity:
 def test_rank_path_calls_no_float_factorization(cfg, monkeypatch):
     """Every member of the campaign plans' rank chunks reaches full rank
     over GF(p), and no SVD, QR or Cholesky runs on the way, nor any
-    Gaussian draw."""
+    Gaussian draw or per-trial seeding."""
 
     def refused(*args, **kwargs):
         raise AssertionError("a float factorization or draw ran in the rank fidelity")
 
     for name in ("svd", "qr", "cholesky", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, refused)
-    monkeypatch.setattr(simulate, "gen_channels", refused)
+    # nor any seeding of one stream per trial
+    for name in ("gen_channels", "_stream_rows"):
+        monkeypatch.setattr(simulate, name, refused)
     plan = plan_schedule(cfg, corner_weight(cfg))
     params = SimParams((30.0, 60.0), trials=1500, seed=1)
     assert rank_check_campaign(cfg, plan, params) == (1500, 1500)
