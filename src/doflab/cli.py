@@ -373,11 +373,14 @@ def _add_command_args(sub: argparse.ArgumentParser, command: str):
     _add_output_args(sub, formats=("json",) if one_format else ("json", "csv"))
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``doflab`` parser. Every subcommand is registered with its help
-    line, but only ``command``'s gets its arguments and function: a parse
-    only reaches the subcommand it names, and each argument costs argparse
-    a help formatter."""
+def build_parser(command: str | None = None, every: bool = False) -> argparse.ArgumentParser:
+    """The ``doflab`` parser. Only ``command``'s subcommand gets its
+    arguments and function: a parse only reaches the subcommand it names,
+    and each argument costs argparse a help formatter. A known ``command``
+    is also the only subcommand registered, unless ``every``; the usage
+    names all seven either way. With ``command`` None or unknown, every
+    subcommand is registered with its help line, which the top-level help
+    and the missing-command and invalid-choice errors list."""
     parser = argparse.ArgumentParser(
         prog="doflab",
         description="DoF regions and link simulation for the two-user broadcast "
@@ -394,8 +397,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "sweep-alpha": (cmd_sweep_alpha, "regions and corners for a list of symmetric qualities"),
         "sweep-pairs": (cmd_sweep_pairs, "corner points for a list of (alpha1, alpha2) pairs"),
     }
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in commands.items():
+    names = [command] if command in commands and not every else list(commands)
+    # alone, a subcommand takes the metavar argparse derives from all seven,
+    # so usage lines read the same
+    metavar = "{" + ",".join(commands) + "}" if len(names) == 1 else None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_text = commands[name]
         sub = subs.add_parser(name, help=help_text)
         if name == command:
             sub.set_defaults(func=func)
@@ -408,7 +416,9 @@ def main(argv=None) -> int:
     # the top-level parser takes no option with a value, so its first
     # argument that is not an option names the subcommand
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    # an option before the command can be the top-level --help, which
+    # lists every subcommand
+    args = build_parser(command, every=argv[:1] != [command]).parse_args(argv)
     try:
         return args.func(args)
     except DoflabError as exc:

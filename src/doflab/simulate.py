@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -380,6 +382,25 @@ def rate_snr_limit_db(cfg: SystemConfig, plan: SchedulePlan) -> float:
     return limit
 
 
+class _Blocks(NamedTuple):
+    """G blocks of one shape (a, s) of a symbol phase's rank: their
+    phase-three slots (G, a) and slots (G, s), each row ascending, and per
+    layer of ``_Phase.layers`` the live streams (a, r) they hold, with each
+    one's block and its places among that block's phase-three slots and
+    slots."""
+
+    slots3: np.ndarray
+    slots: np.ndarray
+    layers: list
+
+
+def _terms(w: np.ndarray, dealt: np.ndarray) -> np.ndarray:
+    """Every stream's row as a receiver with channel ``w`` (B, slots3, N,
+    streams) sees it of payload rows ``dealt`` (B, slots3, streams, width):
+    (streams, slots3, B, N, width)."""
+    return w.transpose(3, 1, 0, 2)[..., None] * dealt.transpose(2, 1, 0, 3)[:, :, :, None, :]
+
+
 class _Phase:
     """Symbol phase ``phase`` (i): the slots that carry user i's symbols,
     and how the rows receiver i overhears there reach phase three, in
@@ -394,6 +415,15 @@ class _Phase:
     ``grid``, where ``live``, stream (a, r) carries the row ``row[a, r]``
     of slot ``source[a, r]``, whose load (which sets the row's power) is
     ``row_loads[a, r]``; elsewhere these read 0.
+
+    ``lift`` writes stream (a, r)'s row only into the columns of slot
+    ``source[a, r]``, so the lifted rows P are zero outside the live pairs
+    (a, ``source[a, r]``). Taken as the edges of a bipartite graph of
+    phase-three slots and slots, each connected component, its phase-three
+    rows R over its slots S, is a block [A_S; P_RS] of the receiver's
+    system that no other block shares a row or column with, and a slot no
+    stream reads from is a block A_t of its own. ``blocks`` holds them, and
+    ``lift_blocks`` lifts the rows straight into them.
     """
 
     def __init__(self, plan: SchedulePlan, cfg: SystemConfig, phase: int, grid: tuple[int, int]):
@@ -423,6 +453,55 @@ class _Phase:
         layer = np.where(self.live, earlier.sum(axis=-1), -1)
         self.layers = [np.nonzero(layer == each) for each in range(layer.max(initial=-1) + 1)]
 
+    @cached_property
+    def blocks(self) -> tuple[list[_Blocks], np.ndarray]:
+        """The connected components of the graph of live (phase-three slot,
+        source slot) pairs, grouped by shape (``_Blocks``) in the order of
+        their first phase-three slot; and the slots that no live stream
+        reads from, ascending. Computed from the plan's integers alone, on
+        the first use."""
+        slots3 = self.live.shape[0]
+        a, r = np.nonzero(self.live)
+        ends = (a.tolist(), (slots3 + self.source[a, r]).tolist())
+        parent = list(range(slots3 + self.slots))
+
+        def root(node):
+            while parent[node] != node:
+                parent[node] = node = parent[parent[node]]
+            return node
+
+        for row, slot in zip(*ends):
+            parent[root(row)] = root(slot)
+        # nodes in order: each component's phase-three slots, then its slots
+        components = {}
+        for node in sorted(set(ends[0]) | set(ends[1])):
+            components.setdefault(root(node), ([], []))[node >= slots3].append(node)
+        shapes = {}
+        for sides in components.values():
+            shapes.setdefault(tuple(map(len, sides)), []).append(sides)
+        # each node's shape, its block among those of the shape, and its
+        # place in the block
+        at = [(0, 0, 0)] * (slots3 + self.slots)
+        for k, members in enumerate(shapes.values()):
+            for g, sides in enumerate(members):
+                for nodes in sides:
+                    for j, node in enumerate(nodes):
+                        at[node] = k, g, j
+        shape, block, place = np.array(at, dtype=np.intp).reshape(-1, 3).T
+        groups = []
+        for k, members in enumerate(shapes.values()):
+            layers = []
+            for a, r in self.layers:
+                keep = shape[a] == k
+                a, r = a[keep], r[keep]
+                if len(a):
+                    layers.append((a, r, block[a], place[a], place[slots3 + self.source[a, r]]))
+            rows, slots = (np.array(side, dtype=np.intp) for side in zip(*members))
+            groups.append(_Blocks(rows, slots - slots3, layers))
+        read = np.zeros(self.slots, dtype=bool)
+        read[self.source[self.live]] = True
+        return groups, np.flatnonzero(~read)
+
     def symbols(self, h: np.ndarray) -> np.ndarray:
         """The phase's slots of channels ``h`` (B, slots, N, M) in its
         layout (B, tau_i, N, width)."""
@@ -448,9 +527,8 @@ class _Phase:
         width = dealt.shape[-1]
         out = np.zeros((b, slots3, n, self.slots, width), dtype=np.result_type(w, dealt))
         if self.layers:
-            # (streams, slots3, B, N, width): term (r, a) goes to
-            # out[:, a, :, source[a, r], :]
-            terms = w.transpose(3, 1, 0, 2)[..., None] * dealt.transpose(2, 1, 0, 3)[:, :, :, None, :]
+            # term (r, a) goes to out[:, a, :, source[a, r], :]
+            terms = _terms(w, dealt)
             (a, r), *rest = self.layers
             # + 0 sums as onto out's zeros, so a -0 term still reads +0
             out[:, a, :, self.source[a, r], :] = terms[r, a] + 0
@@ -459,6 +537,21 @@ class _Phase:
         if p:
             kernels._reduce(out, p)
         return out.reshape(b, slots3 * n, self.slots * width)
+
+    def lift_blocks(self, w: np.ndarray, dealt: np.ndarray, p: int):
+        """``lift``'s rows of int64 residues mod ``p``, cut to each group of
+        ``blocks`` in turn: (B, G, a * N, s * width), block g's phase-three
+        rows over the columns of its slots. Each live stream's row is added
+        straight into its block, a layer at a time."""
+        b, _, n = w.shape[:3]
+        width = dealt.shape[-1]
+        terms = _terms(w, dealt)
+        for group in self.blocks[0]:
+            (g, a3), s = group.slots3.shape, group.slots.shape[1]
+            out = np.zeros((b, g, a3, n, s, width), dtype=np.int64)
+            for a, r, block, row, column in group.layers:
+                out[:, block, row, :, column, :] += terms[r, a]
+            yield kernels._reduce(out, p).reshape(b, g, a3 * n, s * width)
 
 
 def _over(size: int) -> str:
@@ -529,9 +622,11 @@ class _PlanGeometry:
         residues and, for the larger receiver, with s = slots * width and
         f = width - N free columns per slot, its phase-three rows P (n3, s)
         twice, its slot blocks (N, s) and P N (n3, slots * f) twice; plus
-        256 bytes of pivots and indices. On the benchmark's campaign plans a
-        full rank chunk's traced peak, its draw included, is 0.95 to 1.41
-        times this count."""
+        256 bytes of pivots and indices. This is the count of one whole
+        system; taken block by block (``_ranks``), P and P N hold only the
+        blocks' entries, so a plan whose dealing splits into many blocks
+        needs less. On the benchmark's campaign plans a full rank chunk's
+        traced peak, its draw included, is 0.67 to 1.53 times this count."""
         draw = self.plan.total_slots * (self.cfg.n1 + self.cfg.n2) * self.columns
         most = max(2 * n3 * slots * width + n * slots * width + 2 * n3 * slots * max(0, width - n)
                    for n, n3, slots, width in self._receivers())
@@ -634,8 +729,15 @@ def _ranks(geom: _PlanGeometry, words: ChannelRealization) -> list[np.ndarray]:
     part cancels exactly, so a deficient rank isolates a schedule defect.
     System entries are polynomials of degree at most 2 in the channel
     entries, so each entry is its word's residue mod p, taken before the
-    phases are laid out, which keeps the entries rows share, and each
-    receiver takes one ``kernels.slot_rank_stacked``.
+    phases are laid out, which keeps the entries rows share.
+
+    Each receiver's system splits into the independent blocks of its
+    phase's ``blocks``, so its rank is the sum of theirs: one
+    ``kernels.slot_rank_stacked`` without coupling rows for the slots no
+    stream reads from, and one per shape of block, its G blocks on an axis
+    after the trials'. A phase whose dealing makes one block of every slot
+    takes one call on its whole system. The matrix is the same, so is its
+    rank, and nothing more is drawn.
 
     A rank mod p never exceeds the generic rank. A full-rank system of n
     symbols has an n x n minor of degree at most 2 n, nonzero mod p, so by
@@ -652,11 +754,22 @@ def _ranks(geom: _PlanGeometry, words: ChannelRealization) -> list[np.ndarray]:
         # below 2**25, so the uint64 residues read the same as int64
         h = [(each[todo] % np.uint64(p)).view(np.int64) for each in (words.h1, words.h2)]
         for i, phase in enumerate(geom.phases):
-            rows = None
-            if geom.slots3:
+            own, (groups, unread) = phase.symbols(h[i]), phase.blocks
+            rank = 0
+            if len(unread):
+                rank = kernels.slot_rank_stacked(own if len(unread) == phase.slots else own[:, unread],
+                                                 None, p)
+            if groups:
                 w = h[i][:, geom.phase3, :, : geom.streams3]
-                rows = phase.lift(w, phase.rows(phase.symbols(h[1 - i])), p)
-            ranks[i][todo] = np.maximum(ranks[i][todo], kernels.slot_rank_stacked(phase.symbols(h[i]), rows, p))
+                dealt = phase.rows(phase.symbols(h[1 - i]))
+                if len(groups) == 1 and groups[0].slots.shape == (1, phase.slots):
+                    # one block of every slot: the whole system, as it is
+                    rank = kernels.slot_rank_stacked(own, phase.lift(w, dealt, p), p)
+                else:
+                    # each group's blocks on an axis after the trials'
+                    for group, coupled in zip(groups, phase.lift_blocks(w, dealt, p)):
+                        rank += kernels.slot_rank_stacked(own[:, group.slots], coupled, p).sum(axis=1)
+            ranks[i][todo] = np.maximum(ranks[i][todo], rank)
         todo = np.flatnonzero((ranks[0] < symbols[0]) | (ranks[1] < symbols[1]))
         if not todo.size:
             break
@@ -675,10 +788,13 @@ def rank_check_campaign(
     receiver) rather than an SNR effect.
 
     The trials run in stacked chunks from ``_draws``, ``trial_bytes()`` each,
-    on raw words of one PCG64 stream (``_channel_words``). A plan whose
-    ``pair_bytes()`` or ``trial_bytes()`` passes the cap, or more trials
-    than ``estimate_rates`` takes on its smallest grid, two points, raise
-    ``PlanTooLarge`` before anything is drawn.
+    on raw words of one PCG64 stream (``_channel_words``). Each receiver's
+    rank is taken block by block along the plan's dealing (``_ranks``), with
+    the blocks found once per campaign: the elimination work grows linearly
+    with the number of blocks, and with the cube of a block's size only
+    within it. A plan whose ``pair_bytes()`` or ``trial_bytes()`` passes the
+    cap, or more trials than ``estimate_rates`` takes on its smallest grid,
+    two points, raise ``PlanTooLarge`` before anything is drawn.
     """
     geom = _PlanGeometry(cfg, plan, rank=True)
     most = MAX_PAIR_BYTES // 32  # 16 bytes of rates per pair, two pairs per trial

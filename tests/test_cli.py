@@ -960,6 +960,32 @@ class TestErrors:
         assert err.startswith("usage: ")
 
 
+USAGE = ("usage: doflab [-h]\n"
+         "              {region,corners,compare,plan,simulate,sweep-alpha,sweep-pairs}\n"
+         "              ...\n")
+CHOICES = ["region", "corners", "compare", "plan", "simulate", "sweep-alpha", "sweep-pairs"]
+
+
+@pytest.mark.parametrize("argv, errors", [
+    (["simulate", "--M", "2", "--N1", "1", "--N2", "1", "extra"],
+     ["unrecognized arguments: extra"]),
+    ([], ["the following arguments are required: command"]),
+    # older argparse quotes the choices, newer argparse prints them bare
+    (["bogus"], [f"argument command: invalid choice: 'bogus' (choose from {choices})"
+                 for choices in (", ".join(map(repr, CHOICES)), ", ".join(CHOICES))]),
+], ids=["extra-argument", "no-command", "unknown-command"])
+def test_usage_errors_name_every_command(argv, errors, capsys, monkeypatch):
+    """The top-level usage lists all seven commands, whichever subcommand
+    ``main`` registers: byte for byte at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err in [f"{USAGE}doflab: error: {error}\n" for error in errors]
+
+
 CONFIG_OPTIONS = ["--M", "--N1", "--N2", "--alpha1", "--alpha2"]
 OPTIONS = {
     "region": [*CONFIG_OPTIONS, "--out"],

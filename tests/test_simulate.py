@@ -1302,7 +1302,7 @@ CAMPAIGN_CONFIGS = [
     SystemConfig(5, 3, 2),
 ]
 # Measured peak / (units * bytes per unit) of a full chunk on these plans:
-# 0.95 to 1.20 for rate chunks, 0.95 to 1.41 for rank chunks with their
+# 0.95 to 1.20 for rate chunks, 0.67 to 1.53 for rank chunks with their
 # draw (numpy 2.4, x86-64); the bound leaves room on both sides.
 PAIR_BYTES_FACTOR = 2.0
 
@@ -1628,7 +1628,9 @@ def test_schedule_mutants_show_the_same_deficit(phase, mutant, monkeypatch):
     row dealt to the wrong phase-three slot. The exact rank and an SVD rank
     of the same mutated system find the same deficit of one equation for
     that phase's receiver on every trial, and ``rank_check_campaign``
-    counts no pass for it."""
+    counts no pass for it. The mutants deal other blocks, and the rank
+    taken block by block is still that of one kernel call on the whole
+    system."""
     plan = plan_schedule(MUTATED, corner_weight(MUTATED))
     assert (plan.tau1, plan.tau2, plan.tau3) == (4, 1, 2)
     payload_rows = simulate._payload_rows
@@ -1643,6 +1645,7 @@ def test_schedule_mutants_show_the_same_deficit(phase, mutant, monkeypatch):
     units, real = next(simulate._draws(geom, params.seed, params.trials, 1, 1))
     assert len(units) == params.trials
     exact, svd = simulate._ranks(geom, float_words(real)), svd_ranks(geom, real)
+    assert_block_ranks_are_whole_ranks(geom, float_words(real))
     symbols = (plan.s1_count, plan.s2_count)
     for i in (0, 1):
         assert exact[i].tolist() == svd[i].tolist()
@@ -1650,6 +1653,102 @@ def test_schedule_mutants_show_the_same_deficit(phase, mutant, monkeypatch):
     passes = tuple(int(np.count_nonzero(svd[i] == symbols[i])) for i in (0, 1))
     assert rank_check_campaign(MUTATED, plan, params) == passes
     assert passes[phase - 1] == 0
+
+
+@pytest.fixture(scope="module")
+def three_phase_geometries():
+    """The rank geometry of each of the grid's 2250 corner plans of the
+    three-phase scheme (N2 < M), built once for the tests that sweep them."""
+    geometries = [simulate._PlanGeometry(cfg, plan, rank=True)
+                  for cfg, plan in grid_plans() if cfg.n2 < cfg.m]
+    assert len(geometries) == 2250
+    return geometries
+
+
+def dealt_blocks(cfg, plan):
+    """Per symbol phase, its blocks as a set of (phase-three slots, slots)
+    pairs of frozensets, and the set of slots no row is dealt from, built
+    here from the plan's integers: each slot of ``_ref_spread`` loads owes
+    load - N_i rows, in slot order, and row j goes to phase-three slot
+    j % tau3. A union-find joins each row's phase-three slot and slot."""
+    phases = []
+    for n, symbols, slots in ((cfg.n1, plan.s1_count, plan.tau1), (cfg.n2, plan.s2_count, plan.tau2)):
+        owed = [t for t, load in enumerate(_ref_spread(symbols, slots)) for _ in range(load - n)]
+        parent = {}
+
+        def find(node):
+            parent.setdefault(node, node)
+            while parent[node] != node:
+                node = parent[node]
+            return node
+
+        for j, t in enumerate(owed):
+            parent[find(("slot3", j % plan.tau3))] = find(("slot", t))
+        components = {}
+        for node in list(parent):
+            kind, index = node
+            components.setdefault(find(node), (set(), set()))[kind == "slot"].add(index)
+        blocks = {(frozenset(slots3), frozenset(slots)) for slots3, slots in components.values()}
+        phases.append((blocks, set(range(slots)) - set(owed)))
+    return phases
+
+
+def test_blocks_are_the_components_of_the_dealing(three_phase_geometries):
+    """On every three-phase corner plan of the grid, each phase's blocks
+    and unread slots are those of the dealing rule, and 2014 plans have a
+    phase of more than one block or with an unread slot."""
+    split = 0
+    for geom in three_phase_geometries:
+        got = []
+        for phase in geom.phases:
+            groups, unread = phase.blocks
+            blocks = {(frozenset(slots3.tolist()), frozenset(slots.tolist()))
+                      for group in groups for slots3, slots in zip(group.slots3, group.slots)}
+            assert sum(len(group.slots) for group in groups) == len(blocks), geom.cfg
+            got.append((blocks, set(unread.tolist())))
+        assert got == dealt_blocks(geom.cfg, geom.plan), geom.cfg
+        split += any(len(blocks) > 1 or unread for blocks, unread in got)
+    assert split == 2014
+
+
+def whole_system_ranks(geom, words):
+    """Per receiver, each trial's rank of its undecomposed system [A; P]:
+    one ``kernels.slot_rank_stacked`` per receiver under the first prime,
+    and where a receiver falls short, the larger of that and the second
+    prime's, as ``_ranks`` recounts."""
+    symbols = (geom.plan.s1_count, geom.plan.s2_count)
+    ranks = None
+    for p in kernels.PRIMES:
+        h = [(each % np.uint64(p)).view(np.int64) for each in (words.h1, words.h2)]
+        under = []
+        for i, phase in enumerate(geom.phases):
+            rows = None
+            if geom.slots3:
+                w = h[i][:, geom.phase3, :, : geom.streams3]
+                rows = phase.lift(w, phase.rows(phase.symbols(h[1 - i])), p)
+            under.append(kernels.slot_rank_stacked(phase.symbols(h[i]), rows, p))
+        ranks = under if ranks is None else [np.maximum(a, b) for a, b in zip(ranks, under)]
+        if all((rank == full).all() for rank, full in zip(ranks, symbols)):
+            break
+    return ranks
+
+
+def assert_block_ranks_are_whole_ranks(geom, words):
+    got, want = simulate._ranks(geom, words), whole_system_ranks(geom, words)
+    assert [each.tolist() for each in got] == [each.tolist() for each in want], geom.cfg
+
+
+def test_block_ranks_equal_whole_system_ranks(three_phase_geometries):
+    """Block by block, the rank is that of the whole system: on every
+    three-phase corner plan of the grid at one trial, and on M4/N1/N1 at
+    weight 1/200, whose 199 phase-three slots make 199 blocks."""
+    for geom in three_phase_geometries:
+        assert_block_ranks_are_whole_ranks(geom, simulate._channel_words(geom, 11, 0, 1))
+    cfg = SystemConfig(4, 1, 1)
+    plan = plan_schedule(cfg, F(1, 200))
+    geom = simulate._PlanGeometry(cfg, plan, rank=True)
+    assert geom.slots3 == 199 and geom.phases[1].blocks[0][0].slots.shape == (199, 1)
+    assert_block_ranks_are_whole_ranks(geom, simulate._channel_words(geom, 11, 0, 3))
 
 
 def test_rank_beyond_forty_slots():
