@@ -421,9 +421,10 @@ class _Phase:
     (a, ``source[a, r]``). Taken as the edges of a bipartite graph of
     phase-three slots and slots, each connected component, its phase-three
     rows R over its slots S, is a block [A_S; P_RS] of the receiver's
-    system that no other block shares a row or column with, and a slot no
-    stream reads from is a block A_t of its own. ``blocks`` holds them, and
-    ``lift_blocks`` lifts the rows straight into them.
+    system that no other block shares a row or column with; a slot no
+    stream reads from is a component of its own, a block A_t without
+    phase-three rows. ``blocks`` holds them, and ``lift_blocks`` lifts the
+    rows straight into them.
     """
 
     def __init__(self, plan: SchedulePlan, cfg: SystemConfig, phase: int, grid: tuple[int, int]):
@@ -454,12 +455,12 @@ class _Phase:
         self.layers = [np.nonzero(layer == each) for each in range(layer.max(initial=-1) + 1)]
 
     @cached_property
-    def blocks(self) -> tuple[list[_Blocks], np.ndarray]:
+    def blocks(self) -> list[_Blocks]:
         """The connected components of the graph of live (phase-three slot,
-        source slot) pairs, grouped by shape (``_Blocks``) in the order of
-        their first phase-three slot; and the slots that no live stream
-        reads from, ascending. Computed from the plan's integers alone, on
-        the first use."""
+        source slot) pairs on every slot, grouped by shape (``_Blocks``) in
+        the order of their first phase-three slot; the slots that no live
+        stream reads from come last, as blocks of shape (0, 1). Computed
+        from the plan's integers alone, on the first use."""
         slots3 = self.live.shape[0]
         a, r = np.nonzero(self.live)
         ends = (a.tolist(), (slots3 + self.source[a, r]).tolist())
@@ -474,7 +475,7 @@ class _Phase:
             parent[root(row)] = root(slot)
         # nodes in order: each component's phase-three slots, then its slots
         components = {}
-        for node in sorted(set(ends[0]) | set(ends[1])):
+        for node in sorted(set(ends[0])) + list(range(slots3, slots3 + self.slots)):
             components.setdefault(root(node), ([], []))[node >= slots3].append(node)
         shapes = {}
         for sides in components.values():
@@ -498,9 +499,7 @@ class _Phase:
                     layers.append((a, r, block[a], place[a], place[slots3 + self.source[a, r]]))
             rows, slots = (np.array(side, dtype=np.intp) for side in zip(*members))
             groups.append(_Blocks(rows, slots - slots3, layers))
-        read = np.zeros(self.slots, dtype=bool)
-        read[self.source[self.live]] = True
-        return groups, np.flatnonzero(~read)
+        return groups
 
     def symbols(self, h: np.ndarray) -> np.ndarray:
         """The phase's slots of channels ``h`` (B, slots, N, M) in its
@@ -541,16 +540,18 @@ class _Phase:
     def lift_blocks(self, w: np.ndarray, dealt: np.ndarray, p: int):
         """``lift``'s rows of int64 residues mod ``p``, cut to each group of
         ``blocks`` in turn: (B, G, a * N, s * width), block g's phase-three
-        rows over the columns of its slots. Each live stream's row is added
-        straight into its block, a layer at a time."""
+        rows over the columns of its slots. Each live stream's row goes
+        straight into its block, a layer at a time, as in ``lift``."""
         b, _, n = w.shape[:3]
         width = dealt.shape[-1]
         terms = _terms(w, dealt)
-        for group in self.blocks[0]:
+        for group in self.blocks:
             (g, a3), s = group.slots3.shape, group.slots.shape[1]
             out = np.zeros((b, g, a3, n, s, width), dtype=np.int64)
-            for a, r, block, row, column in group.layers:
-                out[:, block, row, :, column, :] += terms[r, a]
+            for layer, (a, r, block, row, column) in enumerate(group.layers):
+                at = np.s_[:, block, row, :, column, :]
+                # no layer holds a place twice, and the first lands on zeros
+                out[at] = out[at] + terms[r, a] if layer else terms[r, a]
             yield kernels._reduce(out, p).reshape(b, g, a3 * n, s * width)
 
 
@@ -733,11 +734,10 @@ def _ranks(geom: _PlanGeometry, words: ChannelRealization) -> list[np.ndarray]:
 
     Each receiver's system splits into the independent blocks of its
     phase's ``blocks``, so its rank is the sum of theirs: one
-    ``kernels.slot_rank_stacked`` without coupling rows for the slots no
-    stream reads from, and one per shape of block, its G blocks on an axis
-    after the trials'. A phase whose dealing makes one block of every slot
-    takes one call on its whole system. The matrix is the same, so is its
-    rank, and nothing more is drawn.
+    ``kernels.slot_rank_stacked`` per shape of block, its G blocks on an
+    axis after the trials', the slots no stream reads from among them with
+    no coupling rows. The matrix is the same, so is its rank, and nothing
+    more is drawn.
 
     A rank mod p never exceeds the generic rank. A full-rank system of n
     symbols has an n x n minor of degree at most 2 n, nonzero mod p, so by
@@ -754,21 +754,15 @@ def _ranks(geom: _PlanGeometry, words: ChannelRealization) -> list[np.ndarray]:
         # below 2**25, so the uint64 residues read the same as int64
         h = [(each[todo] % np.uint64(p)).view(np.int64) for each in (words.h1, words.h2)]
         for i, phase in enumerate(geom.phases):
-            own, (groups, unread) = phase.symbols(h[i]), phase.blocks
+            own = phase.symbols(h[i])
+            w = h[i][:, geom.phase3, :, : geom.streams3]
+            dealt = phase.rows(phase.symbols(h[1 - i]))
             rank = 0
-            if len(unread):
-                rank = kernels.slot_rank_stacked(own if len(unread) == phase.slots else own[:, unread],
-                                                 None, p)
-            if groups:
-                w = h[i][:, geom.phase3, :, : geom.streams3]
-                dealt = phase.rows(phase.symbols(h[1 - i]))
-                if len(groups) == 1 and groups[0].slots.shape == (1, phase.slots):
-                    # one block of every slot: the whole system, as it is
-                    rank = kernels.slot_rank_stacked(own, phase.lift(w, dealt, p), p)
-                else:
-                    # each group's blocks on an axis after the trials'
-                    for group, coupled in zip(groups, phase.lift_blocks(w, dealt, p)):
-                        rank += kernels.slot_rank_stacked(own[:, group.slots], coupled, p).sum(axis=1)
+            # each group's blocks on an axis after the trials'; one block
+            # of every slot takes the phase's slots as they are
+            for group, coupled in zip(phase.blocks, phase.lift_blocks(w, dealt, p)):
+                slots = own[:, None] if group.slots.shape == (1, phase.slots) else own[:, group.slots]
+                rank += kernels.slot_rank_stacked(slots, coupled, p).sum(axis=1)
             ranks[i][todo] = np.maximum(ranks[i][todo], rank)
         todo = np.flatnonzero((ranks[0] < symbols[0]) | (ranks[1] < symbols[1]))
         if not todo.size:

@@ -1695,19 +1695,21 @@ def dealt_blocks(cfg, plan):
 
 def test_blocks_are_the_components_of_the_dealing(three_phase_geometries):
     """On every three-phase corner plan of the grid, each phase's blocks
-    and unread slots are those of the dealing rule, and 2014 plans have a
-    phase of more than one block or with an unread slot."""
+    are those of the dealing rule, each unread slot a block of no
+    phase-three slot, and 2014 plans have a phase of more than one block
+    or with an unread slot."""
     split = 0
     for geom in three_phase_geometries:
         got = []
         for phase in geom.phases:
-            groups, unread = phase.blocks
             blocks = {(frozenset(slots3.tolist()), frozenset(slots.tolist()))
-                      for group in groups for slots3, slots in zip(group.slots3, group.slots)}
-            assert sum(len(group.slots) for group in groups) == len(blocks), geom.cfg
-            got.append((blocks, set(unread.tolist())))
-        assert got == dealt_blocks(geom.cfg, geom.plan), geom.cfg
-        split += any(len(blocks) > 1 or unread for blocks, unread in got)
+                      for group in phase.blocks for slots3, slots in zip(group.slots3, group.slots)}
+            assert sum(len(group.slots) for group in phase.blocks) == len(blocks), geom.cfg
+            got.append(blocks)
+        want = [blocks | {(frozenset(), frozenset({t})) for t in unread}
+                for blocks, unread in dealt_blocks(geom.cfg, geom.plan)]
+        assert got == want, geom.cfg
+        split += any(len(blocks) > 1 or any(not slots3 for slots3, _ in blocks) for blocks in got)
     assert split == 2014
 
 
@@ -1747,7 +1749,7 @@ def test_block_ranks_equal_whole_system_ranks(three_phase_geometries):
     cfg = SystemConfig(4, 1, 1)
     plan = plan_schedule(cfg, F(1, 200))
     geom = simulate._PlanGeometry(cfg, plan, rank=True)
-    assert geom.slots3 == 199 and geom.phases[1].blocks[0][0].slots.shape == (199, 1)
+    assert geom.slots3 == 199 and geom.phases[1].blocks[0].slots.shape == (199, 1)
     assert_block_ranks_are_whole_ranks(geom, simulate._channel_words(geom, 11, 0, 3))
 
 
