@@ -116,7 +116,7 @@ class GramOverflow(DoflabError):
 
 
 class PlanTooLarge(DoflabError):
-    """Simulating a plan would need more memory per (trial, SNR) pair than
-    the simulator allows."""
+    """Simulating a plan would need more memory per (trial, SNR) pair, or
+    per trial for the rank fidelity, than the simulator allows."""
 
     code = "PLAN_TOO_LARGE"

@@ -514,14 +514,13 @@ class _Phase:
         dealt[:, self.live] = h[:, self.source[self.live], self.row[self.live]]
         return dealt
 
-    def lift(self, w: np.ndarray, dealt: np.ndarray, p: int = 0) -> np.ndarray:
+    def lift(self, w: np.ndarray, dealt: np.ndarray) -> np.ndarray:
         """Phase-three rows (B, slots3 * N, slots * width), slot by slot,
         that a receiver with channel ``w`` (B, slots3, N, streams) sees of
-        payload rows ``dealt`` (B, slots3, streams, width), complex, or int64
-        residues reduced mod ``p``. Each live stream's row lies in the columns
-        of its source slot: the first stream of each (slot3, source) pair is
-        assigned there, and any further ones are added in stream order, a
-        layer at a time."""
+        payload rows ``dealt`` (B, slots3, streams, width). Each live
+        stream's row lies in the columns of its source slot: the first
+        stream of each (slot3, source) pair is assigned there, and any
+        further ones are added in stream order, a layer at a time."""
         b, slots3, n = w.shape[:3]
         width = dealt.shape[-1]
         out = np.zeros((b, slots3, n, self.slots, width), dtype=np.result_type(w, dealt))
@@ -533,8 +532,6 @@ class _Phase:
             out[:, a, :, self.source[a, r], :] = terms[r, a] + 0
             for a, r in rest:
                 out[:, a, :, self.source[a, r], :] += terms[r, a]
-        if p:
-            kernels._reduce(out, p)
         return out.reshape(b, slots3 * n, self.slots * width)
 
     def lift_blocks(self, w: np.ndarray, dealt: np.ndarray, p: int):
@@ -586,9 +583,9 @@ class _PlanGeometry:
         # channel columns any system reads
         self.columns = max(self.streams3, *(width for *_, width in self._receivers()))
         # sized from the plan's integers alone, before any per-slot list or array
-        for size, unit in ((self.pair_bytes(), "(trial, SNR) pair"),
-                           (self.trial_bytes(), "trial's rank working set") if rank else
-                           (self.draw_bytes(), "trial's channel draw")):
+        sizes = (((self.trial_bytes(), "trial's rank working set"),) if rank else
+                 ((self.pair_bytes(), "(trial, SNR) pair"), (self.draw_bytes(), "trial's channel draw")))
+        for size, unit in sizes:
             if size > MAX_PAIR_BYTES:
                 tau = ", ".join(map(_digits, (plan.tau1, plan.tau2, plan.tau3)))
                 raise PlanTooLarge(f"plan with tau [{tau}] needs {_over(size)} per {unit}; "
@@ -656,27 +653,29 @@ def _channel_words(geom: _PlanGeometry, seed: int, first: int, count: int) -> Ch
                               raw[:, size1:].reshape(-1, slots, cfg.n2, columns))
 
 
-def _draws(geom: _PlanGeometry, seed: int, count: int, per_trial: int, unit_bytes: int,
-           words: bool = False):
-    """Chunks of a campaign of ``count`` trials, ``per_trial`` units each
-    (its (trial, SNR) pairs, or its trials) of ``unit_bytes``: yields each
-    chunk's unit indices, consecutive in ``range(count * per_trial)``, and
-    the channels of their trials ``units // per_trial`` on a leading axis,
-    or with ``words`` (one unit per trial) their ``_channel_words``.
+def _word_chunks(geom: _PlanGeometry, seed: int, count: int):
+    """The rank fidelity's chunks of ``count`` trials, as many as fit
+    ``CHUNK_BYTES`` at ``trial_bytes()`` each (at least one): yields each
+    chunk's trial indices and their ``_channel_words``."""
+    size = max(1, CHUNK_BYTES // max(geom.trial_bytes(), 1))
+    for first in range(0, count, size):
+        trials = np.arange(first, min(first + size, count))
+        yield trials, _channel_words(geom, seed, first, len(trials))
 
-    A chunk holds as many units as fit ``CHUNK_BYTES``, at least one. Words
-    count in ``unit_bytes``, so each chunk reads its own. Channels are
-    drawn ahead in blocks, each one ``gen_channels`` call cut to the first
-    ``geom.columns`` columns, of as many trials as fit their
+
+def _draws(geom: _PlanGeometry, seed: int, count: int, per_trial: int, unit_bytes: int):
+    """Chunks of a rate campaign of ``count`` trials, ``per_trial`` units
+    each (its (trial, SNR) pairs) of ``unit_bytes``: yields each chunk's
+    unit indices, consecutive in ``range(count * per_trial)``, and the
+    channels of their trials ``units // per_trial`` on a leading axis.
+
+    A chunk holds as many units as fit ``CHUNK_BYTES``, at least one.
+    Channels are drawn ahead in blocks, each one ``gen_channels`` call cut
+    to the first ``geom.columns`` columns, of as many trials as fit their
     ``draw_bytes()`` there (at least one), rounded down to whole chunks
     where chunks are whole trials. No chunk straddles two blocks.
     """
     size = max(1, CHUNK_BYTES // max(unit_bytes, 1))
-    if words:
-        for first in range(0, count, size):
-            trials = np.arange(first, min(first + size, count))
-            yield trials, _channel_words(geom, seed, first, len(trials))
-        return
     block = max(1, CHUNK_BYTES // max(geom.draw_bytes(), 1))
     if size % per_trial == 0:
         whole = size // per_trial
@@ -781,14 +780,14 @@ def rank_check_campaign(
     failure isolates a schedule defect (not enough equations routed to the
     receiver) rather than an SNR effect.
 
-    The trials run in stacked chunks from ``_draws``, ``trial_bytes()`` each,
-    on raw words of one PCG64 stream (``_channel_words``). Each receiver's
-    rank is taken block by block along the plan's dealing (``_ranks``), with
-    the blocks found once per campaign: the elimination work grows linearly
-    with the number of blocks, and with the cube of a block's size only
-    within it. A plan whose ``pair_bytes()`` or ``trial_bytes()`` passes the
-    cap, or more trials than ``estimate_rates`` takes on its smallest grid,
-    two points, raise ``PlanTooLarge`` before anything is drawn.
+    The trials run in stacked chunks from ``_word_chunks``, on raw words of
+    one PCG64 stream (``_channel_words``). Each receiver's rank is taken
+    block by block along the plan's dealing (``_ranks``), with the blocks
+    found once per campaign: the elimination work grows linearly with the
+    number of blocks, and with the cube of a block's size only within it.
+    A plan whose ``trial_bytes()`` passes the cap, or more
+    trials than ``estimate_rates`` takes on its smallest grid, two points,
+    raise ``PlanTooLarge`` before anything is drawn.
     """
     geom = _PlanGeometry(cfg, plan, rank=True)
     most = MAX_PAIR_BYTES // 32  # 16 bytes of rates per pair, two pairs per trial
@@ -797,7 +796,7 @@ def rank_check_campaign(
                            "rate fidelity takes at two SNR points")
     symbols = (plan.s1_count, plan.s2_count)
     passes = [0, 0]
-    for _, words in _draws(geom, params.seed, params.trials, 1, geom.trial_bytes(), words=True):
+    for _, words in _word_chunks(geom, params.seed, params.trials):
         for i, rank in enumerate(_ranks(geom, words)):
             passes[i] += int(np.count_nonzero(rank == symbols[i]))
     return passes[0], passes[1]

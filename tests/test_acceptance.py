@@ -37,7 +37,7 @@ from doflab import (
 from doflab.cli import main
 
 from acceptance_grid import ANTENNAS, GRID_SIZE, QUALITIES, grid_configs
-from test_simulate import residual_scan
+from reference import residual_scan
 
 
 def cross(o, a, b):

@@ -468,12 +468,28 @@ class TestSimulate:
             )
         assert (code, out) == (3, "")
         assert err.startswith("E:PLAN_TOO_LARGE:plan with tau ")
-        assert re.search(r"\] needs over 2\*\*\d+ bytes per \(trial, SNR\) pair; "
-                         r"the cap is 1 GiB\n\Z", err)
+        unit = {"rate": r"\(trial, SNR\) pair", "rank": "trial's rank working set"}[fidelity]
+        assert re.search(rf"\] needs over 2\*\*\d+ bytes per {unit}; the cap is 1 GiB\n\Z", err)
         # taus of more than 20 digits are stated by their digit counts
         assert err.startswith("E:PLAN_TOO_LARGE:plan with tau [<3000 digits>, <2000 digits>, "
                               "<3000 digits>] ")
         assert len(err) < 300
+
+    @needs_alarm
+    def test_rank_capped_by_its_own_working_set(self, run):
+        # weight 1/3000: 2999 phase-three slots, whose rate working set per
+        # (trial, SNR) pair passes the cap; the rank fidelity builds only
+        # its own, per trial, which fits
+        config = ("simulate", "--M", "4", "--N1", "1", "--N2", "1", "--weight", "1/3000",
+                  "--trials", "3", "--fidelity")
+        with within(10.0):
+            code, out, err = run(*config, "rank")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rank_check"] == {"rx1_passes": 3, "rx2_passes": 3, "trials": 3}
+        with within(5.0):
+            code, out, err = run(*config, "rate")
+        assert (code, out) == (3, "")
+        assert err.endswith("per (trial, SNR) pair; the cap is 1 GiB\n")
 
     @needs_alarm
     def test_too_many_trials(self, run):

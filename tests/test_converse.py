@@ -13,7 +13,7 @@ from doflab import (
     region_equal,
 )
 
-from test_region import intercepts
+from reference import intercepts
 
 
 def test_rx1_enhancement():

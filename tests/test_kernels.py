@@ -1,11 +1,11 @@
 """Numeric kernels: reference results, stacked-versus-2-D parity, failure modes."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from doflab import GramOverflow, SingularCovariance, kernels
+
+from reference import block_diagonal, dense_form, fraction_rank, fraction_ranks, svd_rate
 
 RNG = np.random.default_rng(20240817)
 
@@ -22,19 +22,13 @@ def random_stack(rng, batch, m, k):
     return np.stack([g for g, _ in systems]), np.stack([s for _, s in systems])
 
 
-def direct_rate(g, sigma):
-    gram = np.eye(g.shape[1]) + g.conj().T @ np.linalg.inv(sigma) @ g
-    sign, logdet = np.linalg.slogdet(gram)
-    assert sign.real > 0
-    return logdet / np.log(2.0)
-
-
 class TestLogdetRate:
     def test_matches_direct_evaluation(self):
+        """Against the SVD of the whitened system."""
         for m, k in [(1, 1), (2, 2), (3, 1), (2, 5), (8, 8)]:
             g, sigma = random_system(RNG, m, k)
             assert kernels.logdet_rate_bits(g, sigma) == pytest.approx(
-                direct_rate(g, sigma), rel=1e-10
+                svd_rate(g, sigma), rel=1e-10
             )
 
     def test_white_noise_scalar(self):
@@ -129,34 +123,6 @@ def slot_structured(rng, batch, loads, rows, n3, scale=1.0):
     return own, scale * g3, s3
 
 
-def block_diagonal(own):
-    """Slot blocks (..., slots, rows, width) as one block-diagonal matrix."""
-    *batch, slots, rows, width = own.shape
-    out = np.zeros((*batch, slots * rows, slots * width), dtype=complex)
-    for t in range(slots):
-        out[..., t * rows : (t + 1) * rows, t * width : (t + 1) * width] = own[..., t, :, :]
-    return out
-
-
-def dense_form(own, g3, s3):
-    """The same system as one G and Sigma = diag(I, S)."""
-    stacked = block_diagonal(own)
-    batch, n_own = stacked.shape[:2]
-    n3 = g3.shape[1]
-    sigma = np.zeros((batch, n_own + n3, n_own + n3), dtype=complex)
-    sigma[:, :n_own, :n_own] = np.eye(n_own)
-    sigma[:, n_own:, n_own:] = s3
-    return np.concatenate([stacked, g3], axis=1), sigma
-
-
-def svd_rate(g, sigma):
-    """log2 det(I + G^H Sigma^-1 G) of each system from the singular values
-    of its whitened form L^-1 G, Sigma = L L^H."""
-    white = np.linalg.solve(np.linalg.cholesky(sigma), g)
-    s = np.linalg.svd(white, compute_uv=False)
-    return np.sum(np.log1p(s**2), axis=-1) / np.log(2.0)
-
-
 class TestSplitKernel:
     """The slot rate kernel factors only S and the slot blocks, with no Gram
     matrix; it gives the rates of an SVD of the whitened dense system and
@@ -244,31 +210,6 @@ class TestSplitKernel:
             kernels.slot_rate_bits_stacked(own, g3[..., :3], s3)
 
 
-def fraction_rank(matrix):
-    """Rank of an integer matrix (rows of ints) by Gaussian elimination over
-    the rationals, in ``Fraction``."""
-    rows = [[Fraction(int(x)) for x in row] for row in matrix]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            ratio = rows[i][c] / rows[rank][c]
-            rows[i] = [x - ratio * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def fraction_ranks(own, coupled):
-    """``fraction_rank`` of each dense system [blockdiag(A_t); P]."""
-    dense = block_diagonal(own).real.astype(np.int64)
-    if coupled is not None:
-        dense = np.concatenate([dense, coupled], axis=-2)
-    return [fraction_rank(system.tolist()) for system in dense]
-
-
 P = kernels.PRIMES[0]
 
 
@@ -318,7 +259,7 @@ class TestSlotRank:
         for slots, rows, width, n3 in ((3, 2, 3, 4), (2, 1, 2, 2), (1, 2, 4, 3), (3, 2, 3, 6)):
             own, _ = integer_system(rng, 20, slots, rows, width, 0)
             mix = rng.integers(0, 4, (20, n3, slots * rows))
-            coupled = mix @ block_diagonal(own).real.astype(np.int64)
+            coupled = mix @ block_diagonal(own)
             want = fraction_ranks(own, None)
             assert fraction_ranks(own, coupled) == want
             assert kernels.slot_rank_stacked(own, coupled % P).tolist() == want

@@ -1,21 +1,21 @@
-"""The exact geometry and planning against an oracle typed here in plain
-Fraction arithmetic.
+"""The exact geometry and planning against an oracle typed in plain Fraction
+arithmetic, here and in ``reference``.
 
 The package computes dimensions, constraints, corners and plans on integers
 and builds a Fraction only for each value it returns. Over the whole
-acceptance grid, every such value must equal the one this file derives from
+acceptance grid, every such value must equal the one the oracle derives from
 the definitions, with no package helper: the dimensions from their min
 formulas, each constraint from its axis intercepts, the corner by Cramer's
 rule on the two boundary lines, the vertices by solving every pair of lines
 in Fractions, and each plan's durations and symbol counts as Fractions
 scaled by the lcm of their reduced denominators.
 
-Nothing here, in ``test_region``, ``test_scheme`` or ``test_converse``
-needs numpy: these four modules are the geometry and planning tests that
-also run on an interpreter without it.
+Nothing here, at ``reference``'s module level, in ``test_region``,
+``test_scheme`` or ``test_converse`` needs numpy: these four test modules
+are the geometry and planning tests that also run on an interpreter
+without it.
 """
 
-import math
 import pickle
 import subprocess
 import sys
@@ -45,16 +45,9 @@ from doflab import (
 )
 
 from acceptance_grid import ANTENNAS, GRID_SIZE, grid_configs
-from test_region import reference_vertices
+from reference import oracle_line, oracle_plan, reference_vertices
 
 WEIGHTS = (F(0), F(1, 5), F(1, 3), F(1, 2), F(4, 5), F(1))
-
-
-def oracle_line(d1_max, d2_max):
-    """(p, q, r, scaled) of d1/d1_max + d2/d2_max <= 1."""
-    p, q, r = 1 / F(d1_max), 1 / F(d2_max), F(1)
-    scale = math.lcm(p.denominator, q.denominator, r.denominator)
-    return p, q, r, tuple(int(c * scale) for c in (p, q, r))
 
 
 def assert_constraints(region, lines):
@@ -193,13 +186,6 @@ def test_delayed_csit_region_reached_from_a_quality_threshold():
     assert (3, 2, 2) in triples and delayed_csit_threshold(3, 2, 2) == F(1, 2)
 
 
-def oracle_plan(values):
-    """(integers, scale): Fraction values times the lcm of their reduced
-    denominators, the plan's integer_scale."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [int(v * scale) for v in values], scale
-
-
 def plan_fields(plan):
     return (plan.tau1, plan.tau2, plan.tau3, plan.s1_count, plan.s2_count, plan.integer_scale)
 
@@ -253,12 +239,12 @@ def test_geometry_import_leaves_numpy_unloaded():
 
 
 def test_acceptance_grid_leaves_numpy_unloaded():
-    """The shared acceptance grid, plans included, and the four geometry and
-    planning test modules load neither numpy nor the Monte Carlo layer, so
-    those modules run without numpy."""
+    """The shared acceptance grid, plans included, the reference oracles'
+    module and the four geometry and planning test modules load neither
+    numpy nor the Monte Carlo layer, so those modules run without numpy."""
     root = Path(__file__).resolve().parents[1]
     script = (
-        "import sys; sys.path[:0] = sys.argv[1:]; import acceptance_grid; "
+        "import sys; sys.path[:0] = sys.argv[1:]; import acceptance_grid, reference; "
         "import test_region, test_scheme, test_converse, test_oracle; "
         "print(len(acceptance_grid.grid_plans()), "
         "sorted({'numpy', 'doflab.simulate', 'doflab.kernels'} & set(sys.modules)))"

@@ -35,12 +35,13 @@ from doflab import (
 )
 
 from acceptance_grid import GRID_SIZE, grid_configs
-
-
-def intercepts(region):
-    """(d1_max, d2_max) pairs of each constraint, for structural asserts."""
-    return {(F(hp.r, hp.p) if hp.p else None, F(hp.r, hp.q) if hp.q else None)
-            for hp in region.constraints}
+from reference import (
+    intercepts,
+    reference_area,
+    reference_contains,
+    reference_is_subset,
+    reference_vertices,
+)
 
 
 class TestSystemConfig:
@@ -646,59 +647,6 @@ def test_corner_defined_iff_lines_distinct(m, n1, n2, a1, a2):
         assert tuple(point) in {tuple(v) for v in region.vertices()}
 
 
-def reference_vertices(region):
-    """Vertices by the pairwise Fraction enumeration ``DofRegion.vertices``
-    used before it moved to integer-scaled constraints: solve each pair of
-    lines (constraints and axes) in Fractions, keep the solutions in the
-    quadrant that every constraint admits, order them by angle."""
-    constraints = region.constraints
-    if not any(hp.p > 0 for hp in constraints) or not any(hp.q > 0 for hp in constraints):
-        raise UnboundedRegion("region is unbounded in the quadrant")
-    lines = [(hp.p, hp.q, hp.r) for hp in constraints]
-    lines.append((F(1), F(0), F(0)))  # d1 = 0
-    lines.append((F(0), F(1), F(0)))  # d2 = 0
-    found = set()
-    for i in range(len(lines)):
-        p1, q1, r1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            p2, q2, r2 = lines[j]
-            det = p1 * q2 - p2 * q1
-            if det == 0:
-                continue
-            x = (r1 * q2 - r2 * q1) / det
-            y = (p1 * r2 - p2 * r1) / det
-            if x < 0 or y < 0:
-                continue
-            if all(admits(hp, x, y) for hp in constraints):
-                found.add((x, y))
-
-    def angle_key(v):
-        x, y = v
-        if x == 0 and y == 0:
-            return (F(-1), F(0))
-        return (y / (x + y), x + y)
-
-    return sorted(found, key=angle_key)
-
-
-def admits(hp, d1, d2):
-    """``p*d1 + q*d2 <= r`` in Fractions, without the plane's integer test."""
-    return hp.p * d1 + hp.q * d2 <= hp.r
-
-
-def reference_contains(region, point):
-    d1, d2 = point
-    return d1 >= 0 and d2 >= 0 and all(admits(hp, d1, d2) for hp in region.constraints)
-
-
-def reference_is_subset(inner_vertices, outer):
-    """Whether ``outer`` holds every vertex of the inner region, given as
-    ``outcome(reference_vertices, inner)``."""
-    if inner_vertices is UnboundedRegion:
-        return UnboundedRegion
-    return all(reference_contains(outer, v) for v in inner_vertices)
-
-
 def outcome(predicate, *args):
     """The predicate's value, or the type of the error it raised."""
     try:
@@ -798,12 +746,6 @@ def test_integer_geometry_matches_fraction_oracle(planes, others, nudges, extra)
         equal = forward and backward
     assert outcome(region_equal, region, other) == equal
     assert outcome(region_equal, other, region) == equal
-
-
-def reference_area(vertices):
-    """The shoelace sum over Fraction vertices in counterclockwise order."""
-    pairs = zip(vertices, vertices[1:] + vertices[:1])
-    return sum((ax * by - bx * ay for (ax, ay), (bx, by) in pairs), F(0)) / 2
 
 
 # small integers make parallel, coincident, concurrent and axis-parallel

@@ -34,7 +34,7 @@ from doflab import (
 from doflab.scheme import _payload_rows
 
 from acceptance_grid import GRID_SIZE, grid_plans
-from test_region import intercepts
+from reference import intercepts, reference_layout
 
 ratio = st.fractions(min_value=0, max_value=1, max_denominator=16)
 antenna = st.integers(min_value=1, max_value=6)
@@ -327,31 +327,9 @@ def test_integer_scale_is_minimal(m, n1, n2, alpha1, alpha2, w):
     assert math.gcd(*plan_tuple(plan)) == 1
 
 
-def reference_layout(count, slots, n, tau3):
-    """(loads, rows) of a symbol phase of ``count`` streams over ``slots``
-    slots for a receiver of ``n`` antennas, built without the package: each
-    slot takes the ceiling of the streams left over the slots left, so
-    larger loads come first; slot t owes its first ``load - n`` rows of the
-    other receiver, in slot order, and these are dealt one stream at a time
-    across the ``tau3`` phase-three slots, as ``(slot3, stream, slot, row,
-    load)``."""
-    loads, left = [], count
-    for t in range(slots):
-        loads.append(-(-left // (slots - t)))
-        left -= loads[-1]
-    owed = [(t, r, load) for t, load in enumerate(loads) for r in range(max(0, load - n))]
-    rows, stream = [], 0
-    while len(rows) < len(owed):
-        for slot3 in range(tau3):
-            if len(rows) < len(owed):
-                rows.append((slot3, stream, *owed[len(rows)]))
-        stream += 1
-    return loads, rows
-
-
 def test_slot_layout_matches_reference_on_acceptance_grid():
-    """``SchedulePlan.loads`` and ``_payload_rows`` are the layout built
-    here on every acceptance-grid plan; the rows are ``order2_payload``'s
+    """``SchedulePlan.loads`` and ``_payload_rows`` are ``reference_layout``
+    on every acceptance-grid plan; the rows are ``order2_payload``'s
     k_i, the largest load is the closed form ceil(s_i / tau_i), and every
     row has a cell of its own in the payload's (slot3, stream) grid."""
     plans = 0

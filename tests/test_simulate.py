@@ -22,7 +22,6 @@ from doflab import (
     AntennaOverflow,
     ChannelRealization,
     DoflabError,
-    GramOverflow,
     InfeasiblePlan,
     InvalidAlpha,
     InvalidConfig,
@@ -50,6 +49,19 @@ from doflab import (
 )
 
 from acceptance_grid import GRID_SIZE, grid_plans
+from reference import (
+    block_diagonal,
+    dealt_blocks,
+    float_words,
+    reference_failure,
+    reference_layouts,
+    reference_rank_passes,
+    reference_rates,
+    reference_stack,
+    residual_scan,
+    svd_ranks,
+    whole_system_ranks,
+)
 
 
 class TestSimParams:
@@ -393,14 +405,14 @@ class TestChannelWords:
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 5, 40])
     def test_draws_chunk_the_words(self, per_chunk, monkeypatch):
-        """``_draws`` yields chunks of the trials that fit the budget, with
-        the one-trial words of each."""
+        """``_word_chunks`` yields chunks of the trials that fit the budget,
+        with the one-trial words of each."""
         plan = plan_schedule(self.CFG, corner_weight(self.CFG))
         geom = simulate._PlanGeometry(self.CFG, plan)
         n = plan.total_slots * (self.CFG.n1 + self.CFG.n2) * geom.columns
         monkeypatch.setattr(simulate, "CHUNK_BYTES", per_chunk * geom.trial_bytes())
         chunks = []
-        for units, words in simulate._draws(geom, 4, 11, 1, geom.trial_bytes(), words=True):
+        for units, words in simulate._word_chunks(geom, 4, 11):
             chunks.append(units.tolist())
             for row, trial in zip(self.flat(words), units.tolist()):
                 assert np.array_equal(row, self.stream_words(4, trial, n))
@@ -556,10 +568,10 @@ class TestPhaseMatrices:
             first = build_phase_matrices(ChannelRealization(real.h1[0], real.h2[0]), plan, cfg)
             h = {1: real.h1, 2: real.h2}
             spans = {1: slice(0, plan.tau1), 2: slice(plan.tau1, plan.tau1 + plan.tau2)}
-            loads = {1: _ref_spread(plan.s1_count, plan.tau1), 2: _ref_spread(plan.s2_count, plan.tau2)}
+            loads = {phase: layout[0] for phase, layout in zip((1, 2), reference_layouts(cfg, plan))}
             for rx, phase in itertools.product((1, 2), (1, 2)):
                 name = f"rx{rx}_phase{phase}"
-                want = [_ref_stack(h[rx][t, spans[phase]], loads[phase]) for t in (0, 1)]
+                want = [reference_stack(h[rx][t, spans[phase]], loads[phase]) for t in (0, 1)]
                 assert np.array_equal(getattr(first, name), want[0]), (cfg, name)
                 assert np.array_equal(getattr(batched, name), np.stack(want)), (cfg, name)
 
@@ -809,17 +821,6 @@ def test_simulator_names_load_numpy_on_first_use():
     assert done.stdout == "False\nnumpy doflab.simulate True\n"
 
 
-def residual_scan(alpha, snr_grid_db, seed, entries=100_000):
-    """(mean powers, slope): the mean of ``|h - quantize_csit(h, alpha,
-    rho)|**2`` over ``entries`` unit-power draws per SNR point, and the
-    least-squares slope of its log10 against log10(rho), near ``-alpha``."""
-    rng = np.random.default_rng(seed)
-    h = (rng.standard_normal(entries) + 1j * rng.standard_normal(entries)) / np.sqrt(2)
-    log_rho = np.array(snr_grid_db, dtype=float) / 10.0
-    means = np.array([np.mean(np.abs(h - quantize_csit(h, alpha, 10.0**x)) ** 2) for x in log_rho])
-    return means, float(np.polyfit(log_rho, np.log10(means), 1)[0])
-
-
 class TestResidualScan:
     def test_slope_tracks_quality(self):
         means, slope = residual_scan(F(1, 2), (20.0, 30.0, 40.0, 50.0, 60.0), 0, entries=20000)
@@ -831,225 +832,6 @@ class TestResidualScan:
         assert slope == pytest.approx(0.0, abs=0.05)
         for power in means:
             assert power == pytest.approx(1.0, abs=0.05)
-
-
-# --------------------------------------------------------------------------
-# Reference: the unbatched campaigns, one trial and one SNR point at a time.
-# The batched campaigns must reproduce them.
-
-
-def _ref_spread(total, slots):
-    if slots == 0:
-        return []
-    base, extra = divmod(total, slots)
-    return [base + 1 if t < extra else base for t in range(slots)]
-
-
-def _ref_stack(slices, loads, scales=None):
-    rows_per = slices.shape[1] if slices.ndim == 3 else 0
-    out = np.zeros((rows_per * len(loads), sum(loads)), dtype=np.complex128)
-    off = 0
-    for t, load in enumerate(loads):
-        if load == 0:
-            continue
-        block = slices[t][:, :load]
-        if scales is not None:
-            block = scales[t] * block
-        out[t * rows_per : (t + 1) * rows_per, off : off + load] = block
-        off += load
-    return out
-
-
-def _ref_overheard(slices, loads, n_own):
-    """The other receiver's rows that phase three forwards: from each slot,
-    one row per equation the own receiver lacks there (load - n_own), each
-    with the load of its slot."""
-    rows, row_loads = [], []
-    off = 0
-    for t, load in enumerate(loads):
-        for r in range(max(0, load - n_own)):
-            row = np.zeros(sum(loads), dtype=np.complex128)
-            row[off : off + load] = slices[t][r, :load]
-            rows.append(row)
-            row_loads.append(load)
-        off += load
-    return np.array(rows).reshape(len(rows), sum(loads)), row_loads
-
-
-def _ref_chunks(plan, length):
-    return [[j for j in range(length) if j % plan.tau3 == t] for t in range(plan.tau3)]
-
-
-def _ref_phase3(cfg, plan, chunks, k1, k2, real, est1, est2, res1, res2, pow1, pow2,
-                power, sigma2):
-    base3 = plan.tau1 + plan.tau2
-    out = {1: ([], [], []), 2: ([], [], [])}
-    for t, chunk in enumerate(chunks):
-        q = len(chunk)
-        if q == 0:
-            continue
-        gains = np.zeros(q)
-        for qi, j in enumerate(chunk):
-            pw = 0.0
-            if j < k1:
-                pw += float(np.sum(np.abs(est1[j]) ** 2))
-            if j < k2:
-                pw += float(np.sum(np.abs(est2[j]) ** 2))
-            if pw > 0:
-                gains[qi] = math.sqrt(power / q / pw)
-        w1 = real.h1[base3 + t][:, :q] * gains[None, :]
-        w2 = real.h2[base3 + t][:, :q] * gains[None, :]
-        own1 = np.zeros((q, plan.s1_count), dtype=np.complex128)
-        cross1 = np.zeros((q, plan.s2_count), dtype=np.complex128)
-        evar1 = np.zeros(q)
-        own2 = np.zeros((q, plan.s2_count), dtype=np.complex128)
-        cross2 = np.zeros((q, plan.s1_count), dtype=np.complex128)
-        evar2 = np.zeros(q)
-        for qi, j in enumerate(chunk):
-            if j < k1:
-                own1[qi] = est1[j]
-                cross2[qi] = res1[j]
-                evar2[qi] = sigma2 / pow1[j]
-            if j < k2:
-                own2[qi] = est2[j]
-                cross1[qi] = res2[j]
-                evar1[qi] = sigma2 / pow2[j]
-        out[1][0].append(w1 @ own1)
-        out[1][1].append(w1 @ cross1)
-        out[1][2].append((w1 * evar1[None, :]) @ w1.conj().T)
-        out[2][0].append(w2 @ own2)
-        out[2][1].append(w2 @ cross2)
-        out[2][2].append((w2 * evar2[None, :]) @ w2.conj().T)
-    return out
-
-
-def svd_rate_bits(g, sigma):
-    """log2 det(I + G^H Sigma^-1 G) from the singular values of the whitened
-    system L^-1 G (Sigma = L L^H), without the simulator's kernels. Raises
-    the kernels' errors where they must: ``SingularCovariance`` unless Sigma
-    has a Cholesky factor with positive pivots, ``GramOverflow`` when the
-    whitened system is not finite."""
-    if g.shape[1] == 0:
-        return 0.0
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is None or not np.all(np.diagonal(chol).real > 0):
-        raise SingularCovariance("noise covariance is not positive definite")
-    white = np.linalg.solve(chol, g)
-    if not np.all(np.isfinite(white)):
-        raise GramOverflow("rate system has a non-finite entry")
-    s = np.linalg.svd(white, compute_uv=False)
-    return float(np.sum(np.log1p(s**2)) / np.log(2.0))
-
-
-def _ref_receiver_rate(own_phase, gains, mismatches, extras, sigma2, total_slots):
-    n_own = own_phase.shape[0]
-    if gains:
-        g3 = np.vstack(gains)
-        mism = np.vstack(mismatches)
-        n3 = g3.shape[0]
-        sig3 = sigma2 * np.eye(n3, dtype=np.complex128) + mism @ mism.conj().T
-        off = 0
-        for blk in extras:
-            b = blk.shape[0]
-            sig3[off : off + b, off : off + b] += blk
-            off += b
-        g = np.vstack([own_phase, g3])
-        sigma = np.zeros((n_own + n3, n_own + n3), dtype=np.complex128)
-        sigma[:n_own, :n_own] = sigma2 * np.eye(n_own)
-        sigma[n_own:, n_own:] = sig3
-    else:
-        g = own_phase
-        sigma = sigma2 * np.eye(n_own, dtype=np.complex128)
-    return svd_rate_bits(g, sigma) / total_slots
-
-
-def reference_pair_rates(cfg, plan, real, rho):
-    """Rates (rx1, rx2) of the unbatched loop at one trial's channels and SNR."""
-    payload = order2_payload(plan, cfg)
-    k1, k2 = payload.k1_needed, payload.k2_needed
-    loads1 = _ref_spread(plan.s1_count, plan.tau1)
-    loads2 = _ref_spread(plan.s2_count, plan.tau2)
-    chunks = _ref_chunks(plan, payload.length)
-    sigma2 = 1.0
-    total = plan.total_slots
-    p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
-    power = rho * sigma2
-    h1_hat = quantize_csit(real.h1, cfg.alpha1, rho)
-    h2_hat = quantize_csit(real.h2, cfg.alpha2, rho)
-    scales1 = [math.sqrt(power / u) if u else 0.0 for u in loads1]
-    scales2 = [math.sqrt(power / v) if v else 0.0 for v in loads2]
-    own_rx1 = _ref_stack(real.h1[: plan.tau1], loads1, scales1)
-    own_rx2 = _ref_stack(real.h2[p2], loads2, scales2)
-    est1, loads_of1 = _ref_overheard(h2_hat[: plan.tau1], loads1, cfg.n1)
-    res1, _ = _ref_overheard(real.h2[: plan.tau1] - h2_hat[: plan.tau1], loads1, cfg.n1)
-    est2, loads_of2 = _ref_overheard(h1_hat[p2], loads2, cfg.n2)
-    res2, _ = _ref_overheard(real.h1[p2] - h1_hat[p2], loads2, cfg.n2)
-    assert (len(est1), len(est2)) == (k1, k2)
-    pow1 = [power / load for load in loads_of1]
-    pow2 = [power / load for load in loads_of2]
-    blocks = _ref_phase3(cfg, plan, chunks, k1, k2, real, est1, est2, res1, res2,
-                         pow1, pow2, power, sigma2)
-    return (
-        _ref_receiver_rate(own_rx1, *blocks[1], sigma2, total),
-        _ref_receiver_rate(own_rx2, *blocks[2], sigma2, total),
-    )
-
-
-def reference_rates(cfg, plan, params):
-    """Per-SNR rates (len(grid), 2) of the unbatched loop."""
-    rates = np.zeros((len(params.snr_grid_db), 2))
-    for trial in range(params.trials):
-        real = gen_channels(cfg, plan.total_slots, [params.seed, trial])
-        for si, snr_db in enumerate(params.snr_grid_db):
-            rates[si] += reference_pair_rates(cfg, plan, real, 10.0 ** (snr_db / 10.0))
-    return rates / params.trials
-
-
-def reference_failure(cfg, plan, params):
-    """(error type, trial, SNR in dB) of the first pair the unbatched loop
-    cannot evaluate, or None."""
-    for trial in range(params.trials):
-        real = gen_channels(cfg, plan.total_slots, [params.seed, trial])
-        for snr_db in params.snr_grid_db:
-            try:
-                reference_pair_rates(cfg, plan, real, 10.0 ** (snr_db / 10.0))
-            except (SingularCovariance, GramOverflow) as exc:
-                return type(exc), trial, snr_db
-    return None
-
-
-def reference_rank_passes(cfg, plan, params):
-    """Per-receiver rank passes of the unbatched loop."""
-    payload = order2_payload(plan, cfg)
-    k1, k2 = payload.k1_needed, payload.k2_needed
-    loads1 = _ref_spread(plan.s1_count, plan.tau1)
-    loads2 = _ref_spread(plan.s2_count, plan.tau2)
-    p2 = slice(plan.tau1, plan.tau1 + plan.tau2)
-    base3 = plan.tau1 + plan.tau2
-    s1, s2 = plan.s1_count, plan.s2_count
-    passes = [0, 0]
-    for trial in range(params.trials):
-        real = gen_channels(cfg, plan.total_slots, [params.seed, trial])
-        rows1 = np.zeros((payload.length, s1), dtype=np.complex128)
-        rows2 = np.zeros((payload.length, s2), dtype=np.complex128)
-        rows1[:k1] = _ref_overheard(real.h2[: plan.tau1], loads1, cfg.n1)[0]
-        rows2[:k2] = _ref_overheard(real.h1[p2], loads2, cfg.n2)[0]
-        sys1 = [_ref_stack(real.h1[: plan.tau1], loads1)]
-        sys2 = [_ref_stack(real.h2[p2], loads2)]
-        for t, chunk in enumerate(_ref_chunks(plan, payload.length)):
-            q = len(chunk)
-            if q == 0:
-                continue
-            sys1.append(real.h1[base3 + t][:, :q] @ rows1[chunk])
-            sys2.append(real.h2[base3 + t][:, :q] @ rows2[chunk])
-        rank1 = kernels.numerical_rank(np.vstack(sys1)) if s1 else 0
-        rank2 = kernels.numerical_rank(np.vstack(sys2)) if s2 else 0
-        passes[0] += rank1 == s1
-        passes[1] += rank2 == s2
-    return passes[0], passes[1]
 
 
 def assert_matches_reference(cfg, plan, params):
@@ -1336,7 +1118,7 @@ def test_pair_bytes_tracks_chunk_memory(cfg):
     trials = max(1, simulate.CHUNK_BYTES // geom.trial_bytes())
 
     def rank_chunk():
-        units, words = next(simulate._draws(geom, 1, trials, 1, geom.trial_bytes(), words=True))
+        units, words = next(simulate._word_chunks(geom, 1, trials))
         assert len(units) == trials
         simulate._ranks(geom, words)
 
@@ -1434,26 +1216,23 @@ def test_rank_draw_capped_by_its_own_words(monkeypatch):
 
 def test_phase_rows_are_the_payload_deficits():
     """On every plan of the acceptance grid, each symbol phase's payload
-    grid is the layout built here: from each slot of ``_ref_spread`` loads,
-    rows 0 .. load - N_i - 1 of the other receiver, numbered in slot order,
-    and row j dealt to phase-three slot j % tau3 as its stream j // tau3.
-    The live streams are order2_payload's k_i."""
+    grid holds ``reference_layout``'s rows: from each slot, rows 0 .. load -
+    N_i - 1 of the other receiver, numbered in slot order, and row j dealt
+    to phase-three slot j % tau3 as its stream j // tau3. The live streams
+    are order2_payload's k_i."""
     plans = grid_plans()
     assert len(plans) == GRID_SIZE
     for cfg, plan in plans:
         geom = simulate._PlanGeometry(cfg, plan)
         payload = order2_payload(plan, cfg)
         grid = (min(payload.length, plan.tau3), payload.per_slot_streams)
-        phases = ((cfg.n1, plan.s1_count, plan.tau1, payload.k1_needed),
-                  (cfg.n2, plan.s2_count, plan.tau2, payload.k2_needed))
-        for phase, (n, symbols, slots, owed) in zip(geom.phases, phases):
+        deficits = (payload.k1_needed, payload.k2_needed)
+        for phase, (_, rows), owed in zip(geom.phases, reference_layouts(cfg, plan), deficits):
             live = np.zeros(grid, dtype=bool)
             source, row = np.zeros(grid, dtype=int), np.zeros(grid, dtype=int)
             row_loads = np.zeros(grid)
-            rows = [(t, r, load) for t, load in enumerate(_ref_spread(symbols, slots))
-                    for r in range(load - n)]
-            for j, (t, r, load) in enumerate(rows):
-                at = (j % plan.tau3, j // plan.tau3)
+            for slot3, stream, t, r, load in rows:
+                at = (slot3, stream)
                 assert not live[at], cfg
                 live[at], source[at], row[at], row_loads[at] = True, t, r, load
             assert len(rows) == owed and phase.live.sum() == owed, cfg
@@ -1494,38 +1273,6 @@ def test_lift_matches_the_stream_loop(cfg):
         assert got.tobytes() == want.reshape(got.shape).tobytes()
 
 
-def _block_diagonal(own):
-    """Slot blocks (B, slots, rows, width) as one block-diagonal matrix, in
-    their dtype."""
-    b, slots, rows, width = own.shape
-    out = np.zeros((b, slots * rows, slots * width), dtype=own.dtype)
-    for t in range(slots):
-        out[:, t * rows : (t + 1) * rows, t * width : (t + 1) * width] = own[:, t]
-    return out
-
-
-def svd_ranks(geom, real):
-    """Per receiver, the SVD rank of each float system of the campaigns'
-    layout: the own slot blocks over the lifted phase-three rows."""
-    h = (real.h1, real.h2)
-    ranks = []
-    for i, phase in enumerate(geom.phases):
-        dense = _block_diagonal(phase.symbols(h[i]))
-        if geom.slots3:
-            w = h[i][:, geom.phase3, :, : geom.streams3]
-            dense = np.concatenate([dense, phase.lift(w, phase.rows(phase.symbols(h[1 - i])))], axis=1)
-        ranks.append(kernels.numerical_rank_stacked(dense))
-    return ranks
-
-
-def float_words(real):
-    """The words of a float draw, for ranks of the same systems in floats
-    and over GF(p): per complex entry, the xor of its real and imaginary
-    parts' float64 bit patterns."""
-    return ChannelRealization(*(h.real.view(np.uint64) ^ h.imag.view(np.uint64)
-                                for h in (real.h1, real.h2)))
-
-
 class TestSlotRankParity:
     """The campaigns' exact rank over GF(p) equals an SVD rank of the same
     layout in floats on the campaign plans, both with the overheard rows the
@@ -1559,21 +1306,21 @@ class TestSlotRankParity:
                 for h in (floats, residues):
                     own, other = phase.symbols(h[i]), phase.symbols(h[1 - i])
                     w = h[i][:, geom.phase3, :, : geom.streams3]
-                    stacked = _block_diagonal(other)
+                    stacked = block_diagonal(other)
                     rows = np.where(phase.live[..., None], stacked[:, np.where(phase.live, index, 0)], 0)
                     coupled = (w @ rows).reshape(len(w), -1, rows.shape[-1])
                     if h is residues:
                         coupled %= p
                     if not first:
-                        lifted = phase.lift(w, phase.rows(other), p if h is residues else 0)
+                        lifted = phase.lift(w, phase.rows(other))
                         if h is residues:
-                            assert np.array_equal(lifted, coupled)
+                            assert np.array_equal(lifted % p, coupled)
                         else:
                             assert np.max(np.abs(lifted - coupled)) <= 1e-12 * np.max(np.abs(coupled))
                     systems.append((own, coupled))
                 (own, coupled), exact_system = systems
                 exact = kernels.slot_rank_stacked(*exact_system, p)
-                dense = np.concatenate([_block_diagonal(own), coupled], axis=1)
+                dense = np.concatenate([block_diagonal(own), coupled], axis=1)
                 assert exact.tolist() == kernels.numerical_rank_stacked(dense).tolist()
                 if first:
                     deficient += int(np.count_nonzero(exact < symbols))
@@ -1665,34 +1412,6 @@ def three_phase_geometries():
     return geometries
 
 
-def dealt_blocks(cfg, plan):
-    """Per symbol phase, its blocks as a set of (phase-three slots, slots)
-    pairs of frozensets, and the set of slots no row is dealt from, built
-    here from the plan's integers: each slot of ``_ref_spread`` loads owes
-    load - N_i rows, in slot order, and row j goes to phase-three slot
-    j % tau3. A union-find joins each row's phase-three slot and slot."""
-    phases = []
-    for n, symbols, slots in ((cfg.n1, plan.s1_count, plan.tau1), (cfg.n2, plan.s2_count, plan.tau2)):
-        owed = [t for t, load in enumerate(_ref_spread(symbols, slots)) for _ in range(load - n)]
-        parent = {}
-
-        def find(node):
-            parent.setdefault(node, node)
-            while parent[node] != node:
-                node = parent[node]
-            return node
-
-        for j, t in enumerate(owed):
-            parent[find(("slot3", j % plan.tau3))] = find(("slot", t))
-        components = {}
-        for node in list(parent):
-            kind, index = node
-            components.setdefault(find(node), (set(), set()))[kind == "slot"].add(index)
-        blocks = {(frozenset(slots3), frozenset(slots)) for slots3, slots in components.values()}
-        phases.append((blocks, set(range(slots)) - set(owed)))
-    return phases
-
-
 def test_blocks_are_the_components_of_the_dealing(three_phase_geometries):
     """On every three-phase corner plan of the grid, each phase's blocks
     are those of the dealing rule, each unread slot a block of no
@@ -1711,28 +1430,6 @@ def test_blocks_are_the_components_of_the_dealing(three_phase_geometries):
         assert got == want, geom.cfg
         split += any(len(blocks) > 1 or any(not slots3 for slots3, _ in blocks) for blocks in got)
     assert split == 2014
-
-
-def whole_system_ranks(geom, words):
-    """Per receiver, each trial's rank of its undecomposed system [A; P]:
-    one ``kernels.slot_rank_stacked`` per receiver under the first prime,
-    and where a receiver falls short, the larger of that and the second
-    prime's, as ``_ranks`` recounts."""
-    symbols = (geom.plan.s1_count, geom.plan.s2_count)
-    ranks = None
-    for p in kernels.PRIMES:
-        h = [(each % np.uint64(p)).view(np.int64) for each in (words.h1, words.h2)]
-        under = []
-        for i, phase in enumerate(geom.phases):
-            rows = None
-            if geom.slots3:
-                w = h[i][:, geom.phase3, :, : geom.streams3]
-                rows = phase.lift(w, phase.rows(phase.symbols(h[1 - i])), p)
-            under.append(kernels.slot_rank_stacked(phase.symbols(h[i]), rows, p))
-        ranks = under if ranks is None else [np.maximum(a, b) for a, b in zip(ranks, under)]
-        if all((rank == full).all() for rank, full in zip(ranks, symbols)):
-            break
-    return ranks
 
 
 def assert_block_ranks_are_whole_ranks(geom, words):
